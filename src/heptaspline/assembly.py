@@ -47,10 +47,6 @@ __all__ = [
     "min_knots",
 ]
 
-# fractions.Fraction provides the exact-rational arithmetic used throughout:
-# arbitrary-precision numerator, positive denominator, auto-reduced.
-ExactRational = Fraction
-
 
 class EndConditionMode(enum.Enum):
     STANDARD = "standard"

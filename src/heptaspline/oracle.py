@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .assembly import EndConditionMode, build, min_knots
-from .cascade import IvpProblem
+from .cascade import IvpProblem, _rk4_linear
 from .forces import ForceExpr, parse
 from .linsolve import SolutionGrid, lu_solve
 from .spline_params import SplineParams
@@ -47,18 +47,28 @@ class RkTrajectory:
 
     def value_at(self, t: float) -> float:
         """y at a step point; raises if ``t`` is not on the step grid."""
-        h = self.t[1] - self.t[0]
-        idx = round((t - self.t[0]) / h)
-        if idx < 0 or idx >= len(self.t) or abs(self.t[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not a step point of this trajectory")
-        return float(self.states[idx, 0])
+        return float(self.y[self._step_indices(t)])
+
+    def _step_indices(self, t) -> np.ndarray:
+        """Step index of each time in ``t``; raises if one is not a step point."""
+        t = np.asarray(t, dtype=float)
+        pos = (t - self.t[0]) / (self.t[1] - self.t[0])
+        off = ~((pos > -0.5) & (pos < len(self.t) - 0.5))     # also catches NaN
+        idx = np.rint(np.where(off, 0.0, pos)).astype(np.intp)
+        off |= np.abs(self.t[idx] - t) > 1e-9 * np.maximum(1.0, np.abs(t))
+        if np.any(off):
+            raise ValueError(f"t={t[off].flat[0]} is not a step point of this trajectory")
+        return idx
 
 
 def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     """Classical RK4 on the companion system at uniform step (b-a)/steps.
 
-    Works for any equation order (the state dimension is ``problem.order``);
-    f and g are tabulated on the half-step grid before the loop.
+    Works for any equation order (the state dimension is ``problem.order``).
+    The companion system ``z' = A(t) z + e_N g(t)``, with ``-f`` in the last
+    row of A, is linear, so it runs through the blocked affine RK4 kernel
+    shared with ``simulate_direct`` (``_rk4_linear``); f and g are tabulated
+    on the half-step grid, and A is one matrix when f is constant there.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -68,24 +78,15 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     half_grid = a + 0.5 * h * np.arange(2 * steps + 1)
     gtab = problem.g.evaluate(half_grid)
     ftab = problem.f.evaluate(half_grid)
-
-    z = np.array(problem.u, dtype=float)
-    states = np.empty((steps + 1, order))
-    states[0] = z
-
-    def rate(z, j):
-        out = np.empty(order)
-        out[:-1] = z[1:]
-        out[-1] = gtab[j] - ftab[j] * z[0]
-        return out
-
-    for i in range(steps):
-        k1 = rate(z, 2 * i)
-        k2 = rate(z + 0.5 * h * k1, 2 * i + 1)
-        k3 = rate(z + 0.5 * h * k2, 2 * i + 1)
-        k4 = rate(z + h * k3, 2 * i + 2)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i + 1] = z
+    if np.all(ftab == ftab[0]):
+        ftab = ftab[:1]
+    companion = np.zeros((len(ftab), order, order))
+    companion[:, :-1, 1:] = np.eye(order - 1)
+    companion[:, -1, 0] = -ftab
+    forcing = np.zeros((order, 1))
+    forcing[-1] = 1.0
+    states = _rk4_linear(companion, forcing, gtab[:, None],
+                         np.array(problem.u, dtype=float), h)
     return RkTrajectory(t=a + h * np.arange(steps + 1), states=states)
 
 
@@ -99,7 +100,7 @@ def max_abs_error(grid: SolutionGrid, reference: Reference) -> float:
     step points contain every knot.
     """
     if isinstance(reference, RkTrajectory):
-        ref = np.array([reference.value_at(t) for t in grid.t])
+        ref = reference.y[reference._step_indices(grid.t)]
     else:
         ref = reference.evaluate(grid.t)
     return float(np.max(np.abs(grid.y - ref)))

@@ -1,12 +1,13 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from heptaspline.assembly import EndConditionMode, build
-from heptaspline.cascade import IvpProblem
-from heptaspline.forces import ForceExpr, ForceTerm
+from heptaspline.cascade import CascadeModel, IvpProblem, simulate_direct
+from heptaspline.forces import ForceExpr, ForceTerm, parse
 from heptaspline.linsolve import SolutionGrid, lu_solve
 from heptaspline.oracle import (
     BENCHMARKS,
@@ -17,6 +18,8 @@ from heptaspline.oracle import (
 from heptaspline.spline_params import SplineParams, optimal_family
 
 OSCILLATING, EXPONENTIAL, PURE_FORCING = BENCHMARKS
+#: y = exp(t) solves y^(7) + t*y = exp(t) + t*exp(t); the only non-constant f here.
+TIME_VARYING = IvpProblem(0.0, 1.0, parse("t"), parse("exp(t) + t*exp(t)"), (1.0,) * 7)
 
 
 class TestBenchmarkFixtures:
@@ -63,6 +66,14 @@ class TestRkSolve:
             order = math.log2(e1 / e2)
             assert order == pytest.approx(4.0, abs=0.4)
 
+    def test_time_varying_f_fourth_order(self):
+        errors = []
+        for steps in (250, 500, 1000):
+            trajectory = rk_solve(TIME_VARYING, steps)
+            errors.append(np.max(np.abs(trajectory.y - np.exp(trajectory.t))))
+        for e1, e2 in zip(errors, errors[1:]):
+            assert math.log2(e1 / e2) == pytest.approx(4.0, abs=0.4)
+
     def test_value_at_rejects_off_grid_points(self):
         trajectory = rk_solve(EXPONENTIAL.problem, 10)
         with pytest.raises(ValueError, match="step point"):
@@ -71,6 +82,57 @@ class TestRkSolve:
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
             rk_solve(EXPONENTIAL.problem, 0)
+
+
+def textbook_rk4(rate, z0, a, h, steps):
+    """Classical RK4, one step at a time: the scheme the oracles must implement."""
+    z = np.array(z0, dtype=float)
+    states = [z]
+    for i in range(steps):
+        t = a + i * h
+        k1 = rate(t, z)
+        k2 = rate(t + 0.5 * h, z + 0.5 * h * k1)
+        k3 = rate(t + 0.5 * h, z + 0.5 * h * k2)
+        k4 = rate(t + h, z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(z)
+    return np.array(states)
+
+
+def companion_rate(problem):
+    def rate(t, z):
+        return np.append(z[1:], problem.g(t) - problem.f(t) * z[0])
+    return rate
+
+
+class TestClassicalRk4:
+    """Both oracles agree with per-step classical RK4, across block boundaries."""
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("problem", [OSCILLATING.problem, TIME_VARYING],
+                             ids=["constant-f", "time-varying-f"])
+    def test_companion_system(self, problem, steps):
+        h = (problem.b - problem.a) / steps
+        expected = textbook_rk4(companion_rate(problem), problem.u, problem.a, h, steps)
+        assert np.max(np.abs(rk_solve(problem, steps).states - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+    def test_cascade_system(self, steps):
+        rng = random.Random(7)
+        model = CascadeModel(
+            n_scales=7, gamma=2.0,
+            forces=tuple(parse(f"{rng.uniform(-1, 1)}*sin({rng.uniform(-2, 2)}*t) + t^2")
+                         for _ in range(7)),
+            init_velocities=tuple(rng.uniform(-1, 1) for _ in range(7)),
+            interval=(-0.5, 1.5))
+
+        def rate(t, y):
+            return -model.gamma * np.roll(y, -1) + np.array([f(t) for f in model.forces])
+
+        h = 2.0 / steps
+        expected = textbook_rk4(rate, model.init_velocities, -0.5, h, steps)
+        _, trajectories = simulate_direct(model, steps)
+        assert np.max(np.abs(trajectories - expected)) <= 1e-12
 
 
 class TestMaxAbsError:
@@ -93,6 +155,12 @@ class TestMaxAbsError:
                               EndConditionMode.IMPROVED, 12))
         err = max_abs_error(grid, EXPONENTIAL.exact)
         assert err <= 10 * 2.15e-8 and err >= 2.15e-8 / 10
+
+    def test_rk_reference_must_contain_every_knot(self):
+        grid = lu_solve(build(EXPONENTIAL.problem, optimal_family(30),
+                              EndConditionMode.IMPROVED, 10))
+        with pytest.raises(ValueError, match="step point"):
+            max_abs_error(grid, rk_solve(EXPONENTIAL.problem, 15))
 
     def test_rk_trajectory_as_reference(self):
         grid = lu_solve(build(EXPONENTIAL.problem, optimal_family(30),
