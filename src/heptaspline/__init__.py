@@ -31,7 +31,6 @@ from .oracle import (
     rk_solve,
 )
 from .spline_params import (
-    STANDARD_END_ROW_H9_CONSTANTS,
     SplineParams,
     TruncationCoeffs,
     from_theta,
@@ -55,7 +54,6 @@ __all__ = [
     "LinearSystem",
     "ParseError",
     "RkTrajectory",
-    "STANDARD_END_ROW_H9_CONSTANTS",
     "SolutionGrid",
     "SplineParams",
     "TruncationCoeffs",

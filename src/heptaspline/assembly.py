@@ -12,23 +12,19 @@ Interior rows (one per knot i = 7..n) are the consistency stencil
 
 whose weights (al, be, ga, de) are the spline parameters.  Six end-condition
 rows close the system; they couple U-values near t = a to nearby knot values
-and to the initial data u_0..u_6 and are stored as exact rational
-coefficients (several exceed 64-bit integer range), reduced to floats once
-per build.  Two end-condition families are available:
-
-* standard: local truncation error of order h^9 (second-order solver);
-* improved: local truncation error of order h^12 or better, lifting the
-  solver to fifth order when paired with the optimal parameter family.
-
-Every stored coefficient is pinned by the polynomial-exactness tests: each
-standard row annihilates polynomials through degree 8, each improved row
-through degree 11 (rows built here actually reach 12), and the interior
-stencil through degree 8 (degree 12 on the optimal family).
+and to the initial data u_0..u_6.  Each row is derived, once per mode on
+first use, from a one-line spec of what it couples: it is the unique such row
+exact on polynomials through degree 8 (standard: local truncation error h^9,
+second-order solver) or 12 (improved: h^13, fifth order with the optimal
+parameter family).  The exact rational coefficients (several exceed 64-bit
+integer range) are reduced to floats once per build.  The interior stencil
+is exact through degree 8 (degree 12 on the optimal family).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,168 +67,97 @@ class EndRow(NamedTuple):
     y0_seventh: Fraction
 
 
-F = Fraction
-
 #: y-side of the interior stencil: 120 * binomial weights of the seventh
 #: forward difference.
 INTERIOR_Y_WEIGHTS = (-120, 840, -2520, 4200, -4200, 2520, -840, 120)
 
-_STANDARD_END_ROWS: tuple[EndRow, ...] = (
-    EndRow(
-        u_terms=((0, F(1)), (1, F(-10)), (4, F(1))),
-        y_terms=((0, F(512540, 27)), (1, F(-20160)), (2, F(1260)), (3, F(-2240, 27))),
-        init_terms=((1, F(161000, 9)), (2, F(23800, 3)), (3, F(6160, 3)), (4, F(280))),
-        y0_seventh=F(0),
-    ),
-    EndRow(
-        u_terms=((1, F(1)), (2, F(-30666, 8867)), (5, F(1))),
-        y_terms=((1, F(-957600, 8867)), (2, F(1048320, 8867)), (3, F(-90720, 8867))),
-        init_terms=((1, F(-866880, 8867)), (2, F(-1209600, 8867)),
-                    (3, F(-829920, 8867)), (4, F(-352800, 8867)), (5, F(-87864, 8867))),
-        y0_seventh=F(0),
-    ),
-    EndRow(
-        u_terms=((2, F(1)), (3, F(-278026, 94221)), (6, F(1))),
-        y_terms=((2, F(-67340, 10469)), (3, F(80640, 10469)), (4, F(-700, 551))),
-        init_terms=((1, F(-54040, 10469)), (2, F(-4200, 361)), (3, F(-20720, 1653)),
-                    (4, F(-85400, 10469)), (5, F(-95536, 31407))),
-        y0_seventh=F(0),
-    ),
-    EndRow(
-        u_terms=((3, F(1)), (7, F(1))),
-        y_terms=((3, F(10808537040, 487056529)), (4, F(-13373418240, 487056529)),
-                 (5, F(2564881200, 487056529))),
-        init_terms=((1, F(8243655840, 487056529)), (2, F(26287914240, 487056529)),
-                    (3, F(40576352880, 487056529)), (4, F(39377200800, 487056529)),
-                    (5, F(25438766892, 487056529)), (6, F(9474762304, 487056529))),
-        y0_seventh=F(0),
-    ),
-    EndRow(
-        u_terms=((4, F(1)), (8, F(1))),
-        y_terms=((4, F(2645350155, 436783036)), (5, F(-869117760, 109195759)),
-                 (6, F(831120885, 436783036))),
-        init_terms=((1, F(31279815, 7530742)), (2, F(3666455415, 218391518)),
-                    (3, F(3572264955, 109195759)), (4, F(8717751945, 218391518)),
-                    (5, F(3525702999, 109195759)), (6, F(1634628387, 109195759))),
-        y0_seventh=F(0),
-    ),
-    EndRow(
-        u_terms=((5, F(1)), (9, F(1))),
-        y_terms=((5, F(132838307280, 61865369749)), (6, F(-183300929280, 61865369749)),
-                 (7, F(50462622000, 61865369749))),
-        init_terms=((1, F(82375685280, 61865369749)), (2, F(402603647040, 61865369749)),
-                    (3, F(946588828080, 61865369749)), (4, F(1390554453120, 61865369749)),
-                    (5, F(1350858565644, 61865369749)), (6, F(749461929944, 61865369749))),
-        y0_seventh=F(0),
-    ),
-)
 
-_IMPROVED_END_ROWS: tuple[EndRow, ...] = (
-    EndRow(
-        u_terms=((0, F(1)), (1, F(-24407, 109)), (2, F(-59362, 109)),
-                 (3, F(-10662, 109)), (4, F(-907, 109)), (5, F(1))),
-        y_terms=((0, F(66633336, 545)), (1, F(-19958400, 109)), (2, F(9979200, 109)),
-                 (3, F(-4435200, 109)), (4, F(1247400, 109)), (5, F(-798336, 545))),
-        init_terms=((1, F(9114336, 109)), (2, F(1995840, 109))),
-        y0_seventh=F(-80, 109),
-    ),
-    EndRow(
-        u_terms=((1, F(1)), (2, F(202055040421, 554613069)), (3, F(77878525838, 184871023)),
-                 (4, F(18661788874, 184871023)), (5, F(-2434662535, 554613069)), (6, F(1))),
-        y_terms=((1, F(-4011644165760, 184871023)), (2, F(8861887188000, 184871023)),
-                 (3, F(-73815832428800, 1663839207)), (4, F(4618760731200, 184871023)),
-                 (5, F(-1470208924800, 184871023)), (6, F(1826678971040, 1663839207))),
-        init_terms=((1, F(-4345911046400, 554613069)), (2, F(-1035868310400, 184871023)),
-                    (3, F(-183470425600, 184871023))),
-        y0_seventh=F(0),
-    ),
-    EndRow(
-        u_terms=((2, F(1)), (3, F(-13173366154319505819, 604803696004634)),
-                 (4, F(-5923535526089565973, 302401848002317)),
-                 (5, F(-2639790737228529743, 604803696004634)), (7, F(1))),
-        y_terms=((2, F(25352931909798309915, 43200264000331)),
-                 (3, F(-198185856313975120000, 129600792000993)),
-                 (4, F(72535593878062755750, 43200264000331)),
-                 (5, F(-44672825515677652800, 43200264000331)),
-                 (6, F(44958164899589796925, 129600792000993)),
-                 (7, F(-2139803134054971840, 43200264000331))),
-        init_terms=((1, F(5764036699720950200, 43200264000331)),
-                    (2, F(7374675959642702700, 43200264000331)),
-                    (3, F(3273172503578299200, 43200264000331)),
-                    (4, F(521467194925746900, 43200264000331))),
-        y0_seventh=F(0),
-    ),
-    # Solved from the degree-12 exactness conditions for the sparsity
-    # pattern U_3 + c*U_4 + c*U_6 + U_7 | y_3..y_8, u_1..u_5.
-    EndRow(
-        u_terms=((3, F(1)),
-                 (4, F(-2266126612680026537267, 61666447925625915092)),
-                 (6, F(-517151260795603682957, 61666447925625915092)),
-                 (7, F(1))),
-        y_terms=((3, F(6978216292915346880800, 59464074785424989553)),
-                 (4, F(-252535070117919383660115, 563807523891436937984)),
-                 (5, F(1479400321062422556000, 2202373140200925539)),
-                 (6, F(-119706610333023164494055, 237856299141699958212)),
-                 (7, F(423111090293216377920, 2202373140200925539)),
-                 (8, F(-16922677473303675048045, 563807523891436937984))),
-        init_terms=((1, F(-5227327231125729809035, 1268566928755733110464)),
-                    (2, F(-2035341656474884899625, 70475940486429617248)),
-                    (3, F(-2552069016631436032525, 52856955364822212936)),
-                    (4, F(-557447883238834390275, 17618985121607404312)),
-                    (5, F(-33985058036341479441, 4404746280401851078))),
-        y0_seventh=F(0),
-    ),
-    EndRow(
-        u_terms=((4, F(1)),
-                 (7, F(-6169811365491003355386625, 364845537886699795641421)),
-                 (9, F(1))),
-        y_terms=((4, F(413182203198678792199193360481, 373601830795980590736815104)),
-                 (5, F(-1011762526223941981900336800, 364845537886699795641421)),
-                 (6, F(998387082478934194463004566965, 354629862825872201363461212)),
-                 (7, F(-566429213407879867786917120, 364845537886699795641421)),
-                 (8, F(173230355267937275186019127455, 373601830795980590736815104)),
-                 (9, F(-5254626822196644195075230752, 88657465706468050340865303))),
-        init_terms=((1, F(1828802733123508354716945025585, 7565437073618606962420505856)),
-                    (2, F(54937023892836663800655898465, 74170951702143205513926528)),
-                    (3, F(319183920456421230207708911935, 315226544734108623434187744)),
-                    (4, F(81879551659139637198985554365, 105075514911369541144729248)),
-                    (5, F(2991554077139003376141526763, 8756292909280795095394104)),
-                    (6, F(303485670688565607390252013, 4378146454640397547697052))),
-        y0_seventh=F(0),
-    ),
-    # Solved from the degree-12 exactness conditions for the sparsity
-    # pattern U_5 + U_10 | y_5..y_10, u_1..u_6 plus an h^7 y^(7)(a) term
-    # (same closing term as the first row of this family).
-    EndRow(
-        u_terms=((5, F(1)), (10, F(1))),
-        y_terms=((5, F(-11329661875965268116467664576, 10518956107243136242421875)),
-                 (6, F(2671289475279448800965248025, 1046981154431009630989728)),
-                 (7, F(-319041765526858283926800, 134642638172712143903)),
-                 (8, F(157510552252248817231050, 134642638172712143903)),
-                 (9, F(-10130186704138009157597200, 32718161075969050968429)),
-                 (10, F(11772178255017535843225032057, 336606595431780359757500000))),
-        init_terms=((1, F(-32004630544339100729519758943, 123932428318064587001625000)),
-                    (2, F(-1086811999946091821986024973, 1032770235983871558346875)),
-                    (3, F(-18083416386562810579137689701, 9088378076658069713452500)),
-                    (4, F(-68392805085196565784778898, 30294593588860232378175)),
-                    (5, F(-331569804097316872609274053, 201963957259068215854500)),
-                    (6, F(-7443645175519915691163506, 10098197862953410792725))),
-        y0_seventh=F(-219458588187453844419603, 1346426381727121439030),
-    ),
-)
+class _RowSpec(NamedTuple):
+    """Pattern of one end row; :func:`_derive_row` turns it into the row."""
 
-_END_ROWS = {
-    EndConditionMode.STANDARD: _STANDARD_END_ROWS,
-    EndConditionMode.IMPROVED: _IMPROVED_END_ROWS,
+    u: tuple[int, ...]     # U indices; the first and last weights are 1
+    y: range               # knot indices
+    init: int              # init_terms cover u_1..u_init (init <= 6)
+    y7: bool = False       # whether the row has an h^7 y^(7)(a) term
+
+
+#: Per mode: the degree through which every end row is exact, and the rows.
+_END_ROW_SPECS = {
+    EndConditionMode.STANDARD: (8, (
+        _RowSpec((0, 1, 4), range(0, 4), 4),
+        _RowSpec((1, 2, 5), range(1, 4), 5),
+        _RowSpec((2, 3, 6), range(2, 5), 5),
+        _RowSpec((3, 7), range(3, 6), 6),
+        _RowSpec((4, 8), range(4, 7), 6),
+        _RowSpec((5, 9), range(5, 8), 6),
+    )),
+    EndConditionMode.IMPROVED: (12, (
+        _RowSpec((0, 1, 2, 3, 4, 5), range(0, 6), 2, y7=True),
+        _RowSpec((1, 2, 3, 4, 5, 6), range(1, 7), 3),
+        _RowSpec((2, 3, 4, 5, 7), range(2, 8), 4),
+        _RowSpec((3, 4, 6, 7), range(3, 9), 5),
+        _RowSpec((4, 7, 9), range(4, 10), 6),
+        _RowSpec((5, 10), range(5, 11), 6, y7=True),
+    )),
 }
 
-#: Highest knot index referenced by the end-condition rows of each mode;
-#: also the smallest admissible n.
-_MIN_KNOTS = {EndConditionMode.STANDARD: 9, EndConditionMode.IMPROVED: 10}
+
+def _derive_row(spec: _RowSpec, degree: int) -> EndRow:
+    """The unique row of pattern ``spec`` that is exact on t^0..t^degree.
+
+    At h = 1 and a = 0 the row is exact on y = t^d when
+
+        sum c_j * D^7 t^d (j) - sum q_j * j^d = m! * b_m [d = m] + 7! * e [d = 7]
+
+    for U weights c_j, knot weights q_j, init weights b_m and y^(7)(a)
+    weight e.  Each b_m and e enters one equation only, so the others form
+    a square integer system in the free c_j and the q_j.  Fraction-free
+    (Bareiss) Gauss-Jordan elimination solves it with exact integer
+    divisions; the b_m and e are then read off their own equations.
+    """
+    free = spec.u[1:-1]
+    read_off = set(range(1, spec.init + 1)) | ({7} if spec.y7 else set())
+    aug = [[_monomial_derivative(d, 7, j) for j in free] + [-j**d for j in spec.y]
+           + [-sum(_monomial_derivative(d, 7, j) for j in (spec.u[0], spec.u[-1]))]
+           for d in range(degree + 1) if d not in read_off]
+    n = len(aug)
+    if len(aug[0]) != n + 1:
+        raise ValueError(f"{spec} gives {n} conditions for {len(aug[0]) - 1} unknowns")
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if aug[i][k]), None)
+        if p is None:
+            raise ValueError(f"{spec} does not determine a unique row")
+        aug[k], aug[p] = aug[p], aug[k]
+        pivot = aug[k]
+        aug = [row if i == k else [(pivot[k] * x - row[k] * y) // prev for x, y in zip(row, pivot)]
+               for i, row in enumerate(aug)]
+        prev = pivot[k]
+    solution = [Fraction(row[n], row[k]) for k, row in enumerate(aug)]
+    c = {spec.u[0]: Fraction(1), **dict(zip(free, solution)), spec.u[-1]: Fraction(1)}
+    q = dict(zip(spec.y, solution[len(free):]))
+
+    def gap(d: int) -> Fraction:
+        return (sum(cj * _monomial_derivative(d, 7, j) for j, cj in c.items())
+                - sum(qj * j**d for j, qj in q.items()))
+
+    return EndRow(
+        u_terms=tuple(c.items()),
+        y_terms=tuple(q.items()),
+        init_terms=tuple((m, gap(m) / math.factorial(m)) for m in range(1, spec.init + 1)),
+        y0_seventh=gap(7) / math.factorial(7) if spec.y7 else Fraction(0),
+    )
+
+
+@functools.cache
+def _end_rows(mode: EndConditionMode) -> tuple[EndRow, ...]:
+    degree, specs = _END_ROW_SPECS[mode]
+    return tuple(_derive_row(spec, degree) for spec in specs)
 
 
 def min_knots(mode: EndConditionMode) -> int:
-    return _MIN_KNOTS[mode]
+    """Highest knot index the end rows of ``mode`` reference; the smallest admissible n."""
+    return max(max(spec.u[-1], spec.y[-1]) for spec in _END_ROW_SPECS[mode][1])
 
 
 @dataclass
@@ -259,7 +184,7 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     if problem.order != 7:
         raise ValueError(f"spline assembly requires a 7th order problem, got order {problem.order}")
     validate(params)
-    least = _MIN_KNOTS[mode]
+    least = min_knots(mode)
     if n < least:
         raise ValueError(f"{mode.value} end conditions need n >= {least}, got n={n}")
 
@@ -280,7 +205,7 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
         A[k, :] = work[1:]
         rhs[k] = r
 
-    for k, row in enumerate(_END_ROWS[mode]):
+    for k, row in enumerate(_end_rows(mode)):
         work = np.zeros(n + 1)
         r = 0.0
         for j, c in row.u_terms:
@@ -312,12 +237,12 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
                         params=params, y0=u[0])
 
 
-def _monomial_derivative(degree: int, order: int, t: Fraction) -> Fraction:
-    """order-th derivative of (t - a)^degree evaluated at offset ``t`` from a."""
-    if order > degree:
-        return Fraction(0)
-    c = Fraction(math.factorial(degree), math.factorial(degree - order))
-    return c * t ** (degree - order) if degree != order else c
+def _monomial_derivative(degree: int, order: int, t: int | Fraction) -> int | Fraction:
+    """order-th derivative of (t - a)^degree evaluated at offset ``t`` from a.
+
+    Exact for an int or Fraction ``t``; the result has the type of ``t``.
+    """
+    return math.perm(degree, order) * t ** (degree - order) if order <= degree else 0 * t
 
 
 def row_residual(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
@@ -340,7 +265,7 @@ def row_residual(problem: IvpProblem, params: SplineParams, mode: EndConditionMo
     h = (Fraction(problem.b) - Fraction(problem.a)) / n
 
     if row <= 6:
-        er = _END_ROWS[mode][row - 1]
+        er = _end_rows(mode)[row - 1]
         lhs = sum((c * _monomial_derivative(degree, 7, j * h) for j, c in er.u_terms),
                   start=Fraction(0))
         bracket = sum((q * _monomial_derivative(degree, 0, j * h) for j, q in er.y_terms),

@@ -67,10 +67,8 @@ def _parse_method(section: configparser.SectionProxy) -> tuple[EndConditionMode,
         raise ValueError(f"mode must be 'standard' or 'improved', got {mode_text!r}") from None
 
     explicit = [k for k in ("alpha", "beta", "gamma_", "delta") if k in section]
-    groups = int(bool(explicit)) + int("delta_opt" in section) + int("theta" in section)
-    if groups != 1:
-        raise ValueError(
-            "[method] must carry exactly one of: alpha/beta/gamma_/delta, delta_opt, theta")
+    if bool(explicit) + ("delta_opt" in section) != 1:
+        raise ValueError("[method] must carry exactly one of: alpha/beta/gamma_/delta, delta_opt")
     if explicit:
         if len(explicit) != 4:
             raise ValueError(f"all four of alpha/beta/gamma_/delta are required, got {explicit}")
@@ -80,10 +78,8 @@ def _parse_method(section: configparser.SectionProxy) -> tuple[EndConditionMode,
             gamma=Fraction(section["gamma_"]),
             delta=Fraction(section["delta"]),
         )
-    elif "delta_opt" in section:
-        params = optimal_family(Fraction(section["delta_opt"]))
     else:
-        params = from_theta(float(section["theta"]))
+        params = optimal_family(Fraction(section["delta_opt"]))
     return mode, validate(params)
 
 

@@ -17,6 +17,7 @@ Whitespace is insignificant; numbers are decimal literals.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -282,6 +283,7 @@ class _Parser:
         trig = "none"
         freq = 0.0
         phase = 0.0
+        start = self.peek()[2]
         while True:
             kind, val, pos = self.peek()
             if kind == "num":
@@ -317,6 +319,8 @@ class _Parser:
                 self.advance()
                 continue
             break
+        if not all(map(math.isfinite, (coeff, rate, freq, phase))):
+            raise ParseError("term is out of float range", start)
         return ForceTerm(coeff, power, rate, trig, freq, phase)
 
     def parse_func_arg(self, func: str, fpos: int) -> tuple[float, float]:

@@ -137,7 +137,11 @@ def convergence_study(problem: IvpProblem, params: SplineParams,
         raise ValueError(f"{mode.value} end conditions need n >= {least}, got n={ns[0]}")
     ref: Reference
     if reference is None:
-        ref = rk_solve(problem, steps=100 * max(ns))
+        steps = 100 * max(ns)
+        for n in ns:
+            if steps % n:
+                raise ValueError(f"n={n} does not divide the {steps} steps of the RK reference")
+        ref = rk_solve(problem, steps=steps)
     else:
         ref = reference
     entries = []

@@ -21,7 +21,6 @@ from typing import Union
 __all__ = [
     "SplineParams",
     "TruncationCoeffs",
-    "STANDARD_END_ROW_H9_CONSTANTS",
     "validate",
     "optimal_family",
     "from_theta",
@@ -29,14 +28,6 @@ __all__ = [
 ]
 
 Scalar = Union[int, float, Fraction]
-
-#: Magnitude-and-sign constants of the h^9 y^(9) truncation term of the six
-#: standard end-condition rows, in the orientation that treats the knot-value
-#: side as positive (the assembled rows measure the opposite orientation, so
-#: row residuals of t^9 match the negatives of these; see tests).
-STANDARD_END_ROW_H9_CONSTANTS: tuple[float, ...] = (
-    -5.778, -6.472, -7.230, -19.288, -25.620, -33.020,
-)
 
 _SUM_TOLERANCE = 1e-9
 
@@ -105,8 +96,8 @@ def from_theta(theta: float) -> SplineParams:
 
     ``theta`` must stay away from 0 and multiples of pi (sin theta = 0).
     Note: the resulting weights do not satisfy the sum-60 constraint (the
-    deviation is large and grows as theta -> 0); run them through
-    :func:`validate` before assembling a system, which will reject them.
+    deviation is large and grows as theta -> 0), so they serve for inspection
+    (``coeffs --theta``) rather than for solving.
     """
     if abs(theta) <= 1e-12:
         raise ValueError(f"theta={theta} is too close to 0")

@@ -1,19 +1,23 @@
+import hashlib
 import math
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from heptaspline.assembly import EndConditionMode, build, min_knots, row_residual
+from heptaspline.assembly import EndConditionMode, _end_rows, build, min_knots, row_residual
 from heptaspline.cascade import IvpProblem
 from heptaspline.forces import ForceExpr, ForceTerm
 from heptaspline.linsolve import lu_solve
 from heptaspline.oracle import BENCHMARKS
-from heptaspline.spline_params import (
-    STANDARD_END_ROW_H9_CONSTANTS,
-    SplineParams,
-    optimal_family,
-)
+from heptaspline.spline_params import SplineParams, optimal_family
+
+#: The paper's published constants of the h^9 y^(9) truncation term of the
+#: six standard end-condition rows, in the orientation that treats the
+#: knot-value side as positive (the assembled rows measure the opposite one).
+STANDARD_END_ROW_H9_CONSTANTS = (-5.778, -6.472, -7.230, -19.288, -25.620, -33.020)
 
 TAB_PARAMS = [
     SplineParams(F(1, 2), F(19, 2), F(49, 2), F(51, 2)),
@@ -73,8 +77,41 @@ class TestBuildContract:
             build(problem, TAB_PARAMS[0], EndConditionMode.STANDARD, 12)
 
 
+class TestDerivedEndRows:
+    """The rows derived from the specs equal the formerly transcribed tables."""
+
+    @pytest.mark.parametrize("mode,digest", [
+        (EndConditionMode.STANDARD,
+         "0dca7282b130e02ba43acfeb78b533f4471e19c5eb0f0ba409b5944aa0e9f478"),
+        (EndConditionMode.IMPROVED,
+         "04dcef386ce2651122b483e23620540b41933c4e4b8d3076f85a2699cb7ad7ef"),
+    ])
+    def test_rows_bit_identical_to_published_tables(self, mode, digest):
+        text = "\n".join(repr(tuple(r)) for r in _end_rows(mode))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_literal_coefficients(self):
+        standard = _end_rows(EndConditionMode.STANDARD)
+        improved = _end_rows(EndConditionMode.IMPROVED)
+        assert standard[0].u_terms == ((0, 1), (1, -10), (4, 1))
+        assert standard[0].y_terms[0] == (0, F(512540, 27))
+        assert standard[5].init_terms[-1] == (6, F(749461929944, 61865369749))
+        assert improved[0].y0_seventh == F(-80, 109)
+        assert improved[3].u_terms[1] == (4, F(-2266126612680026537267, 61666447925625915092))
+        assert improved[5].y0_seventh == F(-219458588187453844419603, 1346426381727121439030)
+        assert all(r.y0_seventh == 0 for r in standard + improved[1:5])
+
+    def test_derived_on_first_use_and_cached(self):
+        probe = ("import heptaspline; from heptaspline.assembly import _end_rows; "
+                 "print(_end_rows.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "0"
+        assert _end_rows(EndConditionMode.IMPROVED) is _end_rows(EndConditionMode.IMPROVED)
+
+
 class TestPolynomialExactness:
-    """Exact-rational residuals pin every stored coefficient."""
+    """Exact-rational residuals pin every row coefficient."""
 
     @pytest.mark.parametrize("params", TAB_PARAMS)
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0)])

@@ -146,6 +146,19 @@ csv_path = {}
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "unknown function" in capsys.readouterr().err
 
+    def test_literal_beyond_float_range_exits_one(self, tmp_path, capsys):
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        cfg.write_text(cfg.read_text().replace("f = 1", "f = 1e400"))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "out of float range at position 0" in capsys.readouterr().err
+
+    def test_theta_method_exits_one(self, tmp_path, capsys):
+        # This theta passes the sum-60 check, but configs no longer accept theta.
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        cfg.write_text(cfg.read_text().replace("delta_opt = 30", "theta = 8.986711480679856"))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "exactly one of" in capsys.readouterr().err
+
 
 class TestConverge:
     def test_report_csv_has_orders_for_doublings(self, tmp_path):

@@ -171,6 +171,13 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown function 'tan'"):
             parse("tan(t)")
 
+    @pytest.mark.parametrize("text,position", [("t + 1e400*t", 4), ("1e200*1e200*t", 0),
+                                               ("t - exp(1e308*t)*exp(1e308*t)", 4)])
+    def test_values_beyond_float_range_rejected(self, text, position):
+        with pytest.raises(ParseError, match="float range") as err:
+            parse(text)
+        assert err.value.position == position
+
     def test_two_trig_factors_rejected(self):
         with pytest.raises(ParseError, match="more than one"):
             parse("sin(t)*cos(t)")

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from heptaspline import oracle
 from heptaspline.assembly import EndConditionMode, build
 from heptaspline.cascade import CascadeModel, IvpProblem, simulate_direct
 from heptaspline.forces import ForceExpr, ForceTerm, parse
@@ -214,6 +215,12 @@ class TestConvergenceStudy:
                                    reference=EXPONENTIAL.exact)
         assert report.orders[0] is None
         assert report.orders[1] is not None
+
+    def test_rk_reference_step_count_checked_before_the_run(self, monkeypatch):
+        monkeypatch.setattr(oracle, "rk_solve", lambda *args, **kw: pytest.fail("RK run started"))
+        with pytest.raises(ValueError, match="n=12 does not divide the 5000 steps"):
+            convergence_study(EXPONENTIAL.problem, optimal_family(30),
+                              EndConditionMode.IMPROVED, [12, 24, 50])
 
     def test_non_increasing_n_list_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):

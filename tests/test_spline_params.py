@@ -6,7 +6,6 @@ import mpmath as mp
 import pytest
 
 from heptaspline.spline_params import (
-    STANDARD_END_ROW_H9_CONSTANTS,
     SplineParams,
     from_theta,
     optimal_family,
@@ -121,7 +120,3 @@ class TestFromTheta:
             assert abs(p.total - 60) > 10
             with pytest.raises(ValueError):
                 validate(p)
-
-
-def test_end_row_error_constants_as_published():
-    assert STANDARD_END_ROW_H9_CONSTANTS == (-5.778, -6.472, -7.230, -19.288, -25.620, -33.020)
