@@ -17,7 +17,7 @@ first use, from a one-line spec of what it couples: it is the unique such row
 exact on polynomials through degree 8 (standard: local truncation error h^9,
 second-order solver) or 12 (improved: h^13, fifth order with the optimal
 parameter family).  The exact rational coefficients (several exceed 64-bit
-integer range) are reduced to floats once per build.  The interior stencil
+integer range) are rounded to floats once per mode.  The interior stencil
 is exact through degree 8 (degree 12 on the optimal family).
 """
 
@@ -70,6 +70,7 @@ class EndRow(NamedTuple):
 #: y-side of the interior stencil: 120 * binomial weights of the seventh
 #: forward difference.
 INTERIOR_Y_WEIGHTS = (-120, 840, -2520, 4200, -4200, 2520, -840, 120)
+_INTERIOR_Y_WEIGHTS = np.array(INTERIOR_Y_WEIGHTS, dtype=float)
 
 
 class _RowSpec(NamedTuple):
@@ -155,6 +156,29 @@ def _end_rows(mode: EndConditionMode) -> tuple[EndRow, ...]:
     return tuple(_derive_row(spec, degree) for spec in specs)
 
 
+@functools.cache
+def _float_end_rows(mode: EndConditionMode):
+    """The end rows of ``mode`` rounded to float, in the layout ``build`` uses.
+
+    Returns their U and knot weights as two read-only (6, min_knots + 1)
+    arrays (zero where a row has none) and, per row, the float (j, c) U
+    terms, (m, b) init terms and y^(7)(a) weight of its right-hand side.
+    """
+    rows = _end_rows(mode)
+    u = np.zeros((len(rows), min_knots(mode) + 1))
+    y = np.zeros_like(u)
+    for k, row in enumerate(rows):
+        for j, c in row.u_terms:
+            u[k, j] = float(c)
+        for j, q in row.y_terms:
+            y[k, j] = float(q)
+    u.flags.writeable = y.flags.writeable = False   # shared by every build
+    rhs = tuple((tuple((j, float(c)) for j, c in row.u_terms),
+                 tuple((m, float(b)) for m, b in row.init_terms),
+                 float(row.y0_seventh)) for row in rows)
+    return u, y, rhs
+
+
 def min_knots(mode: EndConditionMode) -> int:
     """Highest knot index the end rows of ``mode`` reference; the smallest admissible n."""
     return max(max(spec.u[-1], spec.y[-1]) for spec in _END_ROW_SPECS[mode][1])
@@ -196,44 +220,38 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     u = problem.u
     h7 = h**7
 
-    A = np.zeros((n, n))
+    # Row k of ``work`` is equation k over the knot values y_0..y_n; column 0
+    # (y_0 = u_0 is data) moves to the right-hand side at the end, and the
+    # matrix is the view of columns 1..n.
+    work = np.zeros((n, n + 1))
     rhs = np.zeros(n)
 
-    def install(k: int, work: np.ndarray, r: float) -> None:
-        # y_0 = u_0 is data, not an unknown.
-        r -= work[0] * u[0]
-        A[k, :] = work[1:]
+    end_u, end_y, end_rhs = _float_end_rows(mode)
+    width = end_u.shape[1]
+    # U terms first, then knot terms: the order of the row-at-a-time formula
+    work[:6, :width] = (0.0 - end_u * fv[:width]) - end_y / h7
+    g = gv[:width].tolist()
+    for k, (u_terms, init_terms, y7) in enumerate(end_rhs):
+        r = 0.0
+        for j, c in u_terms:
+            r -= c * g[j]
+        for m, coeff in init_terms:
+            r += coeff * h ** (m - 7) * u[m]
+        if y7:
+            r += y7 * (g[0] - fv[0] * u[0])
         rhs[k] = r
 
-    for k, row in enumerate(_end_rows(mode)):
-        work = np.zeros(n + 1)
-        r = 0.0
-        for j, c in row.u_terms:
-            c = float(c)
-            work[j] -= c * fv[j]
-            r -= c * gv[j]
-        for j, q in row.y_terms:
-            work[j] -= float(q) / h7
-        for m, coeff in row.init_terms:
-            r += float(coeff) * h ** (m - 7) * u[m]
-        if row.y0_seventh:
-            r += float(row.y0_seventh) * (gv[0] - fv[0] * u[0])
-        install(k, work, r)
+    # Interior row 6 + k (knot i = 7 + k) couples knots k..k+7 with stencil
+    # weight j on knot k + j; the right-hand side folds the eight g terms in
+    # the order j = 0..7.
+    knots = np.arange(n - 6)[:, None] + np.arange(8)
+    half = params.as_floats()
+    weights = np.array(half + half[::-1]) * h7
+    work[6 + knots[:, :1], knots] = fv[knots] * -weights - _INTERIOR_Y_WEIGHTS
+    rhs[6:] = np.subtract.reduce(gv[knots] * weights, axis=1, initial=0.0)
+    rhs -= work[:, 0] * u[0]
 
-    al, be, ga, de = params.as_floats()
-    stencil = (al, be, ga, de, de, ga, be, al)
-    for i in range(7, n + 1):
-        work = np.zeros(n + 1)
-        r = 0.0
-        for j in range(8):
-            col = i - 7 + j
-            c = stencil[j] * h7
-            work[col] -= c * fv[col]
-            r -= c * gv[col]
-            work[col] -= INTERIOR_Y_WEIGHTS[j]
-        install(6 + (i - 7), work, r)
-
-    return LinearSystem(matrix=A, rhs=rhs, grid=grid, h=h, mode=mode,
+    return LinearSystem(matrix=work[:, 1:], rhs=rhs, grid=grid, h=h, mode=mode,
                         params=params, y0=u[0])
 
 

@@ -261,19 +261,22 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.advance()
             sign = -1.0 if val == "-" else 1.0
-        terms = [self.parse_term(sign)]
+        terms = [(self.peek()[2], self.parse_term(sign))]
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                terms.append(self.parse_term(-1.0 if val == "-" else 1.0))
+                terms.append((self.peek()[2], self.parse_term(-1.0 if val == "-" else 1.0)))
             elif kind == "end":
                 break
             else:
                 raise ParseError(f"expected '+', '-' or end of input, got {val!r}", pos)
         expr = ForceExpr.zero()
-        for t in terms:
+        for start, t in terms:
             expr = expr + ForceExpr((t,))
+            # merging like terms can overflow where no single term does
+            if not all(math.isfinite(merged.coeff) for merged in expr.terms):
+                raise ParseError("sum of like terms is out of float range", start)
         return expr
 
     def parse_term(self, sign: float) -> ForceTerm:

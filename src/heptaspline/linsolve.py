@@ -2,25 +2,25 @@
 
 The end-condition rows carry 1/h^7 factors while interior rows are O(1), so
 row magnitudes differ wildly at small h; partial pivoting is mandatory.
-LAPACK's LU factorization (via scipy) does the work; this module adds the
-singularity guard and the backward-residual acceptance check.
+LAPACK's getrf/getrs (called directly through scipy.linalg.lapack) do the
+work; this module adds the non-finite check, the singularity guard and the
+backward-residual acceptance check.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .assembly import EndConditionMode, LinearSystem
 from .spline_params import SplineParams
 
 __all__ = ["SolutionGrid", "LinearSolveError", "lu_solve", "condition_estimate"]
 
-#: A pivot below this fraction of the largest matrix entry is treated as
-#: numerically singular.
+#: A pivot at or below this fraction of the largest entry of its row of U is
+#: treated as numerically singular.
 _PIVOT_RTOL = 1e-14
 
 #: Accepted bound on ||A y - b||_inf relative to ||A||_inf * ||y||_inf.
@@ -43,27 +43,28 @@ class SolutionGrid:
     residual_inf: float
 
 
-def _factor(system: LinearSystem):
+def _factor(system: LinearSystem) -> tuple[np.ndarray, np.ndarray, float]:
+    """LU factors and pivots of ``system.matrix`` (LAPACK getrf), and its inf-norm."""
     A = system.matrix
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(system.rhs)):
+    magnitude = np.abs(A)
+    # max |a_ij| is finite exactly when every entry is (NaN propagates)
+    if not np.isfinite(magnitude.max(initial=0.0)) or not np.isfinite(system.rhs).all():
         raise LinearSolveError("system contains non-finite entries")
-    with warnings.catch_warnings():
-        # the pivot check below raises a typed error instead
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    lu, piv, _ = dgetrf(A)   # an exactly zero pivot (info > 0) fails the guard below
     # Row magnitudes legitimately span many orders (1/h^7 end rows vs O(1)
     # interior rows), so each pivot is judged against its own row of U.
-    upper = np.triu(lu)
-    pivots = np.abs(np.diag(upper))
-    row_scale = np.abs(upper).max(axis=1)
+    lu_magnitude = np.abs(lu)
+    pivots = lu_magnitude.diagonal()
+    index = np.arange(len(pivots))
+    row_scale = lu_magnitude.max(axis=1, where=index >= index[:, None], initial=0.0)
     if np.any(pivots <= _PIVOT_RTOL * row_scale) or np.any(row_scale == 0.0):
         worst = int(np.argmin(np.where(row_scale > 0, pivots / np.maximum(row_scale, 1e-300), 0.0)))
         raise LinearSolveError(
             f"numerically singular matrix: pivot {pivots[worst]:.3e} vs "
             f"row scale {row_scale[worst]:.3e} at elimination step {worst}")
-    return lu, piv
+    return lu, piv, float(magnitude.sum(axis=1).max(initial=0.0))
 
 
 def lu_solve(system: LinearSystem) -> SolutionGrid:
@@ -73,11 +74,10 @@ def lu_solve(system: LinearSystem) -> SolutionGrid:
     satisfy residual <= 1e-8 * ||A||_inf * ||y||_inf, else the solve is
     rejected as unreliable.
     """
-    lu, piv = _factor(system)
-    y = scipy.linalg.lu_solve((lu, piv), system.rhs, check_finite=False)
-    residual = float(np.max(np.abs(system.matrix @ y - system.rhs)))
-    anorm = float(np.max(np.sum(np.abs(system.matrix), axis=1)))
-    ynorm = float(np.max(np.abs(y))) if y.size else 0.0
+    lu, piv, anorm = _factor(system)
+    y, _ = dgetrs(lu, piv, system.rhs)
+    residual = float(np.abs(system.matrix @ y - system.rhs).max(initial=0.0))
+    ynorm = float(np.abs(y).max(initial=0.0))
     bound = _RESIDUAL_RTOL * anorm * max(ynorm, np.finfo(float).tiny)
     if residual > bound:
         raise LinearSolveError(
@@ -94,9 +94,8 @@ def lu_solve(system: LinearSystem) -> SolutionGrid:
 
 def condition_estimate(system: LinearSystem) -> float:
     """Infinity-norm condition estimate from the LU factors (LAPACK gecon)."""
-    lu, piv = _factor(system)
-    anorm = float(np.max(np.sum(np.abs(system.matrix), axis=1)))
-    rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="I")
+    lu, _, anorm = _factor(system)
+    rcond, info = dgecon(lu, anorm, norm="I")
     if info != 0 or rcond == 0.0:
         raise LinearSolveError("condition estimation failed; matrix is singular")
     return 1.0 / rcond

@@ -6,10 +6,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heptaspline.assembly import EndConditionMode, _end_rows, build, min_knots, row_residual
+from heptaspline.assembly import (INTERIOR_Y_WEIGHTS, EndConditionMode, LinearSystem, _end_rows,
+                                  build, min_knots, row_residual)
 from heptaspline.cascade import IvpProblem
-from heptaspline.forces import ForceExpr, ForceTerm
+from heptaspline.forces import ForceExpr, ForceTerm, parse
 from heptaspline.linsolve import lu_solve
 from heptaspline.oracle import BENCHMARKS
 from heptaspline.spline_params import SplineParams, optimal_family
@@ -108,6 +111,129 @@ class TestDerivedEndRows:
                              text=True, check=True).stdout
         assert out.strip() == "0"
         assert _end_rows(EndConditionMode.IMPROVED) is _end_rows(EndConditionMode.IMPROVED)
+
+
+def _reference_build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
+                     n: int) -> LinearSystem:
+    """Row-at-a-time assembly: each row as a dense work row over y_0..y_n."""
+    a, b = problem.a, problem.b
+    h = (b - a) / n
+    grid = a + h * np.arange(n + 1)
+    fv = problem.f.evaluate(grid)
+    gv = problem.g.evaluate(grid)
+    u = problem.u
+    h7 = h**7
+
+    A = np.zeros((n, n))
+    rhs = np.zeros(n)
+
+    def install(k: int, work: np.ndarray, r: float) -> None:
+        # y_0 = u_0 is data, not an unknown.
+        r -= work[0] * u[0]
+        A[k, :] = work[1:]
+        rhs[k] = r
+
+    for k, row in enumerate(_end_rows(mode)):
+        work = np.zeros(n + 1)
+        r = 0.0
+        for j, c in row.u_terms:
+            c = float(c)
+            work[j] -= c * fv[j]
+            r -= c * gv[j]
+        for j, q in row.y_terms:
+            work[j] -= float(q) / h7
+        for m, coeff in row.init_terms:
+            r += float(coeff) * h ** (m - 7) * u[m]
+        if row.y0_seventh:
+            r += float(row.y0_seventh) * (gv[0] - fv[0] * u[0])
+        install(k, work, r)
+
+    al, be, ga, de = params.as_floats()
+    stencil = (al, be, ga, de, de, ga, be, al)
+    for i in range(7, n + 1):
+        work = np.zeros(n + 1)
+        r = 0.0
+        for j in range(8):
+            col = i - 7 + j
+            c = stencil[j] * h7
+            work[col] -= c * fv[col]
+            r -= c * gv[col]
+            work[col] -= INTERIOR_Y_WEIGHTS[j]
+        install(6 + (i - 7), work, r)
+
+    return LinearSystem(matrix=A, rhs=rhs, grid=grid, h=h, mode=mode,
+                        params=params, y0=u[0])
+
+
+def assert_bit_identical(x: np.ndarray, y: np.ndarray) -> None:
+    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def force_texts(draw) -> str:
+    """Text of a random force: 1-3 terms c*t^m*exp(r*t)*sin|cos(w*t + phi)."""
+    def num():
+        return repr(draw(st.floats(0.0625, 20.0)))
+
+    def arg():
+        return ("-" if draw(st.booleans()) else "") + num() + "*t"
+
+    text = ""
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [num()]
+        if power := draw(st.integers(0, 3)):
+            factors.append(f"t^{power}")
+        if draw(st.booleans()):
+            factors.append(f"exp({arg()})")
+        if trig := draw(st.sampled_from(["", "sin", "cos"])):
+            factors.append(f"{trig}({arg()} {draw(st.sampled_from('+-'))} {num()})")
+        text += (" - " if draw(st.booleans()) else " + ") + "*".join(factors)
+    return text
+
+
+@st.composite
+def random_problems(draw) -> IvpProblem:
+    a = draw(st.floats(-2.0, 1.0))
+    u = draw(st.tuples(*[st.floats(-5.0, 5.0)] * 7))
+    return IvpProblem(a, a + draw(st.floats(0.5, 3.0)), parse(draw(force_texts())),
+                      parse(draw(force_texts())), u)
+
+
+#: Parameter sets of the sweep grid: the published columns and optimal_family(30).
+SWEEP_PARAMS = (*TAB_PARAMS, optimal_family(30))
+
+
+class TestAssemblyMatchesRowAtATime:
+    """``build`` performs the row-at-a-time formula's float operations in the
+    same order, so its systems agree with ``_reference_build`` bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mode=st.sampled_from(EndConditionMode), data=st.data(),
+           params=st.one_of(st.sampled_from(TAB_PARAMS),
+                            st.fractions(-60, 120, max_denominator=8).map(optimal_family)),
+           problem=st.one_of(st.sampled_from([bench.problem for bench in BENCHMARKS]),
+                             random_problems()))
+    def test_bit_identical_to_reference(self, mode, data, params, problem):
+        n = data.draw(st.integers(min_knots(mode), 96), label="n")
+        fast = build(problem, params, mode, n)
+        slow = _reference_build(problem, params, mode, n)
+        assert_bit_identical(fast.matrix, slow.matrix)
+        assert_bit_identical(fast.rhs, slow.rhs)
+        assert_bit_identical(fast.grid, slow.grid)
+
+    def test_sweep_grid_systems_pinned(self):
+        # sha256 of every sweep-grid system's matrix and rhs bytes, taken
+        # from the row-at-a-time assembly.
+        digest = hashlib.sha256()
+        for bench in BENCHMARKS:
+            for mode in EndConditionMode:
+                for params in SWEEP_PARAMS:
+                    for n in range(min_knots(mode), 97):
+                        system = build(bench.problem, params, mode, n)
+                        digest.update(system.matrix.tobytes())
+                        digest.update(system.rhs.tobytes())
+        assert digest.hexdigest() == \
+            "577016d097d8b860ff7dd8bbc882878bc1d5ec43bbb3de8f9b456d9320dab5ec"
 
 
 class TestPolynomialExactness:

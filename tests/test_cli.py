@@ -1,4 +1,5 @@
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,14 @@ csv_path = {}
         cfg.write_text(cfg.read_text().replace("f = 1", "f = 1e400"))
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "out of float range at position 0" in capsys.readouterr().err
+
+    def test_like_terms_summing_beyond_float_range_exit_one(self, tmp_path, capsys):
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        cfg.write_text(cfg.read_text().replace("f = 1", "f = 1e308*t + 1e308*t"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(cfg)]) == 1
+        assert "out of float range at position 10" in capsys.readouterr().err
 
     def test_theta_method_exits_one(self, tmp_path, capsys):
         # This theta passes the sum-60 check, but configs no longer accept theta.

@@ -178,6 +178,16 @@ class TestParse:
             parse(text)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("text,position", [("1e308*t + 1e308*t", 10),
+                                               ("t - 1e308*t^2 - 1e308*t^2 + 1", 16)])
+    def test_like_terms_summing_beyond_float_range_rejected(self, text, position):
+        with pytest.raises(ParseError, match="like terms") as err:
+            parse(text)
+        assert err.value.position == position
+
+    def test_like_terms_cancelling_from_float_max(self):
+        assert parse("1e308*t - 1e308*t").is_zero
+
     def test_two_trig_factors_rejected(self):
         with pytest.raises(ParseError, match="more than one"):
             parse("sin(t)*cos(t)")

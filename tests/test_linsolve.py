@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from heptaspline.assembly import EndConditionMode, LinearSystem, build
 from heptaspline.linsolve import LinearSolveError, condition_estimate, lu_solve
 from heptaspline.oracle import BENCHMARKS
-from heptaspline.spline_params import SplineParams
+from heptaspline.spline_params import SplineParams, optimal_family
 
 
 def small_system(matrix, rhs) -> LinearSystem:
@@ -35,6 +36,32 @@ class TestLuSolve:
     def test_dependent_rows_is_singular(self):
         with pytest.raises(LinearSolveError, match="singular"):
             lu_solve(small_system([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]))
+
+    def test_nan_entries_rejected(self):
+        with pytest.raises(LinearSolveError, match="non-finite"):
+            lu_solve(small_system([[1.0, 0.0], [np.nan, 1.0]], [1.0, 1.0]))
+        with pytest.raises(LinearSolveError, match="non-finite"):
+            lu_solve(small_system(np.eye(2), [1.0, np.nan]))
+
+    @pytest.mark.parametrize("eps,singular", [(1e-15, True), (1e-13, False)])
+    def test_pivot_guard_threshold(self, eps, singular):
+        # The second pivot is ~eps against a U row scale of 1: judged
+        # singular below the 1e-14 relative tolerance, not only at zero.
+        system = small_system([[1.0, 1.0, 0.0], [1.0, 1.0 + eps, 1.0], [0.0, 0.0, 1.0]],
+                              [1.0, 1.0, 1.0])
+        if singular:
+            with pytest.raises(LinearSolveError, match="singular"):
+                lu_solve(system)
+        else:
+            assert np.all(np.isfinite(lu_solve(system).y))
+
+    @pytest.mark.parametrize("mode", EndConditionMode)
+    @pytest.mark.parametrize("n", [20, 96])
+    def test_bit_identical_to_scipy_lu(self, mode, n):
+        system = build(BENCHMARKS[1].problem, optimal_family(30), mode, n)
+        expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.matrix), system.rhs)
+        y = lu_solve(system).y[1:]
+        assert y.tobytes() == expected.tobytes()
 
     def test_non_finite_entries_rejected(self):
         with pytest.raises(LinearSolveError, match="non-finite"):
