@@ -12,7 +12,8 @@ Interior rows (one per knot i = 7..n) are the consistency stencil
 
 whose weights (al, be, ga, de) are the spline parameters.  Six end-condition
 rows close the system; they couple U-values near t = a to nearby knot values
-and to the initial data u_0..u_6.  Each row is derived, once per mode on
+and to u_m = y^(m)(a), m = 1..7 (u_0..u_6 are the initial data; u_7 comes
+from the ODE as g(a) - f(a) * u_0).  Each row is derived, once per mode on
 first use, from a one-line spec of what it couples: it is the unique such row
 exact on polynomials through degree 8 (standard: local truncation error h^9,
 second-order solver) or 12 (improved: h^13, fifth order with the optimal
@@ -26,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -54,17 +56,16 @@ class EndRow(NamedTuple):
 
     sum(c * U_j for j, c in u_terms)
         = (1/h^7) * [ sum(q * y_j for j, q in y_terms)
-                      + sum(b * h^m * u_m for m, b in init_terms)
-                      + y0_seventh * h^7 * y^(7)(a) ]
+                      + sum(b * h^m * u_m for m, b in init_terms) ]
 
-    y^(7)(a) is not part of the initial data; it is recovered from the ODE
-    as g(a) - f(a) * u_0 when the row is assembled.
+    with u_m = y^(m)(a) for m = 1..7.  u_0..u_6 are the initial data; u_7
+    is not, and is recovered from the ODE as g(a) - f(a) * u_0 when the row
+    is assembled.
     """
 
     u_terms: tuple[tuple[int, Fraction], ...]
     y_terms: tuple[tuple[int, Fraction], ...]
     init_terms: tuple[tuple[int, Fraction], ...]
-    y0_seventh: Fraction
 
 
 #: y-side of the interior stencil: 120 * binomial weights of the seventh
@@ -78,27 +79,26 @@ class _RowSpec(NamedTuple):
 
     u: tuple[int, ...]     # U indices; the first and last weights are 1
     y: range               # knot indices
-    init: int              # init_terms cover u_1..u_init (init <= 6)
-    y7: bool = False       # whether the row has an h^7 y^(7)(a) term
+    init: Sequence[int]    # orders m of the init terms, ascending, in 1..7
 
 
 #: Per mode: the degree through which every end row is exact, and the rows.
 _END_ROW_SPECS = {
     EndConditionMode.STANDARD: (8, (
-        _RowSpec((0, 1, 4), range(0, 4), 4),
-        _RowSpec((1, 2, 5), range(1, 4), 5),
-        _RowSpec((2, 3, 6), range(2, 5), 5),
-        _RowSpec((3, 7), range(3, 6), 6),
-        _RowSpec((4, 8), range(4, 7), 6),
-        _RowSpec((5, 9), range(5, 8), 6),
+        _RowSpec((0, 1, 4), range(0, 4), range(1, 5)),
+        _RowSpec((1, 2, 5), range(1, 4), range(1, 6)),
+        _RowSpec((2, 3, 6), range(2, 5), range(1, 6)),
+        _RowSpec((3, 7), range(3, 6), range(1, 7)),
+        _RowSpec((4, 8), range(4, 7), range(1, 7)),
+        _RowSpec((5, 9), range(5, 8), range(1, 7)),
     )),
     EndConditionMode.IMPROVED: (12, (
-        _RowSpec((0, 1, 2, 3, 4, 5), range(0, 6), 2, y7=True),
-        _RowSpec((1, 2, 3, 4, 5, 6), range(1, 7), 3),
-        _RowSpec((2, 3, 4, 5, 7), range(2, 8), 4),
-        _RowSpec((3, 4, 6, 7), range(3, 9), 5),
-        _RowSpec((4, 7, 9), range(4, 10), 6),
-        _RowSpec((5, 10), range(5, 11), 6, y7=True),
+        _RowSpec((0, 1, 2, 3, 4, 5), range(0, 6), (1, 2, 7)),
+        _RowSpec((1, 2, 3, 4, 5, 6), range(1, 7), range(1, 4)),
+        _RowSpec((2, 3, 4, 5, 7), range(2, 8), range(1, 5)),
+        _RowSpec((3, 4, 6, 7), range(3, 9), range(1, 6)),
+        _RowSpec((4, 7, 9), range(4, 10), range(1, 7)),
+        _RowSpec((5, 10), range(5, 11), range(1, 8)),
     )),
 }
 
@@ -108,19 +108,18 @@ def _derive_row(spec: _RowSpec, degree: int) -> EndRow:
 
     At h = 1 and a = 0 the row is exact on y = t^d when
 
-        sum c_j * D^7 t^d (j) - sum q_j * j^d = m! * b_m [d = m] + 7! * e [d = 7]
+        sum c_j * D^7 t^d (j) - sum q_j * j^d = m! * b_m [d = m]
 
-    for U weights c_j, knot weights q_j, init weights b_m and y^(7)(a)
-    weight e.  Each b_m and e enters one equation only, so the others form
-    a square integer system in the free c_j and the q_j.  Fraction-free
-    (Bareiss) Gauss-Jordan elimination solves it with exact integer
-    divisions; the b_m and e are then read off their own equations.
+    for U weights c_j, knot weights q_j and init weights b_m.  Each b_m
+    enters one equation only, so the others form a square integer system in
+    the free c_j and the q_j.  Fraction-free (Bareiss) Gauss-Jordan
+    elimination solves it with exact integer divisions; the b_m are then
+    read off their own equations.
     """
     free = spec.u[1:-1]
-    read_off = set(range(1, spec.init + 1)) | ({7} if spec.y7 else set())
     aug = [[_monomial_derivative(d, 7, j) for j in free] + [-j**d for j in spec.y]
            + [-sum(_monomial_derivative(d, 7, j) for j in (spec.u[0], spec.u[-1]))]
-           for d in range(degree + 1) if d not in read_off]
+           for d in range(degree + 1) if d not in spec.init]
     n = len(aug)
     if len(aug[0]) != n + 1:
         raise ValueError(f"{spec} gives {n} conditions for {len(aug[0]) - 1} unknowns")
@@ -145,8 +144,7 @@ def _derive_row(spec: _RowSpec, degree: int) -> EndRow:
     return EndRow(
         u_terms=tuple(c.items()),
         y_terms=tuple(q.items()),
-        init_terms=tuple((m, gap(m) / math.factorial(m)) for m in range(1, spec.init + 1)),
-        y0_seventh=gap(7) / math.factorial(7) if spec.y7 else Fraction(0),
+        init_terms=tuple((m, gap(m) / math.factorial(m)) for m in spec.init),
     )
 
 
@@ -160,23 +158,25 @@ def _end_rows(mode: EndConditionMode) -> tuple[EndRow, ...]:
 def _float_end_rows(mode: EndConditionMode):
     """The end rows of ``mode`` rounded to float, in the layout ``build`` uses.
 
-    Returns their U and knot weights as two read-only (6, min_knots + 1)
-    arrays (zero where a row has none) and, per row, the float (j, c) U
-    terms, (m, b) init terms and y^(7)(a) weight of its right-hand side.
+    Returns three read-only arrays, zero where a row has no such term: the U
+    and knot weights, shape (6, min_knots + 1), indexed by knot, and the
+    negated init weights -b_m, shape (6, 7), indexed by m - 1 (negated so
+    that ``build``'s subtracting fold adds the init terms).
     """
     rows = _end_rows(mode)
     u = np.zeros((len(rows), min_knots(mode) + 1))
     y = np.zeros_like(u)
+    init = np.zeros((len(rows), 7))
     for k, row in enumerate(rows):
         for j, c in row.u_terms:
             u[k, j] = float(c)
         for j, q in row.y_terms:
             y[k, j] = float(q)
-    u.flags.writeable = y.flags.writeable = False   # shared by every build
-    rhs = tuple((tuple((j, float(c)) for j, c in row.u_terms),
-                 tuple((m, float(b)) for m, b in row.init_terms),
-                 float(row.y0_seventh)) for row in rows)
-    return u, y, rhs
+        for m, b in row.init_terms:
+            init[k, m - 1] = -float(b)
+    for table in (u, y, init):
+        table.flags.writeable = False    # shared by every build
+    return u, y, init
 
 
 def min_knots(mode: EndConditionMode) -> int:
@@ -202,8 +202,9 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     """Assemble the system for ``n`` subintervals.
 
     Requires ``n >= min_knots(mode)`` (the end rows reach that far into the
-    grid) and a parameter set passing :func:`spline_params.validate`.  The
-    seventh-order problem is the only one the stencil encodes.
+    grid), a parameter set passing :func:`spline_params.validate`, and a grid
+    step h with h^7 finite and nonzero and the end-row weights q/h^7 finite.
+    The seventh-order problem is the only one the stencil encodes.
     """
     if problem.order != 7:
         raise ValueError(f"spline assembly requires a 7th order problem, got order {problem.order}")
@@ -214,11 +215,18 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
 
     a, b = problem.a, problem.b
     h = (b - a) / n
+    end_u, end_y, end_init = _float_end_rows(mode)
+    try:
+        h7 = h**7
+    except OverflowError:
+        h7 = math.inf
+    if not (0 < h7 < math.inf and math.isfinite(float(np.abs(end_y).max()) / h7)):
+        raise ValueError(f"grid step h = {h} is out of float range: h^7 = {h7} must be "
+                         f"finite and nonzero, and the end-row weights q/h^7 finite")
     grid = a + h * np.arange(n + 1)
     fv = problem.f.evaluate(grid)
     gv = problem.g.evaluate(grid)
     u = problem.u
-    h7 = h**7
 
     # Row k of ``work`` is equation k over the knot values y_0..y_n; column 0
     # (y_0 = u_0 is data) moves to the right-hand side at the end, and the
@@ -226,20 +234,15 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     work = np.zeros((n, n + 1))
     rhs = np.zeros(n)
 
-    end_u, end_y, end_rhs = _float_end_rows(mode)
     width = end_u.shape[1]
-    # U terms first, then knot terms: the order of the row-at-a-time formula
+    # U terms first, then knot terms: the order of the row-at-a-time formula.
+    # The right-hand side folds each row's g terms in knot order, then its
+    # init terms b_m * h^(m-7) * u_m in order of m.
     work[:6, :width] = (0.0 - end_u * fv[:width]) - end_y / h7
-    g = gv[:width].tolist()
-    for k, (u_terms, init_terms, y7) in enumerate(end_rhs):
-        r = 0.0
-        for j, c in u_terms:
-            r -= c * g[j]
-        for m, coeff in init_terms:
-            r += coeff * h ** (m - 7) * u[m]
-        if y7:
-            r += y7 * (g[0] - fv[0] * u[0])
-        rhs[k] = r
+    init = np.array((*u[1:], gv[0] - fv[0] * u[0]))      # u_1..u_6, u_7 = y^(7)(a)
+    scale = np.array([h ** (m - 7) for m in range(1, 8)])
+    terms = np.concatenate((end_u * gv[:width], end_init * scale * init), axis=1)
+    rhs[:6] = np.subtract.reduce(terms, axis=1, initial=0.0)
 
     # Interior row 6 + k (knot i = 7 + k) couples knots k..k+7 with stencil
     # weight j on knot k + j; the right-hand side folds the eight g terms in
@@ -290,7 +293,6 @@ def row_residual(problem: IvpProblem, params: SplineParams, mode: EndConditionMo
                       start=Fraction(0))
         bracket += sum((coeff * h**m * _monomial_derivative(degree, m, Fraction(0))
                         for m, coeff in er.init_terms), start=Fraction(0))
-        bracket += er.y0_seventh * h**7 * _monomial_derivative(degree, 7, Fraction(0))
         return lhs - bracket / h**7
 
     al, be, ga, de = (Fraction(v) for v in

@@ -51,6 +51,8 @@ class IvpProblem:
     u: tuple[float, ...]
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
         if len(self.u) < 1:
@@ -77,8 +79,8 @@ class CascadeModel:
     def __post_init__(self):
         if self.n_scales < 1:
             raise ValueError(f"n_scales must be positive, got {self.n_scales}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if len(self.forces) != self.n_scales:
             raise ValueError(
                 f"expected {self.n_scales} forces, got {len(self.forces)}")
@@ -144,11 +146,15 @@ def reduce(model: CascadeModel) -> IvpProblem:
     n = model.n_scales
     if n % 2 == 0:
         raise ValueError(f"reduction requires an odd number of scales, got {n}")
+    try:
+        feedback = model.gamma ** n
+    except OverflowError:
+        raise ValueError(f"Gamma^N = {model.gamma}^{n} is beyond float range") from None
     a, b = model.interval
     return IvpProblem(
         a=a,
         b=b,
-        f=ForceExpr.constant(model.gamma ** n),
+        f=ForceExpr.constant(feedback),
         g=compose_g(model),
         u=derive_initial_conditions(model),
     )

@@ -99,6 +99,8 @@ def from_theta(theta: float) -> SplineParams:
     deviation is large and grows as theta -> 0), so they serve for inspection
     (``coeffs --theta``) rather than for solving.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     if abs(theta) <= 1e-12:
         raise ValueError(f"theta={theta} is too close to 0")
     s = math.sin(theta)

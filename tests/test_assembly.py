@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heptaspline.assembly import (INTERIOR_Y_WEIGHTS, EndConditionMode, LinearSystem, _end_rows,
-                                  build, min_knots, row_residual)
+from heptaspline.assembly import (INTERIOR_Y_WEIGHTS, EndConditionMode, EndRow, LinearSystem,
+                                  _derive_row, _end_rows, _RowSpec, build, min_knots,
+                                  row_residual)
 from heptaspline.cascade import IvpProblem
 from heptaspline.forces import ForceExpr, ForceTerm, parse
 from heptaspline.linsolve import lu_solve
@@ -80,6 +81,13 @@ class TestBuildContract:
             build(problem, TAB_PARAMS[0], EndConditionMode.STANDARD, 12)
 
 
+def former_layout(row: EndRow) -> tuple:
+    """``row`` in the four-field layout the pinned digests were taken in:
+    u_terms, y_terms, init_terms through u_6, and the u_7 weight apart."""
+    seventh = dict(row.init_terms).get(7, F(0))
+    return (row.u_terms, row.y_terms, tuple(t for t in row.init_terms if t[0] < 7), seventh)
+
+
 class TestDerivedEndRows:
     """The rows derived from the specs equal the formerly transcribed tables."""
 
@@ -90,7 +98,7 @@ class TestDerivedEndRows:
          "04dcef386ce2651122b483e23620540b41933c4e4b8d3076f85a2699cb7ad7ef"),
     ])
     def test_rows_bit_identical_to_published_tables(self, mode, digest):
-        text = "\n".join(repr(tuple(r)) for r in _end_rows(mode))
+        text = "\n".join(repr(former_layout(r)) for r in _end_rows(mode))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_literal_coefficients(self):
@@ -99,10 +107,16 @@ class TestDerivedEndRows:
         assert standard[0].u_terms == ((0, 1), (1, -10), (4, 1))
         assert standard[0].y_terms[0] == (0, F(512540, 27))
         assert standard[5].init_terms[-1] == (6, F(749461929944, 61865369749))
-        assert improved[0].y0_seventh == F(-80, 109)
+        assert improved[0].init_terms[-1] == (7, F(-80, 109))
         assert improved[3].u_terms[1] == (4, F(-2266126612680026537267, 61666447925625915092))
-        assert improved[5].y0_seventh == F(-219458588187453844419603, 1346426381727121439030)
-        assert all(r.y0_seventh == 0 for r in standard + improved[1:5])
+        assert improved[5].init_terms[-1] == \
+            (7, F(-219458588187453844419603, 1346426381727121439030))
+        assert all(m < 7 for r in standard + improved[1:5] for m, _ in r.init_terms)
+
+    def test_spec_with_mismatched_init_rejected(self):
+        # Reading u_1..u_3 off (not u_1..u_4) leaves 6 conditions on 5 unknowns.
+        with pytest.raises(ValueError, match="gives 6 conditions for 5 unknowns"):
+            _derive_row(_RowSpec((0, 1, 4), range(0, 4), range(1, 4)), 8)
 
     def test_derived_on_first_use_and_cached(self):
         probe = ("import heptaspline; from heptaspline.assembly import _end_rows; "
@@ -143,9 +157,8 @@ def _reference_build(problem: IvpProblem, params: SplineParams, mode: EndConditi
         for j, q in row.y_terms:
             work[j] -= float(q) / h7
         for m, coeff in row.init_terms:
-            r += float(coeff) * h ** (m - 7) * u[m]
-        if row.y0_seventh:
-            r += float(row.y0_seventh) * (gv[0] - fv[0] * u[0])
+            um = u[m] if m < 7 else gv[0] - fv[0] * u[0]     # u_7 = y^(7)(a) from the ODE
+            r += float(coeff) * h ** (m - 7) * um
         install(k, work, r)
 
     al, be, ga, de = params.as_floats()

@@ -54,6 +54,11 @@ class TestModelInvariants:
         with pytest.raises(ValueError, match="gamma"):
             CascadeModel(7, 0.0, ZERO7, (0.0,) * 7, (0.0, 1.0))
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_gamma_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            CascadeModel(7, gamma, ZERO7, (0.0,) * 7, (0.0, 1.0))
+
     def test_interval_ordered(self):
         with pytest.raises(ValueError, match="a < b"):
             CascadeModel(7, 1.0, ZERO7, (0.0,) * 7, (1.0, 0.0))
@@ -61,6 +66,11 @@ class TestModelInvariants:
     def test_ivp_problem_rejects_non_finite_data(self):
         with pytest.raises(ValueError, match="finite"):
             IvpProblem(0.0, 1.0, ForceExpr.zero(), ForceExpr.zero(), (math.inf,) * 7)
+
+    @pytest.mark.parametrize("a,b", [(-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf)])
+    def test_ivp_problem_rejects_non_finite_endpoints(self, a, b):
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            IvpProblem(a, b, ForceExpr.zero(), ForceExpr.zero(), (0.0,) * 7)
 
 
 class TestComposeG:
@@ -126,6 +136,11 @@ class TestReduce:
     def test_feedback_constant_is_gamma_to_the_seventh(self):
         model = CascadeModel(7, 2.0, ZERO7, (0.0,) * 7, (0.0, 1.0))
         assert reduce(model).f == ForceExpr.constant(128.0)
+
+    def test_feedback_beyond_float_range_rejected(self):
+        model = CascadeModel(7, 1e50, ZERO7, (0.0,) * 7, (0.0, 1.0))
+        with pytest.raises(ValueError, match="beyond float range"):
+            reduce(model)
 
     def test_even_scale_count_rejected(self):
         model = CascadeModel(6, 1.0, ZERO7[:6], (0.0,) * 6, (0.0, 1.0))

@@ -54,6 +54,11 @@ class TestCoeffs:
     def test_exactly_one_selector_required(self, capsys):
         assert main(["coeffs", "--delta", "30", "--theta", "0.5"]) == 1
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta_exits_one(self, theta, capsys):
+        assert main(["coeffs", "--theta", theta]) == 1
+        assert "theta must be finite" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_bundled_improved_n20_reproduces_published_error(self, tmp_path, capsys):
@@ -161,6 +166,19 @@ csv_path = {}
             assert main(["solve", "--config", str(cfg)]) == 1
         assert "out of float range at position 10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a,b,message", [
+        ("0", "1e-50", "h^7 = 0.0"),        # h^7 underflows to zero
+        ("0", "1e300", "h^7 = inf"),        # h^7 overflows
+        ("-inf", "1", "endpoints must be finite"),
+    ])
+    def test_degenerate_grid_step_exits_one(self, tmp_path, capsys, a, b, message):
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        cfg.write_text(cfg.read_text().replace("a = -1", f"a = {a}").replace("b = 1", f"b = {b}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_theta_method_exits_one(self, tmp_path, capsys):
         # This theta passes the sum-60 check, but configs no longer accept theta.
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
@@ -218,6 +236,18 @@ class TestCascade:
             tk = float(row["t"])
             idx = round((tk - t[0]) / (t[1] - t[0]))
             assert float(row["y_numeric"]) == pytest.approx(traj[idx, 0], abs=2e-5)
+
+    @pytest.mark.parametrize("gamma,message", [
+        ("1e50", "Gamma^N = 1e+50^7 is beyond float range"),
+        ("inf", "gamma must be finite"),
+    ])
+    def test_gamma_beyond_float_range_exits_one(self, tmp_path, capsys, gamma, message):
+        cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
+        cfg.write_text(cfg.read_text().replace("gamma = 1", f"gamma = {gamma}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cascade", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_even_scale_count_exits_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
