@@ -139,7 +139,8 @@ def reduce(model: CascadeModel) -> IvpProblem:
     """Reduce the cascade to the single N-th order problem for scale 1.
 
     Only odd N closes to ``y^(N) + Gamma^N y = g`` (even N would flip the
-    sign of the feedback term and is not supported).  For odd N other than 7
+    sign of the feedback term and is not supported).  Raises ValueError when
+    Gamma^N or a coefficient of g is beyond float range.  For odd N other than 7
     the result can be integrated by the oracle but is rejected by the spline
     assembler.
     """
@@ -150,12 +151,16 @@ def reduce(model: CascadeModel) -> IvpProblem:
         feedback = model.gamma ** n
     except OverflowError:
         raise ValueError(f"Gamma^N = {model.gamma}^{n} is beyond float range") from None
+    g = compose_g(model)
+    if not all(math.isfinite(term.coeff) for term in g.terms):
+        raise ValueError(f"composed force g(t) = {g} has a coefficient beyond float range "
+                         f"(Gamma^k times a force coefficient)")
     a, b = model.interval
     return IvpProblem(
         a=a,
         b=b,
         f=ForceExpr.constant(feedback),
-        g=compose_g(model),
+        g=g,
         u=derive_initial_conditions(model),
     )
 
@@ -188,19 +193,29 @@ def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.nda
 
 # --- blocked affine RK4 for linear systems --------------------------------
 
-#: Steps per block of the blocked recurrence in ``_rk4_linear``.
-_BLOCK = 64
+#: Steps per block of the recursive scan in ``_rk4_linear``.
+_BLOCK = 16
+
+#: Steps whose increment maps a time-varying A forms at once: the
+#: temporaries of ``_rk4_increment`` hold about six (d, d + 3m) arrays per step.
+_CHUNK = 128
 
 
-# Products of the tiny (d <= 7) matrices go through einsum rather than
-# ``@``: matmul would hand them to BLAS, which is no faster at this size and
-# raised the verify benchmark's peak RSS by 0.4 MB.
 def _matmul(x, y):
     return np.einsum("...ij,...jk->...ik", x, y)
 
 
-def _matvec(x, v):
-    return np.einsum("...ij,...j->...i", x, v)
+def _apply(maps, v):
+    """``maps[i] @ v[i]`` for every row i of ``v`` (shape (n, k)).
+
+    ``maps`` has shape (n, ..., j, k), or (1, ..., j, k) to apply one set of
+    maps to every row, which is then a single matrix product; the result has
+    shape (n, ..., j).
+    """
+    if len(maps) == 1:      # one BLAS product; per-row maps go through einsum
+        flat = maps.reshape(-1, maps.shape[-1])
+        return (v @ flat.T).reshape(len(v), *maps.shape[1:-1])
+    return np.einsum("i...jk,ik->i...j", maps, v)
 
 
 def _rk4_increment(a0, a1, a2, e, h):
@@ -227,6 +242,70 @@ def _rk4_increment(a0, a1, a2, e, h):
     return (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
+def _forcing(delta, utab, out):
+    """Add the forcing vector c_i of each step to ``out``.
+
+    ``delta`` holds the steps' increment maps (one for all steps, or one per
+    step) and ``utab`` u on their half-step grid; c_i is Delta's three stage
+    blocks applied to u at the start, middle and end of step i.
+    """
+    d, m = out.shape[1], utab.shape[1]
+    for j, u in enumerate((utab[0:-1:2], utab[1::2], utab[2::2])):
+        out += _apply(delta[:, :, d + j * m:d + (j + 1) * m], u)
+
+
+def _scan_length(n):
+    """Rows ``_scan`` needs for an n-step recurrence: n padded to whole blocks."""
+    return n if n <= _BLOCK else -(-n // _BLOCK) * _BLOCK
+
+
+def _scan(maps, c):
+    """Solve ``x_{i+1} = x_i + maps_i x_i + c_i`` from ``x_0 = 0`` in place.
+
+    On return ``c[i]`` holds x_{i+1}.  ``len(c)`` is at most ``_BLOCK`` or a
+    multiple of it, and ``maps`` is either one (1, d, d) matrix for every step
+    or a writable (len(c), d, d) stack, which is overwritten.
+
+    The steps are cut into blocks.  One pass over the in-block offsets forms,
+    for all blocks together, the partial sums from a zero block start and the
+    in-block maps G_k = S_k...S_1 - I (kept apart from I, like the step maps).
+    A block's end map and last partial sum make the same kind of recurrence
+    over the blocks, which this function solves by calling itself; then each
+    block-start state s adds s + G_k s to its block's partial sums.
+    """
+    n, d = c.shape
+    width = min(n, _BLOCK)
+    blocks = n // width
+    cb = c.reshape(blocks, width, d)
+    per_step = len(maps) > 1
+    if per_step:
+        g = maps.reshape(blocks, width, d, d)
+    else:
+        g = np.empty((1, width, d, d))
+        g[...] = maps
+    # g[:, k] holds S - I of step k of each block until it becomes G_{k+1}.
+    for k in range(1, width):
+        dk = g[:, k]
+        prev = cb[:, k - 1]
+        cb[:, k] += prev + _apply(dk, prev)
+        if blocks > 1:
+            dk += dk @ g[:, k - 1] + g[:, k - 1]     # S_k (I + G_k) - I
+    if blocks == 1:
+        return
+    size = _scan_length(blocks)
+    starts = np.zeros((size + 1, d))                # starts[b]: state at the start of block b
+    starts[1:blocks + 1] = cb[:, -1]
+    ends = g[:, -1]                                 # block end maps
+    if per_step:
+        ends = np.zeros((size, d, d))
+        ends[:blocks] = g[:, -1]
+    _scan(ends, starts[1:])
+    del ends                    # a per-step copy is freed before the temporary below
+    s = starts[:blocks]
+    cb += _apply(g, s)
+    cb += s[:, None]
+
+
 def _rk4_linear(a, e, utab, z0, h):
     """Classical RK4 for ``z' = A(t) z + E u(t)``; returns all states.
 
@@ -235,48 +314,32 @@ def _rk4_linear(a, e, utab, z0, h):
     grid, shape (2*steps + 1, d, d).  Result: shape (steps + 1, d), row 0 is
     ``z0``.
 
-    Each step is the affine map ``z <- z + D_i z + c_i``.  Rather than step
-    one by one, the recurrence is solved in blocks of ``_BLOCK`` steps: the
-    within-block partial sums of all blocks are formed together in the
-    output buffer, one in-block offset at a time (the c values of an offset
-    come from strided slices of ``utab``); one short loop then carries the
-    state across block starts, and the block-start contributions
-    ``(S^k - I) z + z`` are added in place.  A time-varying A has its step
-    maps formed per offset, so beyond ``a`` itself it holds only the
-    within-block powers, d*d floats per step.
+    Each step is the affine map ``z <- z + D_i z + c_i`` with D_i = S_i - I
+    (``_rk4_increment``).  The forcing vectors c_i of all steps are written
+    straight into the output buffer, z0 is folded into c_0, and ``_scan``
+    solves the recurrence in place by a recursive blocked scan: O(_BLOCK)
+    vectorised iterations per level, O(log steps) levels.  A time-varying A
+    forms its step maps ``_CHUNK`` steps at a time and keeps d*d floats per
+    step, which the scan overwrites with its in-block maps.
     """
     steps = (len(utab) - 1) // 2
-    d, m = e.shape
+    d = e.shape[0]
+    size = _scan_length(steps)
+    out = np.zeros((size + 1, d))          # rows past steps + 1 only pad the scan
+    c = out[1:]
     if len(a) == 1:
         delta = _rk4_increment(a, a, a, e, h)
-    windows = np.lib.stride_tricks.sliding_window_view(utab, 3, axis=0)[::2]   # (step, m, stage)
-    blocks = -(-steps // _BLOCK)
-    buf = np.empty((blocks * _BLOCK + 1, d))
-    buf[0] = z0
-    partial = buf[1:].reshape(blocks, _BLOCK, d)       # partial[b, k] -> state b*_BLOCK + k + 1
-    # counts[k]: number of blocks that reach in-block offset k
-    counts = [-(-(steps - k) // _BLOCK) for k in range(min(_BLOCK, steps))]
-    powers = [np.zeros((1, d, d))]                     # powers[k] = S^k - I within each block
-    for k, count in enumerate(counts):
-        if len(a) > 1:      # time-varying A: step maps of steps k, k + _BLOCK, ...
-            delta = _rk4_increment(*(a[2 * k + j::2 * _BLOCK][:count] for j in range(3)), e, h)
-        dk = delta[..., :d]                                             # S_i - I
-        ck = delta[..., d:].reshape(-1, d, 3, m)                       # (step, d, stage, m)
-        w = np.einsum("...isc,...cs->...i", ck, windows[k::_BLOCK][:count])   # c_i
-        if k:
-            prev = partial[:count, k - 1]
-            w += prev + _matvec(dk, prev)
-        partial[:count, k] = w
-        gk = powers[-1][:count]
-        powers.append(gk + dk + _matmul(dk, gk))
-
-    starts = np.empty((blocks, d))
-    starts[0] = z0
-    carry = np.broadcast_to(powers[-1][:blocks - 1], (blocks - 1, d, d))
-    for b in range(blocks - 1):
-        z = starts[b]
-        starts[b + 1] = z + _matvec(carry[b], z) + partial[b, -1]
-    for k, count in enumerate(counts):
-        z = starts[:count]
-        partial[:count, k] += z + _matvec(powers[k + 1][:count], z)
-    return buf[:steps + 1]
+        maps = delta[..., :d]
+        _forcing(delta, utab, c[:steps])
+    else:
+        maps = np.zeros((size, d, d))
+        for lo in range(0, steps, _CHUNK):
+            hi = min(lo + _CHUNK, steps)
+            window = a[2 * lo:2 * hi + 1]
+            delta = _rk4_increment(window[0:-1:2], window[1::2], window[2::2], e, h)
+            maps[lo:hi] = delta[..., :d]
+            _forcing(delta, utab[2 * lo:2 * hi + 1], c[lo:hi])
+    c[0] += z0 + _apply(maps[:1], z0[None])[0]
+    _scan(maps, c)
+    out[0] = z0
+    return out[:steps + 1]

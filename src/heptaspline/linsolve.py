@@ -4,7 +4,8 @@ The end-condition rows carry 1/h^7 factors while interior rows are O(1), so
 row magnitudes differ wildly at small h; partial pivoting is mandatory.
 LAPACK's getrf/getrs (called directly through scipy.linalg.lapack) do the
 work; this module adds the non-finite check, the singularity guard and the
-backward-residual acceptance check.
+backward-residual acceptance check.  scipy is imported at the first
+factorisation, so importing the package (as ``coeffs`` does) does not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .assembly import EndConditionMode, LinearSystem
 from .spline_params import SplineParams
@@ -52,6 +52,8 @@ def _factor(system: LinearSystem) -> tuple[np.ndarray, np.ndarray, float]:
     # max |a_ij| is finite exactly when every entry is (NaN propagates)
     if not np.isfinite(magnitude.max(initial=0.0)) or not np.isfinite(system.rhs).all():
         raise LinearSolveError("system contains non-finite entries")
+    from scipy.linalg.lapack import dgetrf
+
     lu, piv, _ = dgetrf(A)   # an exactly zero pivot (info > 0) fails the guard below
     # Row magnitudes legitimately span many orders (1/h^7 end rows vs O(1)
     # interior rows), so each pivot is judged against its own row of U.
@@ -74,6 +76,8 @@ def lu_solve(system: LinearSystem) -> SolutionGrid:
     satisfy residual <= 1e-8 * ||A||_inf * ||y||_inf, else the solve is
     rejected as unreliable.
     """
+    from scipy.linalg.lapack import dgetrs
+
     lu, piv, anorm = _factor(system)
     y, _ = dgetrs(lu, piv, system.rhs)
     residual = float(np.abs(system.matrix @ y - system.rhs).max(initial=0.0))
@@ -94,6 +98,8 @@ def lu_solve(system: LinearSystem) -> SolutionGrid:
 
 def condition_estimate(system: LinearSystem) -> float:
     """Infinity-norm condition estimate from the LU factors (LAPACK gecon)."""
+    from scipy.linalg.lapack import dgecon
+
     lu, _, anorm = _factor(system)
     rcond, info = dgecon(lu, anorm, norm="I")
     if info != 0 or rcond == 0.0:

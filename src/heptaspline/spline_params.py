@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import cached_property
+from typing import Optional, Union
 
 __all__ = [
     "SplineParams",
@@ -46,7 +47,25 @@ class SplineParams:
         return self.alpha + self.beta + self.gamma + self.delta
 
     def as_floats(self) -> tuple[float, float, float, float]:
+        return self._floats
+
+    # The instance is frozen, so its floats and its validation verdict are
+    # worked out once and kept on it.
+    @cached_property
+    def _floats(self) -> tuple[float, float, float, float]:
         return (float(self.alpha), float(self.beta), float(self.gamma), float(self.delta))
+
+    @cached_property
+    def _violation(self) -> Optional[str]:
+        """Why :func:`validate` rejects these weights, or None."""
+        for name in ("alpha", "beta", "gamma", "delta"):
+            value = getattr(self, name)
+            if not math.isfinite(float(value)):
+                return f"{name} is not finite: {value}"
+        total = self.total
+        if abs(total - 60) > _SUM_TOLERANCE:
+            return f"spline parameters must satisfy alpha+beta+gamma+delta=60, got sum={total}"
+        return None
 
 
 @dataclass(frozen=True)
@@ -62,16 +81,13 @@ class TruncationCoeffs:
 
 
 def validate(params: SplineParams) -> SplineParams:
-    """Return ``params`` if the sum-60 constraint holds within 1e-9."""
-    for name in ("alpha", "beta", "gamma", "delta"):
-        value = getattr(params, name)
-        if not math.isfinite(float(value)):
-            raise ValueError(f"{name} is not finite: {value}")
-    total = params.total
-    if abs(total - 60) > _SUM_TOLERANCE:
-        raise ValueError(
-            f"spline parameters must satisfy alpha+beta+gamma+delta=60, got sum={total}"
-        )
+    """Return ``params`` if the sum-60 constraint holds within 1e-9.
+
+    The check runs once per instance; an invalid instance raises on every call.
+    """
+    violation = params._violation
+    if violation is not None:
+        raise ValueError(violation)
     return params
 
 

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from heptaspline.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def rewrite_output(src: Path, tmp_path: Path, name: str) -> Path:
@@ -36,6 +40,19 @@ class TestCoeffs:
         out = capsys.readouterr().out
         assert "alpha = 61/15" in out
         assert "c9 = 0" in out and "c12 = 0" in out
+
+    def test_loads_no_scipy(self):
+        # Each CLI call is a fresh process; coeffs needs no LAPACK, so it must
+        # not pay for importing scipy, and neither must importing the package.
+        code = ("import sys\n"
+                "from heptaspline.cli import main\n"
+                "assert main(['coeffs', '--delta', '30']) == 0\n"
+                "import heptaspline\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_rational_delta(self, capsys):
         assert main(["coeffs", "--delta", "51/2"]) == 0
@@ -248,6 +265,21 @@ class TestCascade:
             warnings.simplefilter("error")
             assert main(["cascade", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
+
+    def test_composed_force_beyond_float_range_exits_one(self, tmp_path, capsys):
+        # Gamma^7 = 1e280 is finite, but Gamma^6 times L7's coefficient is not.
+        cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
+        lines = []
+        for line in cfg.read_text().splitlines():
+            key = line.split(" = ")[0]
+            if key.startswith(("L", "v")):
+                line = f"{key} = {'1e100*t' if key == 'L7' else 0}"
+            lines.append(line.replace("gamma = 1", "gamma = 1e40"))
+        cfg.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["cascade", "--config", str(cfg)]) == 1
+        assert "coefficient beyond float range" in capsys.readouterr().err
 
     def test_even_scale_count_exits_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")

@@ -7,7 +7,7 @@ import pytest
 
 from heptaspline import oracle
 from heptaspline.assembly import EndConditionMode, build
-from heptaspline.cascade import CascadeModel, IvpProblem, simulate_direct
+from heptaspline.cascade import _BLOCK, CascadeModel, IvpProblem, simulate_direct
 from heptaspline.forces import ForceExpr, ForceTerm, parse
 from heptaspline.linsolve import SolutionGrid, lu_solve
 from heptaspline.oracle import (
@@ -100,24 +100,47 @@ def textbook_rk4(rate, z0, a, h, steps):
     return np.array(states)
 
 
-def companion_rate(problem):
+def on_half_steps(values, a, h):
+    """A function of t that reads ``values`` tabulated at a, a + h/2, a + h, ...
+
+    Tabulating the forces keeps the per-step loop fast; the lookup goes by t,
+    so it does not share the kernel's indexing.
+    """
+    return lambda t: values[round((t - a) / (0.5 * h))]
+
+
+def half_step_grid(a, h, steps):
+    return a + 0.5 * h * np.arange(2 * steps + 1)
+
+
+def companion_rate(problem, h, steps):
+    grid = half_step_grid(problem.a, h, steps)
+    f = on_half_steps(problem.f.evaluate(grid), problem.a, h)
+    g = on_half_steps(problem.g.evaluate(grid), problem.a, h)
+
     def rate(t, z):
-        return np.append(z[1:], problem.g(t) - problem.f(t) * z[0])
+        return np.append(z[1:], g(t) - f(t) * z[0])
     return rate
+
+
+#: Step counts on both sides of the scan's block boundaries at every level of
+#: its recursion, a prime, and the oracles' usual 10 000.
+STEP_COUNTS = [1, 63, 64, 65, 130, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK**2, _BLOCK**2 + 1,
+               _BLOCK**3 + 1, 1009, 10_000]
 
 
 class TestClassicalRk4:
     """Both oracles agree with per-step classical RK4, across block boundaries."""
 
-    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("steps", STEP_COUNTS)
     @pytest.mark.parametrize("problem", [OSCILLATING.problem, TIME_VARYING],
                              ids=["constant-f", "time-varying-f"])
     def test_companion_system(self, problem, steps):
         h = (problem.b - problem.a) / steps
-        expected = textbook_rk4(companion_rate(problem), problem.u, problem.a, h, steps)
+        expected = textbook_rk4(companion_rate(problem, h, steps), problem.u, problem.a, h, steps)
         assert np.max(np.abs(rk_solve(problem, steps).states - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("steps", STEP_COUNTS)
     def test_cascade_system(self, steps):
         rng = random.Random(7)
         model = CascadeModel(
@@ -126,11 +149,14 @@ class TestClassicalRk4:
                          for _ in range(7)),
             init_velocities=tuple(rng.uniform(-1, 1) for _ in range(7)),
             interval=(-0.5, 1.5))
+        h = 2.0 / steps
+        grid = half_step_grid(-0.5, h, steps)
+        forcing = on_half_steps(np.stack([f.evaluate(grid) for f in model.forces], axis=1),
+                                -0.5, h)
 
         def rate(t, y):
-            return -model.gamma * np.roll(y, -1) + np.array([f(t) for f in model.forces])
+            return -model.gamma * np.roll(y, -1) + forcing(t)
 
-        h = 2.0 / steps
         expected = textbook_rk4(rate, model.init_velocities, -0.5, h, steps)
         _, trajectories = simulate_direct(model, steps)
         assert np.max(np.abs(trajectories - expected)) <= 1e-12

@@ -44,6 +44,24 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(SplineParams(math.nan, 0, 0, 60))
 
+    def test_invalid_instance_raises_on_every_call(self):
+        p = SplineParams(1, 1, 1, 1)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="sum=4"):
+                validate(p)
+
+    def test_validated_instance_is_not_checked_again(self, monkeypatch):
+        p = optimal_family(30)
+        assert validate(p) is p
+
+        def recheck(self):
+            raise AssertionError("sum-60 check ran again")
+
+        monkeypatch.setattr(SplineParams, "total", property(recheck))
+        assert validate(p) is p
+        with pytest.raises(AssertionError, match="ran again"):
+            validate(optimal_family(30))       # a fresh instance is checked
+
 
 class TestOptimalFamily:
     def test_delta_30(self):
