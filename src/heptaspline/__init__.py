@@ -11,16 +11,9 @@ True
 """
 
 from .assembly import EndConditionMode, LinearSystem, build, min_knots, row_residual
-from .cascade import (
-    CascadeModel,
-    IvpProblem,
-    compose_g,
-    derive_initial_conditions,
-    reduce,
-    simulate_direct,
-)
+from .cascade import CascadeModel, IvpProblem, reduce, simulate_direct
 from .forces import ForceExpr, ForceTerm, ParseError, parse
-from .linsolve import LinearSolveError, SolutionGrid, condition_estimate, lu_solve
+from .linsolve import LinearSolveError, SolutionGrid, lu_solve
 from .oracle import (
     BENCHMARKS,
     Benchmark,
@@ -58,10 +51,7 @@ __all__ = [
     "SplineParams",
     "TruncationCoeffs",
     "build",
-    "compose_g",
-    "condition_estimate",
     "convergence_study",
-    "derive_initial_conditions",
     "from_theta",
     "lu_solve",
     "max_abs_error",

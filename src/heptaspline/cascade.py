@@ -5,15 +5,20 @@ damped through the next one down, with a driving force per scale:
 
     dy^(k)/dt = -Gamma * y^(k+1) + L^(k)(t),      k = 1..N (indices mod N)
 
-Index arithmetic is fully cyclic (y^(k+N) is y^(k)).  Iterating the coupling
-N times turns the system into a single N-th order equation for the top scale,
+Index arithmetic is fully cyclic (y^(k+N) is y^(k)).  Differentiating the
+coupling once per scale, starting from scale 1, gives
 
-    y^(N) + Gamma^N * y = g(t)        (N odd),
+    d^m y^(1)/dt^m = (-Gamma)^m y^(1+m) + F_m(t),
+    F_0 = 0,   F_{m+1} = F_m' + (-Gamma)^m L^(1+m),
 
-where g collects derivatives of the per-scale forces.  This module builds
-g, derives the N initial derivative values of the top scale from the
-per-scale initial velocities, and can also integrate the coupled system
-directly for cross-validation.
+and at m = N the top scale closes on itself: for odd N,
+
+    y^(N) + Gamma^N * y = g(t),   g = F_N.
+
+``reduce`` runs this recurrence once, collecting the N initial derivative
+values u_m = (-Gamma)^m v_(1+m) + F_m(a) of the top scale on the way.
+``simulate_direct`` integrates the coupled system itself for
+cross-validation.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from .forces import ForceExpr
 __all__ = [
     "CascadeModel",
     "IvpProblem",
-    "compose_g",
-    "derive_initial_conditions",
     "reduce",
     "simulate_direct",
 ]
@@ -88,59 +91,28 @@ class CascadeModel:
             raise ValueError(
                 f"expected {self.n_scales} initial velocities, got {len(self.init_velocities)}")
         a, b = self.interval
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"interval endpoints must be finite, got {self.interval}")
         if not a < b:
             raise ValueError(f"need a < b, got interval {self.interval}")
+        if not all(math.isfinite(v) for v in self.init_velocities):
+            raise ValueError(f"initial velocities must be finite, got {self.init_velocities}")
         object.__setattr__(self, "forces", tuple(self.forces))
         object.__setattr__(self, "init_velocities",
                            tuple(float(v) for v in self.init_velocities))
 
 
-def compose_g(model: CascadeModel) -> ForceExpr:
-    """Effective top-scale driving force of the reduced equation.
-
-    g(t) = sum_{j=0}^{N-1} (-Gamma)^(N-1-j) * d^j/dt^j L^(N-j)(t),
-    the pattern produced by differentiating the coupling N times starting
-    from scale 1, with cyclic scale indices.
-    """
-    n = model.n_scales
-    g = ForceExpr.zero()
-    for j in range(n):
-        weight = (-model.gamma) ** (n - 1 - j)
-        scale_index = (n - 1 - j) % n        # 0-based index of scale N-j
-        g = g + weight * model.forces[scale_index].derivative(j)
-    return g
-
-
-def derive_initial_conditions(model: CascadeModel) -> tuple[float, ...]:
-    """Initial derivatives u_m = d^m y^(1)/dt^m (a) of the top scale.
-
-    Repeated differentiation of the coupling gives, with cyclic indices,
-
-        d^m y^(k)/dt^m = (-Gamma)^m y^(k+m)
-                         + sum_{j=0}^{m-1} (-Gamma)^(m-1-j) d^j L^(k+m-1-j)/dt^j,
-
-    evaluated here at k = 1 and t = a.
-    """
-    n = model.n_scales
-    a = model.interval[0]
-    v = model.init_velocities
-    u = []
-    for m in range(n):
-        value = (-model.gamma) ** m * v[m % n]
-        for j in range(m):
-            scale_index = (m - 1 - j) % n    # 0-based index of scale 1+m-1-j
-            weight = (-model.gamma) ** (m - 1 - j)
-            value += weight * model.forces[scale_index].derivative(j)(a)
-        u.append(value)
-    return tuple(u)
-
-
 def reduce(model: CascadeModel) -> IvpProblem:
     """Reduce the cascade to the single N-th order problem for scale 1.
 
-    Only odd N closes to ``y^(N) + Gamma^N y = g`` (even N would flip the
-    sign of the feedback term and is not supported).  Raises ValueError when
-    Gamma^N or a coefficient of g is beyond float range.  For odd N other than 7
+    One loop over m = 0..N-1 runs the recurrence of the module docstring,
+
+        u_m = (-Gamma)^m v_(1+m) + F_m(a),   F_{m+1} = F_m' + (-Gamma)^m L^(1+m),
+
+    with one symbolic derivative per step, and returns g = F_N.  Only odd N
+    closes to ``y^(N) + Gamma^N y = g`` (even N would flip the sign of the
+    feedback term and is not supported).  Raises ValueError when Gamma^N or
+    a coefficient of some F_m is beyond float range.  For odd N other than 7
     the result can be integrated by the oracle but is rejected by the spline
     assembler.
     """
@@ -151,18 +123,17 @@ def reduce(model: CascadeModel) -> IvpProblem:
         feedback = model.gamma ** n
     except OverflowError:
         raise ValueError(f"Gamma^N = {model.gamma}^{n} is beyond float range") from None
-    g = compose_g(model)
-    if not all(math.isfinite(term.coeff) for term in g.terms):
-        raise ValueError(f"composed force g(t) = {g} has a coefficient beyond float range "
-                         f"(Gamma^k times a force coefficient)")
     a, b = model.interval
-    return IvpProblem(
-        a=a,
-        b=b,
-        f=ForceExpr.constant(feedback),
-        g=g,
-        u=derive_initial_conditions(model),
-    )
+    u, g = [], ForceExpr.zero()        # g holds F_m until the loop ends
+    for m in range(n):
+        weight = (-model.gamma) ** m
+        u.append(weight * model.init_velocities[m] + g(a))
+        g = g.derivative() + weight * model.forces[m]
+        if not all(math.isfinite(term.coeff) for term in g.terms):
+            name = "g" if m + 1 == n else f"F_{m + 1}"
+            raise ValueError(f"composed force {name}(t) = {g} has a coefficient beyond float "
+                             f"range (Gamma^k times a force coefficient)")
+    return IvpProblem(a=a, b=b, f=ForceExpr.constant(feedback), g=g, u=tuple(u))
 
 
 def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -213,8 +213,12 @@ def _run_coeffs(args: argparse.Namespace) -> int:
     coeffs = truncation_coeffs(params)
     for name in ("alpha", "beta", "gamma", "delta"):
         print(f"{name} = {getattr(params, name)}")
-    total = params.total
-    print(f"sum = {total}" + ("" if abs(total - 60) <= 1e-9 else "   (violates sum-60 constraint)"))
+    try:
+        validate(params)
+        marker = ""
+    except ValueError:
+        marker = "   (violates sum-60 constraint)"
+    print(f"sum = {params.total}{marker}")
     for name in ("c7", "c8", "c9", "c10", "c11", "c12"):
         print(f"{name} = {getattr(coeffs, name)}")
     return 0

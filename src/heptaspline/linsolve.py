@@ -1,4 +1,4 @@
-"""Dense solve of the assembled system, with conditioning diagnostics.
+"""Dense solve of the assembled system.
 
 The end-condition rows carry 1/h^7 factors while interior rows are O(1), so
 row magnitudes differ wildly at small h; partial pivoting is mandatory.
@@ -17,7 +17,7 @@ import numpy as np
 from .assembly import EndConditionMode, LinearSystem
 from .spline_params import SplineParams
 
-__all__ = ["SolutionGrid", "LinearSolveError", "lu_solve", "condition_estimate"]
+__all__ = ["SolutionGrid", "LinearSolveError", "lu_solve"]
 
 #: A pivot at or below this fraction of the largest entry of its row of U is
 #: treated as numerically singular.
@@ -94,14 +94,3 @@ def lu_solve(system: LinearSystem) -> SolutionGrid:
         params=system.params,
         residual_inf=residual,
     )
-
-
-def condition_estimate(system: LinearSystem) -> float:
-    """Infinity-norm condition estimate from the LU factors (LAPACK gecon)."""
-    from scipy.linalg.lapack import dgecon
-
-    lu, _, anorm = _factor(system)
-    rcond, info = dgecon(lu, anorm, norm="I")
-    if info != 0 or rcond == 0.0:
-        raise LinearSolveError("condition estimation failed; matrix is singular")
-    return 1.0 / rcond

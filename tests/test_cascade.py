@@ -1,17 +1,11 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from heptaspline.cascade import (
-    CascadeModel,
-    IvpProblem,
-    compose_g,
-    derive_initial_conditions,
-    reduce,
-    simulate_direct,
-)
+from heptaspline.cascade import CascadeModel, IvpProblem, reduce, simulate_direct
 from heptaspline.forces import ForceExpr, ForceTerm, parse
 from heptaspline.oracle import rk_solve
 
@@ -41,6 +35,32 @@ def random_model(rng: random.Random) -> CascadeModel:
     )
 
 
+def reference_reduce(model: CascadeModel):
+    """g, u and the summands' size from the closed-form double sums.
+
+    With cyclic scale indices, the N-fold differentiation of the coupling gives
+
+        g   = sum_{j<N} (-Gamma)^(N-1-j) d^j L^(N-j)/dt^j,
+        u_m = (-Gamma)^m v_(1+m) + sum_{j<m} (-Gamma)^(m-1-j) d^j L^(m-j)/dt^j (a),
+
+    each derivative built from scratch; ``reduce`` gets both from one
+    recurrence instead.  ``size[m]`` is the sum of the magnitudes of u_m's
+    terms, the scale its rounding error is measured against.
+    """
+    n, gamma, a = model.n_scales, model.gamma, model.interval[0]
+    g = ForceExpr.zero()
+    for j in range(n):
+        g = g + (-gamma) ** (n - 1 - j) * model.forces[(n - 1 - j) % n].derivative(j)
+    u, size = [], []
+    for m in range(n):
+        terms = [(-gamma) ** m * model.init_velocities[m % n]]
+        for j in range(m):
+            terms.append((-gamma) ** (m - 1 - j) * model.forces[(m - 1 - j) % n].derivative(j)(a))
+        u.append(sum(terms))
+        size.append(sum(abs(term) for term in terms))
+    return g, u, size
+
+
 class TestModelInvariants:
     def test_force_count_must_match(self):
         with pytest.raises(ValueError, match="7 forces"):
@@ -63,6 +83,16 @@ class TestModelInvariants:
         with pytest.raises(ValueError, match="a < b"):
             CascadeModel(7, 1.0, ZERO7, (0.0,) * 7, (1.0, 0.0))
 
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_interval_endpoints_finite(self, interval):
+        with pytest.raises(ValueError, match="interval endpoints must be finite"):
+            CascadeModel(7, 1.0, ZERO7, (0.0,) * 7, interval)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_initial_velocities_finite(self, bad):
+        with pytest.raises(ValueError, match="initial velocities must be finite"):
+            CascadeModel(7, 1.0, ZERO7, (0.0,) * 3 + (bad,) + (0.0,) * 3, (0.0, 1.0))
+
     def test_ivp_problem_rejects_non_finite_data(self):
         with pytest.raises(ValueError, match="finite"):
             IvpProblem(0.0, 1.0, ForceExpr.zero(), ForceExpr.zero(), (math.inf,) * 7)
@@ -73,33 +103,32 @@ class TestModelInvariants:
             IvpProblem(a, b, ForceExpr.zero(), ForceExpr.zero(), (0.0,) * 7)
 
 
-class TestComposeG:
+class TestReducedForce:
     def test_all_zero_forces(self):
         model = CascadeModel(7, 1.0, ZERO7, (0.0,) * 7, (0.0, 1.0))
-        assert compose_g(model).is_zero
+        assert reduce(model).g.is_zero
 
     def test_constant_force_at_bottom_scale_passes_through(self):
         # only the underived bottom-scale term survives, with weight (-G)^6
         forces = ZERO7[:6] + (ForceExpr.constant(3.25),)
         model = CascadeModel(7, 1.0, forces, (0.0,) * 7, (0.0, 1.0))
-        g = compose_g(model)
-        assert g == ForceExpr.constant(3.25)
+        assert reduce(model).g == ForceExpr.constant(3.25)
 
     def test_t6_force_at_top_scale_contributes_its_sixth_derivative(self):
         forces = (parse("t^6"),) + ZERO7[1:]
         model = CascadeModel(7, 1.0, forces, (0.0,) * 7, (0.0, 1.0))
-        assert compose_g(model) == ForceExpr.constant(720.0)
+        assert reduce(model).g == ForceExpr.constant(720.0)
 
     def test_gamma_weighting_of_bottom_scale(self):
         forces = ZERO7[:6] + (ForceExpr.constant(1.0),)
         model = CascadeModel(7, 2.0, forces, (0.0,) * 7, (0.0, 1.0))
-        assert compose_g(model).evaluate(0.1) == pytest.approx((-2.0) ** 6)
+        assert reduce(model).g.evaluate(0.1) == pytest.approx((-2.0) ** 6)
 
 
-class TestInitialConditions:
+class TestReducedInitialData:
     def test_unit_velocities_alternate(self):
         model = CascadeModel(7, 1.0, ZERO7, (1.0,) * 7, (0.0, 1.0))
-        assert derive_initial_conditions(model) == (1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0)
+        assert reduce(model).u == (1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0)
 
     def test_first_derivative_is_minus_gamma_times_second_scale(self):
         rng = random.Random(2)
@@ -107,7 +136,7 @@ class TestInitialConditions:
             v = tuple(rng.uniform(-2, 2) for _ in range(7))
             gamma = rng.uniform(0.2, 3.0)
             model = CascadeModel(7, gamma, ZERO7, v, (0.0, 1.0))
-            u = derive_initial_conditions(model)
+            u = reduce(model).u
             assert u[0] == pytest.approx(v[0])
             assert u[1] == pytest.approx(-gamma * v[1])
 
@@ -117,10 +146,34 @@ class TestInitialConditions:
             forces = tuple(random_force(rng) for _ in range(7))
             v = tuple(rng.uniform(-1, 1) for _ in range(7))
             model = CascadeModel(7, 1.0, forces, v, (0.0, 1.0))
-            u = derive_initial_conditions(model)
+            u = reduce(model).u
             a = 0.0
             expected = v[2] - forces[1].evaluate(a) + forces[0].derivative().evaluate(a)
             assert u[2] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestRecurrenceMatchesClosedForm:
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+    def test_random_models(self, n):
+        # Non-dyadic Gamma: powers of two would multiply exactly and hide
+        # any difference in rounding between the two orders of evaluation.
+        rng = random.Random(100 + n)
+        for _ in range(20):
+            model = CascadeModel(
+                n_scales=n,
+                gamma=rng.uniform(0.2, 3.0),
+                forces=tuple(random_force(rng) for _ in range(n)),
+                init_velocities=tuple(rng.uniform(-1, 1) for _ in range(n)),
+                interval=(rng.uniform(-1, 1), 2.0),
+            )
+            problem = reduce(model)
+            g, u, size = reference_reduce(model)
+            assert [t._key() for t in problem.g.terms] == [t._key() for t in g.terms]
+            for got, want in zip(problem.g.terms, g.terms):
+                assert got.coeff == pytest.approx(want.coeff, rel=1e-14, abs=0)
+            # u_m sums terms of both signs, so it is held to 1e-14 of their size
+            for got, want, scale in zip(problem.u, u, size):
+                assert abs(got - want) <= 1e-14 * scale
 
 
 class TestReduce:
@@ -141,6 +194,16 @@ class TestReduce:
         model = CascadeModel(7, 1e50, ZERO7, (0.0,) * 7, (0.0, 1.0))
         with pytest.raises(ValueError, match="beyond float range"):
             reduce(model)
+
+    def test_overflowing_intermediate_force_rejected_before_evaluation(self):
+        # F_2 = -Gamma * L2 = -inf*t vanishes from g after two derivatives;
+        # evaluating it at a = 0 would compute inf * 0.
+        forces = (ForceExpr.zero(), parse("1e300*t")) + ZERO7[2:]
+        model = CascadeModel(7, 1e40, forces, (0.0,) * 7, (0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"F_2\(t\) = -inf\*t has a coefficient beyond"):
+                reduce(model)
 
     def test_even_scale_count_rejected(self):
         model = CascadeModel(6, 1.0, ZERO7[:6], (0.0,) * 6, (0.0, 1.0))
@@ -203,7 +266,7 @@ class TestSimulateDirect:
         # would swamp the quotient below h ~ 1/30.
         rng = random.Random(31)
         model = random_model(rng)
-        g = compose_g(model)
+        g = reduce(model).g
         gamma7 = model.gamma ** 7
         stencil = np.array([-1, 7, -21, 35, -35, 21, -7, 1], dtype=float)
         errors = []

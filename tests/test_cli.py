@@ -64,6 +64,12 @@ class TestCoeffs:
         out = capsys.readouterr().out
         assert "c9 = -20" in out
 
+    @pytest.mark.parametrize("last,marked", [("60.0000000001", False), ("60.00000001", True)])
+    def test_sum_marker_follows_validate_tolerance(self, last, marked, capsys):
+        # off by 1e-10 is within the 1e-9 tolerance of validate, 1e-8 is not
+        assert main(["coeffs", "--params", f"0,0,0,{last}"]) == 0
+        assert ("violates sum-60" in capsys.readouterr().out) == marked
+
     def test_theta(self, capsys):
         assert main(["coeffs", "--theta", "0.5"]) == 0
         assert "violates sum-60" in capsys.readouterr().out

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from heptaspline.assembly import EndConditionMode, LinearSystem, build
-from heptaspline.linsolve import LinearSolveError, condition_estimate, lu_solve
+from heptaspline.linsolve import LinearSolveError, lu_solve
 from heptaspline.oracle import BENCHMARKS
 from heptaspline.spline_params import SplineParams, optimal_family
 
@@ -88,23 +88,3 @@ class TestLuSolve:
                                 params=system.params, y0=system.y0)
         permuted = lu_solve(shuffled).y
         assert np.max(np.abs(permuted - baseline)) <= 1e-10 * np.max(np.abs(baseline))
-
-
-class TestConditionEstimate:
-    def test_identity_is_one(self):
-        assert condition_estimate(small_system(np.eye(4), np.zeros(4))) == pytest.approx(1.0)
-
-    def test_diagonal_matrix_exact(self):
-        system = small_system(np.diag([1.0, 1e-8]), np.zeros(2))
-        assert condition_estimate(system) == pytest.approx(1e8, rel=1e-6)
-
-    def test_singular_raises(self):
-        with pytest.raises(LinearSolveError):
-            condition_estimate(small_system(np.zeros((2, 2)), np.zeros(2)))
-
-    def test_real_system_is_finite(self):
-        bench = BENCHMARKS[0]
-        system = build(bench.problem, SplineParams(0, 0, 0, 60),
-                       EndConditionMode.STANDARD, 96)
-        kappa = condition_estimate(system)
-        assert np.isfinite(kappa) and kappa >= 1.0
