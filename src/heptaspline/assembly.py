@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cascade import IvpProblem
+from .forces import tabulate
 from .spline_params import SplineParams, validate
 
 __all__ = [
@@ -186,14 +187,11 @@ def min_knots(mode: EndConditionMode) -> int:
 
 @dataclass
 class LinearSystem:
-    """Dense n x n system A y = b for the knot values y_1..y_n."""
+    """Dense n x n system A y = b for the knot values y_1..y_n on ``grid``; y0 = y(t_0)."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     grid: np.ndarray
-    h: float
-    mode: EndConditionMode
-    params: SplineParams
     y0: float
 
 
@@ -202,9 +200,10 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     """Assemble the system for ``n`` subintervals.
 
     Requires ``n >= min_knots(mode)`` (the end rows reach that far into the
-    grid), a parameter set passing :func:`spline_params.validate`, and a grid
-    step h with h^7 finite and nonzero and the end-row weights q/h^7 finite.
-    The seventh-order problem is the only one the stencil encodes.
+    grid), a parameter set passing :func:`spline_params.validate`, a grid
+    step h with h^7 finite and nonzero and the end-row weights q/h^7 finite,
+    and f, g and u_7 = g(a) - f(a)*u_0 finite on the grid.  The
+    seventh-order problem is the only one the stencil encodes.
     """
     if problem.order != 7:
         raise ValueError(f"spline assembly requires a 7th order problem, got order {problem.order}")
@@ -224,9 +223,12 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
         raise ValueError(f"grid step h = {h} is out of float range: h^7 = {h7} must be "
                          f"finite and nonzero, and the end-row weights q/h^7 finite")
     grid = a + h * np.arange(n + 1)
-    fv = problem.f.evaluate(grid)
-    gv = problem.g.evaluate(grid)
+    fv = tabulate(problem.f, grid, "f")
+    gv = tabulate(problem.g, grid, "g")
     u = problem.u
+    u7 = float(gv[0]) - float(fv[0]) * u[0]              # y^(7)(a); floats overflow unwarned
+    if not math.isfinite(u7):
+        raise ValueError(f"u_7 = g(a) - f(a)*u_0 = {u7} at t = {a!r} is beyond float range")
 
     # Row k of ``work`` is equation k over the knot values y_0..y_n; column 0
     # (y_0 = u_0 is data) moves to the right-hand side at the end, and the
@@ -239,7 +241,7 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     # The right-hand side folds each row's g terms in knot order, then its
     # init terms b_m * h^(m-7) * u_m in order of m.
     work[:6, :width] = (0.0 - end_u * fv[:width]) - end_y / h7
-    init = np.array((*u[1:], gv[0] - fv[0] * u[0]))      # u_1..u_6, u_7 = y^(7)(a)
+    init = np.array((*u[1:], u7))                        # u_1..u_7
     scale = np.array([h ** (m - 7) for m in range(1, 8)])
     terms = np.concatenate((end_u * gv[:width], end_init * scale * init), axis=1)
     rhs[:6] = np.subtract.reduce(terms, axis=1, initial=0.0)
@@ -254,8 +256,7 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     rhs[6:] = np.subtract.reduce(gv[knots] * weights, axis=1, initial=0.0)
     rhs -= work[:, 0] * u[0]
 
-    return LinearSystem(matrix=work[:, 1:], rhs=rhs, grid=grid, h=h, mode=mode,
-                        params=params, y0=u[0])
+    return LinearSystem(matrix=work[:, 1:], rhs=rhs, grid=grid, y0=u[0])
 
 
 def _monomial_derivative(degree: int, order: int, t: int | Fraction) -> int | Fraction:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import ForceExpr
+from .forces import ForceExpr, tabulate
 
 __all__ = [
     "CascadeModel",
@@ -111,10 +111,10 @@ def reduce(model: CascadeModel) -> IvpProblem:
 
     with one symbolic derivative per step, and returns g = F_N.  Only odd N
     closes to ``y^(N) + Gamma^N y = g`` (even N would flip the sign of the
-    feedback term and is not supported).  Raises ValueError when Gamma^N or
-    a coefficient of some F_m is beyond float range.  For odd N other than 7
-    the result can be integrated by the oracle but is rejected by the spline
-    assembler.
+    feedback term and is not supported).  Raises ValueError when Gamma^N,
+    a coefficient of some F_m or its value F_m(a) is beyond float range.
+    For odd N other than 7 the result can be integrated by the oracle but is
+    rejected by the spline assembler.
     """
     n = model.n_scales
     if n % 2 == 0:
@@ -127,7 +127,7 @@ def reduce(model: CascadeModel) -> IvpProblem:
     u, g = [], ForceExpr.zero()        # g holds F_m until the loop ends
     for m in range(n):
         weight = (-model.gamma) ** m
-        u.append(weight * model.init_velocities[m] + g(a))
+        u.append(weight * model.init_velocities[m] + tabulate(g, np.array([a]), f"F_{m}")[0])
         g = g.derivative() + weight * model.forces[m]
         if not all(math.isfinite(term.coeff) for term in g.terms):
             name = "g" if m + 1 == n else f"F_{m + 1}"
@@ -144,7 +144,7 @@ def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.nda
     linear, ``y' = -Gamma*P y + L(t)`` with P the cyclic shift, so it runs
     through the same blocked affine RK4 kernel as the companion-system
     oracle (``_rk4_linear``); the forces are tabulated on the half-step grid
-    up front.
+    up front, and ValueError names the first force L^(k) not finite there.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -154,7 +154,7 @@ def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.nda
     half_grid = a + 0.5 * h * np.arange(2 * steps + 1)
     ftab = np.empty((half_grid.size, n))
     for k, force in enumerate(model.forces):
-        ftab[:, k] = force.evaluate(half_grid)
+        ftab[:, k] = tabulate(force, half_grid, f"L{k + 1}")
     coupling = -model.gamma * np.roll(np.eye(n), 1, axis=1)    # row k picks y[k+1]
     out = _rk4_linear(coupling[None], np.eye(n), ftab,
                       np.array(model.init_velocities, dtype=float), h)
@@ -170,10 +170,6 @@ _BLOCK = 16
 #: Steps whose increment maps a time-varying A forms at once: the
 #: temporaries of ``_rk4_increment`` hold about six (d, d + 3m) arrays per step.
 _CHUNK = 128
-
-
-def _matmul(x, y):
-    return np.einsum("...ij,...jk->...ik", x, y)
 
 
 def _apply(maps, v):
@@ -198,7 +194,8 @@ def _rk4_increment(a0, a1, a2, e, h):
     so the result ``Delta`` with ``z_next = z + Delta @ [z, u0, u1, u2]`` has
     shape (..., d, d + 3m); its first d columns are ``S - I`` for the step
     matrix S, kept apart from the identity so that small increments keep
-    their digits.
+    their digits.  The stage products are batched ``@`` (matmul), which
+    broadcasts a single A over the stack of steps.
     """
     d, m = e.shape
     z = np.zeros((d, d + 3 * m))
@@ -206,10 +203,10 @@ def _rk4_increment(a0, a1, a2, e, h):
     f0, f1, f2 = (np.zeros_like(z) for _ in range(3))
     for j, f in enumerate((f0, f1, f2)):
         f[:, d + j * m:d + (j + 1) * m] = e
-    k1 = h * (_matmul(a0, z) + f0)
-    k2 = h * (_matmul(a1, z + 0.5 * k1) + f1)
-    k3 = h * (_matmul(a1, z + 0.5 * k2) + f1)
-    k4 = h * (_matmul(a2, z + k3) + f2)
+    k1 = h * (a0 @ z + f0)
+    k2 = h * (a1 @ (z + 0.5 * k1) + f1)
+    k3 = h * (a1 @ (z + 0.5 * k2) + f1)
+    k4 = h * (a2 @ (z + k3) + f2)
     return (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 

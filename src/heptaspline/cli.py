@@ -38,7 +38,6 @@ __all__ = ["main", "RunConfig", "load_config"]
 class RunConfig:
     """Parsed and validated configuration for one run."""
 
-    subcommand: str
     problem: Optional[IvpProblem]
     model: Optional[CascadeModel]
     exact: Optional[ForceExpr]
@@ -144,9 +143,8 @@ def load_config(path: Path, subcommand: str) -> RunConfig:
         raise ValueError("missing [output] section")
     csv_path = Path(_require(cp["output"], "csv_path"))
 
-    return RunConfig(subcommand=subcommand, problem=problem, model=model,
-                     exact=exact, mode=mode, params=params, n=n, n_list=n_list,
-                     csv_path=csv_path)
+    return RunConfig(problem=problem, model=model, exact=exact, mode=mode,
+                     params=params, n=n, n_list=n_list, csv_path=csv_path)
 
 
 def _write_solution_csv(path: Path, grid, exact: Optional[ForceExpr]) -> None:
@@ -186,10 +184,8 @@ def _run_converge(cfg: RunConfig) -> int:
     report = convergence_study(cfg.problem, cfg.params, cfg.mode, cfg.n_list,
                                reference=cfg.exact)
     lines = ["n,max_abs_error,observed_order"]
-    for i, (n, err) in enumerate(report.entries):
-        order = report.orders[i - 1] if i > 0 else None
-        order_text = _fmt(order) if order is not None else ""
-        lines.append(f"{n},{_fmt(err)},{order_text}")
+    for (n, err), order in zip(report.entries, (None, *report.orders)):
+        lines.append(f"{n},{_fmt(err)},{'' if order is None else _fmt(order)}")
     cfg.csv_path.parent.mkdir(parents=True, exist_ok=True)
     cfg.csv_path.write_text("\n".join(lines) + "\n")
     for line in lines:
@@ -252,8 +248,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LinearSolveError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, configparser.Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, configparser.Error, MemoryError) as exc:
+        # MemoryError: e.g. the dense n x n system for a huge n
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -202,6 +202,21 @@ class ForceExpr:
         return "".join(parts)
 
 
+def tabulate(force: ForceExpr, t: np.ndarray, name: str) -> np.ndarray:
+    """``force`` on the grid ``t``, which must be finite everywhere on it.
+
+    Overflow to inf (or inf * 0 = NaN) is not warned about but rejected:
+    ValueError names the force by ``name`` and gives the first bad t.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = force.evaluate(t)
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        raise ValueError(f"force {name}(t) = {values[i]} at t = {float(t[i])!r} "
+                         f"is beyond float range")
+    return values
+
+
 # --- parser -------------------------------------------------------------
 
 _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
@@ -237,7 +252,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -365,6 +379,4 @@ def parse(text: str) -> ForceExpr:
     Raises :class:`ParseError` (with ``position``) on malformed input and
     on unknown function names.  The literal "0" yields the zero expression.
     """
-    parser = _Parser(text)
-    expr = parser.parse_expr()
-    return expr
+    return _Parser(text).parse_expr()

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import EndConditionMode, LinearSystem
-from .spline_params import SplineParams
+from .assembly import LinearSystem
 
 __all__ = ["SolutionGrid", "LinearSolveError", "lu_solve"]
 
@@ -33,13 +32,10 @@ class LinearSolveError(RuntimeError):
 
 @dataclass
 class SolutionGrid:
-    """Knot values of one solve; y[0] is the initial datum u_0."""
+    """Knots t, values y (y[0] = u_0) and backward residual ||A y - b||_inf of one solve."""
 
     t: np.ndarray
     y: np.ndarray
-    h: float
-    mode: EndConditionMode
-    params: SplineParams
     residual_inf: float
 
 
@@ -86,11 +82,5 @@ def lu_solve(system: LinearSystem) -> SolutionGrid:
     if residual > bound:
         raise LinearSolveError(
             f"backward residual {residual:.3e} exceeds bound {bound:.3e}")
-    return SolutionGrid(
-        t=system.grid,
-        y=np.concatenate(([system.y0], y)),
-        h=system.h,
-        mode=system.mode,
-        params=system.params,
-        residual_inf=residual,
-    )
+    return SolutionGrid(t=system.grid, y=np.concatenate(([system.y0], y)),
+                        residual_inf=residual)

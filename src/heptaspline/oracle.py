@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import EndConditionMode, build, min_knots
 from .cascade import IvpProblem, _rk4_linear
-from .forces import ForceExpr, parse
+from .forces import ForceExpr, parse, tabulate
 from .linsolve import SolutionGrid, lu_solve
 from .spline_params import SplineParams
 
@@ -68,7 +68,8 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     The companion system ``z' = A(t) z + e_N g(t)``, with ``-f`` in the last
     row of A, is linear, so it runs through the blocked affine RK4 kernel
     shared with ``simulate_direct`` (``_rk4_linear``); f and g are tabulated
-    on the half-step grid, and A is one matrix when f is constant there.
+    on the half-step grid (ValueError where one is not finite there), and A
+    is one matrix when f is constant there.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -76,8 +77,8 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     a, b = problem.a, problem.b
     h = (b - a) / steps
     half_grid = a + 0.5 * h * np.arange(2 * steps + 1)
-    gtab = problem.g.evaluate(half_grid)
-    ftab = problem.f.evaluate(half_grid)
+    gtab = tabulate(problem.g, half_grid, "g")
+    ftab = tabulate(problem.f, half_grid, "f")
     if np.all(ftab == ftab[0]):
         ftab = ftab[:1]
     companion = np.zeros((len(ftab), order, order))
@@ -110,14 +111,13 @@ def max_abs_error(grid: SolutionGrid, reference: Reference) -> float:
 class ConvergenceReport:
     """Errors per n and observed orders across exact doublings.
 
-    ``orders[i]`` is log2(E_{n_i} / E_{n_{i+1}}) when n_{i+1} == 2 n_i,
-    else None; len(orders) == len(entries) - 1.
+    ``entries`` holds (n_i, E_{n_i}) in increasing n.  ``orders[i]`` is
+    log2(E_{n_i} / E_{n_{i+1}}) when n_{i+1} == 2 n_i, else None;
+    len(orders) == len(entries) - 1.
     """
 
     entries: tuple[tuple[int, float], ...]
     orders: tuple[Optional[float], ...]
-    mode: EndConditionMode
-    params: SplineParams
 
 
 def convergence_study(problem: IvpProblem, params: SplineParams,
@@ -148,14 +148,9 @@ def convergence_study(problem: IvpProblem, params: SplineParams,
     for n in ns:
         grid = lu_solve(build(problem, params, mode, n))
         entries.append((n, max_abs_error(grid, ref)))
-    orders: list[Optional[float]] = []
-    for (n1, e1), (n2, e2) in zip(entries, entries[1:]):
-        if n2 == 2 * n1 and e1 > 0.0 and e2 > 0.0:
-            orders.append(math.log2(e1 / e2))
-        else:
-            orders.append(None)
-    return ConvergenceReport(entries=tuple(entries), orders=tuple(orders),
-                             mode=mode, params=params)
+    orders = tuple(math.log2(e1 / e2) if n2 == 2 * n1 and e1 > 0.0 and e2 > 0.0 else None
+                   for (n1, e1), (n2, e2) in zip(entries, entries[1:]))
+    return ConvergenceReport(entries=tuple(entries), orders=orders)
 
 
 # --- analytically solvable benchmark problems ----------------------------

@@ -174,8 +174,7 @@ def _reference_build(problem: IvpProblem, params: SplineParams, mode: EndConditi
             work[col] -= INTERIOR_Y_WEIGHTS[j]
         install(6 + (i - 7), work, r)
 
-    return LinearSystem(matrix=A, rhs=rhs, grid=grid, h=h, mode=mode,
-                        params=params, y0=u[0])
+    return LinearSystem(matrix=A, rhs=rhs, grid=grid, y0=u[0])
 
 
 def assert_bit_identical(x: np.ndarray, y: np.ndarray) -> None:

@@ -205,6 +205,15 @@ class TestReduce:
             with pytest.raises(ValueError, match=r"F_2\(t\) = -inf\*t has a coefficient beyond"):
                 reduce(model)
 
+    def test_force_beyond_float_range_at_start_rejected(self):
+        # F_1 = L1 = exp(800 t) is finite as an expression but not at a = 1.
+        forces = (parse("exp(800*t)"),) + ZERO7[1:]
+        model = CascadeModel(7, 1.0, forces, (0.0,) * 7, (1.0, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"force F_1\(t\) = inf at t = 1\.0 "):
+                reduce(model)
+
     def test_even_scale_count_rejected(self):
         model = CascadeModel(6, 1.0, ZERO7[:6], (0.0,) * 6, (0.0, 1.0))
         with pytest.raises(ValueError, match="odd"):
@@ -238,6 +247,14 @@ class TestSimulateDirect:
         model = CascadeModel(7, 1.0, ZERO7, (0.0,) * 7, (0.0, 1.0))
         with pytest.raises(ValueError):
             simulate_direct(model, 0)
+
+    def test_force_beyond_float_range_on_half_steps_rejected(self):
+        forces = ZERO7[:3] + (parse("exp(800*t)"),) + ZERO7[4:]
+        model = CascadeModel(7, 1.0, forces, (0.0,) * 7, (0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"force L4\(t\) = inf at t = 0\.8875"):
+                simulate_direct(model, 40)
 
     def test_cyclic_relabeling_permutes_trajectories(self):
         rng = random.Random(17)

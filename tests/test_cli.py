@@ -135,14 +135,15 @@ csv_path = {}
         assert "60" in capsys.readouterr().err
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
-        # exp(1000 t) overflows to inf on the grid, so assembly produces a
-        # non-finite system and the solve is rejected as a numerical failure
+        # f = 1e308 is finite on the grid, but its end-row products overflow
+        # to inf, so assembly produces a non-finite system and the solve is
+        # rejected as a numerical failure
         cfg = tmp_path / "overflow.ini"
         cfg.write_text("""\
 [problem]
 a = 0
 b = 1
-f = exp(1000*t)
+f = 1e308
 g = 1.0
 u0 = 0
 u1 = 0
@@ -167,6 +168,36 @@ csv_path = {}
             code = main(["solve", "--config", str(cfg)])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edits,message", [
+        ({"g = ": "exp(800*t)"}, "force g(t) = inf at t = 0.9000000000000001 "),
+        ({"f = ": "exp(800*t)"}, "force f(t) = inf at t = 0.9000000000000001 "),
+        ({"g = ": "t^400", "b = ": "8"}, "force g(t) = inf at t = 6.2 "),
+        ({"f = ": "1e200", "u0 = ": "1e200"}, "u_7 = g(a) - f(a)*u_0 = -inf at t = -1.0 "),
+    ])
+    def test_force_beyond_float_range_on_grid_exits_one(self, tmp_path, capsys, edits, message):
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        lines = []
+        for line in cfg.read_text().splitlines():
+            for key, value in edits.items():
+                if line.startswith(key):
+                    line = key + value
+            lines.append(line)
+        cfg.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 74.5 PiB for an array", ""])
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch, message):
+        # Stands in for the dense n x n allocation of a huge n; nothing is allocated.
+        def exhausted(*args):
+            raise MemoryError(message)
+        monkeypatch.setattr("heptaspline.cli.build", exhausted)
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
 
     def test_malformed_expression_exits_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
@@ -222,6 +253,18 @@ class TestConverge:
         published = (2.88e-1, 3.09e-2, 2.5e-3, 1.70e-4)
         for row, expect in zip(rows, published):
             assert expect / 10 <= float(row["max_abs_error"]) <= expect * 10
+
+    def test_force_beyond_float_range_for_rk_reference_exits_one(self, tmp_path, capsys):
+        # Without an exact solution the reference is an RK run, which
+        # tabulates g on its own half-step grid before any solve.
+        cfg = rewrite_output(CONFIG_DIR / "example1_standard_col1.ini", tmp_path, "conv")
+        lines = [("g = exp(800*t)" if line.startswith("g = ") else line)
+                 for line in cfg.read_text().splitlines() if not line.startswith("exact")]
+        cfg.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["converge", "--config", str(cfg)]) == 1
+        assert "force g(t) = inf at t = 0.8872" in capsys.readouterr().err
 
 
 class TestCascade:
@@ -286,6 +329,19 @@ class TestCascade:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["cascade", "--config", str(cfg)]) == 1
         assert "coefficient beyond float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval,message", [
+        ((0, 1), "force g(t) = inf at t = 0.85"),      # the composed g, on the grid
+        ((1, 2), "force F_1(t) = inf at t = 1.0 "),    # F_1 = L1 at a, in reduce
+    ])
+    def test_force_beyond_float_range_exits_one(self, tmp_path, capsys, interval, message):
+        cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
+        text = cfg.read_text().replace("L1 = sin(2*t)", "L1 = exp(800*t)")
+        cfg.write_text(text.replace("a = 0\nb = 1", "a = {}\nb = {}".format(*interval)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["cascade", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_even_scale_count_exits_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")

@@ -1,10 +1,11 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from heptaspline.forces import ForceExpr, ForceTerm, ParseError, parse
+from heptaspline.forces import ForceExpr, ForceTerm, ParseError, parse, tabulate
 
 
 def random_expr(rng: random.Random, max_terms: int = 4) -> ForceExpr:
@@ -42,6 +43,24 @@ class TestEvaluate:
         assert vals.shape == ts.shape
         for t, v in zip(ts, vals):
             assert expr.evaluate(float(t)) == pytest.approx(v, rel=1e-15)
+
+
+class TestTabulate:
+    def test_finite_table_is_evaluate(self):
+        expr = parse("2*t*exp(-t) + cos(3*t + 0.5)")
+        ts = np.linspace(-1, 1, 7)
+        assert tabulate(expr, ts, "f").tobytes() == expr.evaluate(ts).tobytes()
+
+    @pytest.mark.parametrize("text,grid,message", [
+        ("exp(800*t)", (0.0, 0.5, 0.9, 1.0), "= inf at t = 0.9 "),         # overflow
+        ("t^400*exp(-800*t)", (0.0, 0.5, 6.0, 7.0), "= nan at t = 6.0 "),  # inf * 0
+    ])
+    def test_first_bad_point_named_without_warning(self, text, grid, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                tabulate(parse(text), np.array(grid), "L3")
+        assert str(info.value).startswith("force L3(t) " + message)
 
 
 class TestDerivative:

@@ -12,9 +12,7 @@ def small_system(matrix, rhs) -> LinearSystem:
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
-    return LinearSystem(matrix=matrix, rhs=rhs, grid=np.arange(n + 1, dtype=float),
-                        h=1.0, mode=EndConditionMode.STANDARD,
-                        params=SplineParams(0, 0, 0, 60), y0=0.0)
+    return LinearSystem(matrix=matrix, rhs=rhs, grid=np.arange(n + 1, dtype=float), y0=0.0)
 
 
 class TestLuSolve:
@@ -67,6 +65,26 @@ class TestLuSolve:
         with pytest.raises(LinearSolveError, match="non-finite"):
             lu_solve(small_system([[1.0, np.inf], [0.0, 1.0]], [1.0, 1.0]))
 
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+            lu_solve(small_system(np.ones((2, 3)), [1.0, 1.0]))
+
+    def test_backward_residual_beyond_bound_rejected(self, monkeypatch):
+        # A solve perturbed by a relative 1e-3 leaves a residual far above
+        # the 1e-8 * ||A|| * ||y|| acceptance bound.
+        import scipy.linalg.lapack
+        exact_dgetrs = scipy.linalg.lapack.dgetrs
+
+        def perturbed(*args):
+            y, info = exact_dgetrs(*args)
+            return y * (1 + 1e-3), info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrs", perturbed)
+        system = build(BENCHMARKS[1].problem, optimal_family(30), EndConditionMode.IMPROVED, 20)
+        with pytest.raises(LinearSolveError,
+                           match=r"backward residual 8\.502e\+09 exceeds bound 2\.928e\+07"):
+            lu_solve(system)
+
     def test_backward_residual_bound_on_real_system(self):
         bench = BENCHMARKS[0]
         system = build(bench.problem, SplineParams(0, 0, 0, 60),
@@ -84,7 +102,6 @@ class TestLuSolve:
         rng = np.random.default_rng(0)
         perm = rng.permutation(system.matrix.shape[0])
         shuffled = LinearSystem(matrix=system.matrix[perm], rhs=system.rhs[perm],
-                                grid=system.grid, h=system.h, mode=system.mode,
-                                params=system.params, y0=system.y0)
+                                grid=system.grid, y0=system.y0)
         permuted = lu_solve(shuffled).y
         assert np.max(np.abs(permuted - baseline)) <= 1e-10 * np.max(np.abs(baseline))

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -84,6 +85,17 @@ class TestRkSolve:
         with pytest.raises(ValueError):
             rk_solve(EXPONENTIAL.problem, 0)
 
+    @pytest.mark.parametrize("f,g,message", [
+        ("1", "exp(800*t)", r"force g\(t\) = inf at t = 0\.8875"),
+        ("1 + exp(800*t)", "1", r"force f\(t\) = inf at t = 0\.8875"),
+    ])
+    def test_force_beyond_float_range_on_half_steps_rejected(self, f, g, message):
+        problem = IvpProblem(0.0, 1.0, parse(f), parse(g), (0.0,) * 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                rk_solve(problem, 40)
+
 
 def textbook_rk4(rate, z0, a, h, steps):
     """Classical RK4, one step at a time: the scheme the oracles must implement."""
@@ -166,9 +178,7 @@ class TestMaxAbsError:
     def test_zero_when_grid_equals_reference(self):
         ts = np.linspace(0.0, 1.0, 11)
         exact = EXPONENTIAL.exact
-        grid = SolutionGrid(t=ts, y=exact.evaluate(ts), h=0.1,
-                            mode=EndConditionMode.STANDARD,
-                            params=SplineParams(0, 0, 0, 60), residual_inf=0.0)
+        grid = SolutionGrid(t=ts, y=exact.evaluate(ts), residual_inf=0.0)
         assert max_abs_error(grid, exact) == 0.0
 
     def test_oscillating_standard_anchor(self):
