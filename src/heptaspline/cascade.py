@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .forces import ForceExpr, tabulate
 
@@ -172,19 +173,6 @@ _BLOCK = 16
 _CHUNK = 128
 
 
-def _apply(maps, v):
-    """``maps[i] @ v[i]`` for every row i of ``v`` (shape (n, k)).
-
-    ``maps`` has shape (n, ..., j, k), or (1, ..., j, k) to apply one set of
-    maps to every row, which is then a single matrix product; the result has
-    shape (n, ..., j).
-    """
-    if len(maps) == 1:      # one BLAS product; per-row maps go through einsum
-        flat = maps.reshape(-1, maps.shape[-1])
-        return (v @ flat.T).reshape(len(v), *maps.shape[1:-1])
-    return np.einsum("i...jk,ik->i...j", maps, v)
-
-
 def _rk4_increment(a0, a1, a2, e, h):
     """Increment map of one classical RK4 step of ``z' = A(t) z + E u(t)``.
 
@@ -210,16 +198,42 @@ def _rk4_increment(a0, a1, a2, e, h):
     return (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def _forcing(delta, utab, out):
-    """Add the forcing vector c_i of each step to ``out``.
+def _stage_values(utab):
+    """u at the start, middle and end of each step, as rows of 3m floats.
 
-    ``delta`` holds the steps' increment maps (one for all steps, or one per
-    step) and ``utab`` u on their half-step grid; c_i is Delta's three stage
-    blocks applied to u at the start, middle and end of step i.
+    ``utab`` holds u on the half-step grid, C-ordered, so step i's three
+    values are the 3m consecutive floats from row 2i: the result is an
+    overlapping (steps, 3m) view with strides (2m, 1) floats, not a copy.
     """
-    d, m = out.shape[1], utab.shape[1]
-    for j, u in enumerate((utab[0:-1:2], utab[1::2], utab[2::2])):
-        out += _apply(delta[:, :, d + j * m:d + (j + 1) * m], u)
+    m = utab.shape[1]
+    return sliding_window_view(utab.ravel(), 3 * m)[::2 * m]
+
+
+def _forcing(delta, utab, sums):
+    """Write the forcing vector c_i of every step into ``sums``, for one map ``delta``.
+
+    c_i is Delta's three (d, m) stage blocks applied to u at the start,
+    middle and end of step i; ``utab`` holds u on the half-step grid, and
+    ``sums`` takes step i's row at [i % width, i // width] (``_sums`` of a
+    ``_scan_work``).  Each in-block offset takes products with C-ordered
+    (K, d) right operands, K > 1.  For m = 1 that is the ``_stage_values``
+    rows times the (3, d) stage matrix: the overlapping view is no BLAS
+    operand, but a K = 1 BLAS product is ten times slower.  Otherwise the
+    start and middle values, ``utab[:-1]`` read as (steps, 2m) rows, take
+    one BLAS product and the end values ``utab[2::2]`` a second.
+    """
+    width, d, m = len(sums), sums.shape[-1], utab.shape[1]
+    steps = len(utab) // 2
+    w = np.ascontiguousarray(delta[0, :, d:].T)     # rows j*m..(j+1)*m: stage j
+    if m == 1:
+        lead, tail = _stage_values(utab), None
+    else:
+        lead, tail = utab[:-1].reshape(steps, 2 * m), utab[2::2]
+    for k in range(min(width, steps)):
+        row = sums[k, :len(lead[k::width])]
+        np.matmul(lead[k::width], w[:lead.shape[1]], out=row)
+        if tail is not None:
+            row += tail[k::width] @ w[2 * m:]
 
 
 def _scan_length(n):
@@ -227,87 +241,131 @@ def _scan_length(n):
     return n if n <= _BLOCK else -(-n // _BLOCK) * _BLOCK
 
 
-def _scan(maps, c):
-    """Solve ``x_{i+1} = x_i + maps_i x_i + c_i`` from ``x_0 = 0`` in place.
+def _scan_work(n, d, per_step):
+    """Zeroed work array of ``_scan`` for an n-row scan.
 
-    On return ``c[i]`` holds x_{i+1}.  ``len(c)`` is at most ``_BLOCK`` or a
-    multiple of it, and ``maps`` is either one (1, d, d) matrix for every step
-    or a writable (len(c), d, d) stack, which is overwritten.
+    Its shape is (width, nb, r, d) with width = min(n, ``_BLOCK``) steps per
+    block: entry [k, b] holds the row vectors at in-block offset k, first the
+    partial sums, then the d rows of that step's transposed map D^T.  With
+    ``per_step`` every block has its own maps: nb = n // width entries of
+    one partial sum each.  Otherwise all blocks share one map per offset and
+    one entry (nb = 1) holds all their partial sums.
+    """
+    width = min(n, _BLOCK)
+    blocks = n // width
+    return np.zeros((width, blocks, 1 + d, d) if per_step else (width, 1, blocks + d, d))
+
+
+def _sums(work):
+    """The (width, blocks, d) partial-sum rows of a ``_scan_work`` array."""
+    return work[:, 0, :-work.shape[-1]] if work.shape[1] == 1 else work[:, :, 0]
+
+
+def _scatter(view, lo, values):
+    """Store the rows or maps ``values`` of steps lo, lo + 1, ... at [i % width, i // width]."""
+    i = np.arange(lo, lo + len(values))
+    view[i % len(view), i // len(view)] = values
+
+
+def _scan(work, c):
+    """Solve ``x_{i+1} = x_i + D_i x_i + c_i`` from ``x_0 = 0`` into ``c``.
+
+    ``work`` (from ``_scan_work``, overwritten) holds the forcing c_i in its
+    partial-sum rows and the transposed D_i in its map rows.  ``c`` is
+    C-contiguous and ``len(c)`` is at most ``_BLOCK`` or a multiple of it;
+    on return ``c[i]`` holds x_{i+1} (what ``c`` held before is not read).
+    States are rows, so every product is ``rows @ map`` with a C-ordered
+    right operand.
 
     The steps are cut into blocks.  One pass over the in-block offsets forms,
     for all blocks together, the partial sums from a zero block start and the
     in-block maps G_k = S_k...S_1 - I (kept apart from I, like the step maps).
+    The rows of G_k^T obey the same recurrence as the partial sums, with the
+    rows of D^T as their forcing, so both ride in one entry of ``work`` and
+    each offset is one product into a scratch entry and two contiguous adds.
     A block's end map and last partial sum make the same kind of recurrence
-    over the blocks, which this function solves by calling itself; then each
-    block-start state s adds s + G_k s to its block's partial sums.
+    over the blocks, which this function solves by calling itself.  Then
+    each block-start state s gives its block's states as partial sum + s +
+    s G_k^T: the products of all offsets go into ``c``'s buffer, and the
+    sums are copied to it in step order.
     """
     n, d = c.shape
-    width = min(n, _BLOCK)
+    width, nb = work.shape[:2]
     blocks = n // width
-    cb = c.reshape(blocks, width, d)
-    per_step = len(maps) > 1
-    if per_step:
-        g = maps.reshape(blocks, width, d, d)
-    else:
-        g = np.empty((1, width, d, d))
-        g[...] = maps
-    # g[:, k] holds S - I of step k of each block until it becomes G_{k+1}.
+    sums = _sums(work)
+    term = np.empty(work.shape[1:])
     for k in range(1, width):
-        dk = g[:, k]
-        prev = cb[:, k - 1]
-        cb[:, k] += prev + _apply(dk, prev)
-        if blocks > 1:
-            dk += dk @ g[:, k - 1] + g[:, k - 1]     # S_k (I + G_k) - I
+        np.matmul(work[k - 1], work[k, :, -d:], out=term)
+        term += work[k - 1]
+        work[k] += term
     if blocks == 1:
+        c[...] = sums[:, 0]
         return
     size = _scan_length(blocks)
-    starts = np.zeros((size + 1, d))                # starts[b]: state at the start of block b
-    starts[1:blocks + 1] = cb[:, -1]
-    ends = g[:, -1]                                 # block end maps
-    if per_step:
-        ends = np.zeros((size, d, d))
-        ends[:blocks] = g[:, -1]
+    ends = _scan_work(size, d, per_step=nb > 1)     # block end maps and last partial sums
+    _scatter(_sums(ends), 0, sums[-1])
+    if nb == 1:
+        ends[:, :, -d:] = work[-1, :, -d:]
+    else:
+        _scatter(ends[:, :, -d:], 0, work[-1, :, -d:])
+    starts = np.empty((size + 1, d))                # starts[b]: state at the start of block b
+    starts[0] = 0.0
     _scan(ends, starts[1:])
-    del ends                    # a per-step copy is freed before the temporary below
+    # s G^T: one (blocks, d) @ (d, d) product per offset for shared maps,
+    # blocks (1, d) @ (d, d) products otherwise.
+    rows = (1, blocks, d) if nb == 1 else (blocks, 1, d)
     s = starts[:blocks]
-    cb += _apply(g, s)
-    cb += s[:, None]
+    products = c.reshape(width, *rows)
+    np.matmul(s.reshape(rows), work[:, :, -d:], out=products)
+    sums += products.reshape(width, blocks, d)
+    sums += s
+    c.reshape(blocks, width, d)[...] = sums.swapaxes(0, 1)
 
 
 def _rk4_linear(a, e, utab, z0, h):
     """Classical RK4 for ``z' = A(t) z + E u(t)``; returns all states.
 
     ``utab`` holds u on the half-step grid, shape (2*steps + 1, m).  ``a`` is
-    either one (1, d, d) matrix for constant A or A on the same half-step
-    grid, shape (2*steps + 1, d, d).  Result: shape (steps + 1, d), row 0 is
-    ``z0``.
+    either one (1, d, d) matrix for constant A or a function ``a(lo, hi)``
+    giving A on the half-step grid of steps lo..hi - 1, shape
+    (2*(hi - lo) + 1, d, d).  Result: shape (steps + 1, d), row 0 is ``z0``.
 
     Each step is the affine map ``z <- z + D_i z + c_i`` with D_i = S_i - I
-    (``_rk4_increment``).  The forcing vectors c_i of all steps are written
-    straight into the output buffer, z0 is folded into c_0, and ``_scan``
-    solves the recurrence in place by a recursive blocked scan: O(_BLOCK)
-    vectorised iterations per level, O(log steps) levels.  A time-varying A
-    forms its step maps ``_CHUNK`` steps at a time and keeps d*d floats per
-    step, which the scan overwrites with its in-block maps.
+    (``_rk4_increment``).  The forcing vectors c_i of all steps and the
+    transposed D_i are written straight into the work array of ``_scan``,
+    z0 is folded into c_0, and ``_scan`` solves the recurrence by a
+    recursive blocked scan into the output buffer: O(_BLOCK) vectorised
+    iterations per level, O(log steps) levels.  A constant A keeps one
+    D^T per in-block offset; a time-varying A is asked for ``_CHUNK`` steps
+    at a time and keeps d*d floats per step.
+
+    Overflow inside the run is not warned about; ValueError names the first
+    step whose state is not finite.
     """
     steps = (len(utab) - 1) // 2
     d = e.shape[0]
     size = _scan_length(steps)
-    out = np.zeros((size + 1, d))          # rows past steps + 1 only pad the scan
-    c = out[1:]
-    if len(a) == 1:
-        delta = _rk4_increment(a, a, a, e, h)
-        maps = delta[..., :d]
-        _forcing(delta, utab, c[:steps])
-    else:
-        maps = np.zeros((size, d, d))
-        for lo in range(0, steps, _CHUNK):
-            hi = min(lo + _CHUNK, steps)
-            window = a[2 * lo:2 * hi + 1]
-            delta = _rk4_increment(window[0:-1:2], window[1::2], window[2::2], e, h)
-            maps[lo:hi] = delta[..., :d]
-            _forcing(delta, utab[2 * lo:2 * hi + 1], c[lo:hi])
-    c[0] += z0 + _apply(maps[:1], z0[None])[0]
-    _scan(maps, c)
+    out = np.empty((size + 1, d))          # rows past steps + 1 are scratch of the scan
+    with np.errstate(over="ignore", invalid="ignore"):
+        if callable(a):
+            work = _scan_work(size, d, per_step=True)
+            u3 = _stage_values(utab)
+            for lo in range(0, steps, _CHUNK):
+                hi = min(lo + _CHUNK, steps)
+                window = a(lo, hi)
+                delta = _rk4_increment(window[0:-1:2], window[1::2], window[2::2], e, h)
+                _scatter(work[:, :, -d:], lo, delta[..., :d].swapaxes(1, 2))
+                _scatter(_sums(work), lo, np.einsum("ijk,ik->ij", delta[:, :, d:], u3[lo:hi]))
+        else:
+            delta = _rk4_increment(a, a, a, e, h)
+            work = _scan_work(size, d, per_step=False)
+            work[:, :, -d:] = delta[..., :d].swapaxes(1, 2)
+            _forcing(delta, utab, _sums(work))
+        _sums(work)[0, 0] += z0 + z0 @ work[0, 0, -d:]
+        _scan(work, out[1:])
     out[0] = z0
-    return out[:steps + 1]
+    states = out[:steps + 1]
+    if not np.isfinite(states).all():
+        i = int(np.argmin(np.isfinite(states).all(axis=1)))
+        raise ValueError(f"RK4 state at step {i} of {steps} is beyond float range")
+    return states

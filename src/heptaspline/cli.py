@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .assembly import EndConditionMode, build
 from .cascade import CascadeModel, IvpProblem, reduce
-from .forces import ForceExpr, parse
+from .forces import ForceExpr, parse, tabulate
 from .linsolve import LinearSolveError, lu_solve
 from .oracle import convergence_study, max_abs_error
 from .spline_params import SplineParams, from_theta, optimal_family, truncation_coeffs, validate
@@ -149,12 +149,12 @@ def load_config(path: Path, subcommand: str) -> RunConfig:
 
 def _write_solution_csv(path: Path, grid, exact: Optional[ForceExpr]) -> None:
     lines = ["t,y_numeric,y_exact,abs_error"]
-    for t, y in zip(grid.t, grid.y):
-        if exact is not None:
-            ref = exact.evaluate(float(t))
-            lines.append(f"{_fmt(t)},{_fmt(y)},{_fmt(ref)},{_fmt(abs(y - ref))}")
-        else:
-            lines.append(f"{_fmt(t)},{_fmt(y)},,")
+    if exact is None:
+        lines += [f"{_fmt(t)},{_fmt(y)},," for t, y in zip(grid.t, grid.y)]
+    else:
+        refs = tabulate(exact, grid.t, "exact")     # ValueError where it leaves float range
+        lines += [f"{_fmt(t)},{_fmt(y)},{_fmt(ref)},{_fmt(abs(y - ref))}"
+                  for t, y, ref in zip(grid.t, grid.y, refs)]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 

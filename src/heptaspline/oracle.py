@@ -68,8 +68,9 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     The companion system ``z' = A(t) z + e_N g(t)``, with ``-f`` in the last
     row of A, is linear, so it runs through the blocked affine RK4 kernel
     shared with ``simulate_direct`` (``_rk4_linear``); f and g are tabulated
-    on the half-step grid (ValueError where one is not finite there), and A
-    is one matrix when f is constant there.
+    on the half-step grid (ValueError where one is not finite there, or
+    where the run leaves float range).  A is one matrix when f is constant
+    there; otherwise the kernel asks for it a chunk of steps at a time.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -79,15 +80,20 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     half_grid = a + 0.5 * h * np.arange(2 * steps + 1)
     gtab = tabulate(problem.g, half_grid, "g")
     ftab = tabulate(problem.f, half_grid, "f")
-    if np.all(ftab == ftab[0]):
-        ftab = ftab[:1]
-    companion = np.zeros((len(ftab), order, order))
-    companion[:, :-1, 1:] = np.eye(order - 1)
-    companion[:, -1, 0] = -ftab
+    companion = np.zeros((1, order, order))
+    companion[0, :-1, 1:] = np.eye(order - 1)
+    companion[0, -1, 0] = -ftab[0]
+
+    def window(lo, hi):
+        """A on the half-step grid of steps lo..hi - 1."""
+        stack = companion.repeat(2 * (hi - lo) + 1, axis=0)
+        stack[:, -1, 0] = -ftab[2 * lo:2 * hi + 1]
+        return stack
+
     forcing = np.zeros((order, 1))
     forcing[-1] = 1.0
-    states = _rk4_linear(companion, forcing, gtab[:, None],
-                         np.array(problem.u, dtype=float), h)
+    states = _rk4_linear(companion if np.all(ftab == ftab[0]) else window, forcing,
+                         gtab[:, None], np.array(problem.u, dtype=float), h)
     return RkTrajectory(t=a + h * np.arange(steps + 1), states=states)
 
 
@@ -127,7 +133,9 @@ def convergence_study(problem: IvpProblem, params: SplineParams,
 
     When no closed-form ``reference`` is given, a fine RK run with
     100 * max(n_list) steps stands in; every n must then divide that step
-    count so the knots land on RK step points.
+    count so the knots land on RK step points.  ValueError where a
+    closed-form reference is not finite on the knots or the RK run leaves
+    float range.
     """
     ns = list(n_list)
     if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
@@ -147,6 +155,8 @@ def convergence_study(problem: IvpProblem, params: SplineParams,
     entries = []
     for n in ns:
         grid = lu_solve(build(problem, params, mode, n))
+        if reference is not None:
+            tabulate(reference, grid.t, "exact")    # ValueError where it leaves float range
         entries.append((n, max_abs_error(grid, ref)))
     orders = tuple(math.log2(e1 / e2) if n2 == 2 * n1 and e1 > 0.0 and e2 > 0.0 else None
                    for (n1, e1), (n2, e2) in zip(entries, entries[1:]))

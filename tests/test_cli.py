@@ -189,6 +189,15 @@ csv_path = {}
             assert main(["solve", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_exact_beyond_float_range_on_knots_exits_one(self, tmp_path, capsys):
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        cfg.write_text(cfg.read_text().replace("exact = t^2*sin(t) - sin(t)", "exact = exp(800*t)"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(cfg)]) == 1
+        assert "force exact(t) = inf at t = 0.9000000000000001 " in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
     @pytest.mark.parametrize("message", ["Unable to allocate 74.5 PiB for an array", ""])
     def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch, message):
         # Stands in for the dense n x n allocation of a huge n; nothing is allocated.
@@ -265,6 +274,34 @@ class TestConverge:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["converge", "--config", str(cfg)]) == 1
         assert "force g(t) = inf at t = 0.8872" in capsys.readouterr().err
+
+    def test_rk_reference_beyond_float_range_exits_one(self, tmp_path, capsys):
+        # f and g are finite, but the RK reference's states overflow.
+        cfg = rewrite_output(CONFIG_DIR / "example1_standard_col1.ini", tmp_path, "conv")
+        edits = {"a = ": "0", "f = ": "-1e30", "g = ": "1", "n_list = ": "12, 24"}
+        lines = []
+        for line in cfg.read_text().splitlines():
+            if line.startswith("exact"):
+                continue
+            for key, value in edits.items():
+                if line.startswith(key):
+                    line = key + value
+            lines.append(line)
+        cfg.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["converge", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: RK4 state at step ") and "of 2400 is beyond float range" in err
+        assert not (tmp_path / "conv.csv").exists()
+
+    def test_exact_beyond_float_range_on_knots_exits_one(self, tmp_path, capsys):
+        cfg = rewrite_output(CONFIG_DIR / "example1_standard_col1.ini", tmp_path, "conv")
+        cfg.write_text(cfg.read_text().replace("exact = t^2*sin(t) - sin(t)", "exact = exp(800*t)"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["converge", "--config", str(cfg)]) == 1
+        assert "force exact(t) = inf at t = 1.0 " in capsys.readouterr().err
 
 
 class TestCascade:

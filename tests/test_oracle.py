@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -96,6 +97,27 @@ class TestRkSolve:
             with pytest.raises(ValueError, match=message):
                 rk_solve(problem, 40)
 
+    @pytest.mark.parametrize("f", ["-1e30", "-1e30 - t"], ids=["constant-f", "time-varying-f"])
+    def test_states_beyond_float_range_rejected(self, f):
+        # f and g are finite everywhere, but y grows like exp(1e30^(1/7) t).
+        problem = IvpProblem(0.0, 1.0, parse(f), ForceExpr.constant(1.0), (0.0,) * 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"RK4 state at step \d+ of 2400 is beyond float"):
+                rk_solve(problem, 2400)
+
+    def test_time_varying_f_keeps_no_companion_stack(self):
+        # A (2*steps + 1, 7, 7) stack of companion matrices would alone take 7.8 MB.
+        steps = 10_000
+        problem = IvpProblem(0.0, 1.0, parse("1 + t"), parse("exp(t) + t*exp(t)"), (1.0,) * 7)
+        tracemalloc.start()
+        try:
+            rk_solve(problem, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * steps + 1) * 7 * 7 * 8
+
 
 def textbook_rk4(rate, z0, a, h, steps):
     """Classical RK4, one step at a time: the scheme the oracles must implement."""
@@ -136,9 +158,10 @@ def companion_rate(problem, h, steps):
 
 
 #: Step counts on both sides of the scan's block boundaries at every level of
-#: its recursion, a prime, and the oracles' usual 10 000.
+#: its recursion, counts whose block-carry recursion pads at two levels, a
+#: prime, and the oracles' usual 10 000.
 STEP_COUNTS = [1, 63, 64, 65, 130, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK**2, _BLOCK**2 + 1,
-               _BLOCK**3 + 1, 1009, 10_000]
+               _BLOCK**3 + 1, _BLOCK * (_BLOCK + 1), _BLOCK**2 * (_BLOCK + 1) + 1, 1009, 10_000]
 
 
 class TestClassicalRk4:
@@ -172,6 +195,18 @@ class TestClassicalRk4:
         expected = textbook_rk4(rate, model.init_velocities, -0.5, h, steps)
         _, trajectories = simulate_direct(model, steps)
         assert np.max(np.abs(trajectories - expected)) <= 1e-12
+
+
+class TestSimulateDirect:
+    def test_states_beyond_float_range_rejected(self):
+        # Gamma^7 = 1e35 is finite, but Gamma*h = 10 makes some modes grow
+        # by hundreds per step.
+        model = CascadeModel(n_scales=7, gamma=1e5, forces=(ForceExpr.constant(1.0),) * 7,
+                             init_velocities=(0.0,) * 7, interval=(0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"RK4 state at step \d+ of 10000 is beyond float"):
+                simulate_direct(model, 10_000)
 
 
 class TestMaxAbsError:
@@ -257,6 +292,14 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="n=12 does not divide the 5000 steps"):
             convergence_study(EXPONENTIAL.problem, optimal_family(30),
                               EndConditionMode.IMPROVED, [12, 24, 50])
+
+    def test_exact_reference_beyond_float_range_on_knots_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"force exact\(t\) = inf at t = 0\.9 "):
+                convergence_study(EXPONENTIAL.problem, optimal_family(30),
+                                  EndConditionMode.IMPROVED, [10, 20],
+                                  reference=parse("exp(800*t)"))
 
     def test_non_increasing_n_list_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
