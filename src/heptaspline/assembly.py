@@ -36,7 +36,7 @@ import numpy as np
 
 from .cascade import IvpProblem
 from .forces import tabulate
-from .spline_params import SplineParams, validate
+from .spline_params import INTERIOR_Y_WEIGHTS, SplineParams, _residual, validate
 
 __all__ = [
     "EndConditionMode",
@@ -69,9 +69,6 @@ class EndRow(NamedTuple):
     init_terms: tuple[tuple[int, Fraction], ...]
 
 
-#: y-side of the interior stencil: 120 * binomial weights of the seventh
-#: forward difference.
-INTERIOR_Y_WEIGHTS = (-120, 840, -2520, 4200, -4200, 2520, -840, 120)
 _INTERIOR_Y_WEIGHTS = np.array(INTERIOR_Y_WEIGHTS, dtype=float)
 
 
@@ -107,19 +104,18 @@ _END_ROW_SPECS = {
 def _derive_row(spec: _RowSpec, degree: int) -> EndRow:
     """The unique row of pattern ``spec`` that is exact on t^0..t^degree.
 
-    At h = 1 and a = 0 the row is exact on y = t^d when
-
-        sum c_j * D^7 t^d (j) - sum q_j * j^d = m! * b_m [d = m]
-
-    for U weights c_j, knot weights q_j and init weights b_m.  Each b_m
-    enters one equation only, so the others form a square integer system in
-    the free c_j and the q_j.  Fraction-free (Bareiss) Gauss-Jordan
-    elimination solves it with exact integer divisions; the b_m are then
-    read off their own equations.
+    At h = 1 and a = 0 the row is exact on y = t^d when its residual
+    without init terms, linear in the U weights c_j and knot weights q_j,
+    is m! * b_m for d = m in ``spec.init`` and 0 for every other d.  Those
+    other equations form a square integer system in the free c_j and the
+    q_j, whose columns are the residuals of the unit weights.
+    Fraction-free (Bareiss) Gauss-Jordan elimination solves it with exact
+    integer divisions; the b_m are then read off their own equations.
     """
     free = spec.u[1:-1]
-    aug = [[_monomial_derivative(d, 7, j) for j in free] + [-j**d for j in spec.y]
-           + [-sum(_monomial_derivative(d, 7, j) for j in (spec.u[0], spec.u[-1]))]
+    ends = [(spec.u[0], 1), (spec.u[-1], 1)]
+    aug = [[_residual([(j, 1)], (), (), d) for j in free]
+           + [_residual((), [(j, 1)], (), d) for j in spec.y] + [-_residual(ends, (), (), d)]
            for d in range(degree + 1) if d not in spec.init]
     n = len(aug)
     if len(aug[0]) != n + 1:
@@ -137,15 +133,11 @@ def _derive_row(spec: _RowSpec, degree: int) -> EndRow:
     solution = [Fraction(row[n], row[k]) for k, row in enumerate(aug)]
     c = {spec.u[0]: Fraction(1), **dict(zip(free, solution)), spec.u[-1]: Fraction(1)}
     q = dict(zip(spec.y, solution[len(free):]))
-
-    def gap(d: int) -> Fraction:
-        return (sum(cj * _monomial_derivative(d, 7, j) for j, cj in c.items())
-                - sum(qj * j**d for j, qj in q.items()))
-
     return EndRow(
         u_terms=tuple(c.items()),
         y_terms=tuple(q.items()),
-        init_terms=tuple((m, gap(m) / math.factorial(m)) for m in spec.init),
+        init_terms=tuple((m, _residual(c.items(), q.items(), (), m) / math.factorial(m))
+                         for m in spec.init),
     )
 
 
@@ -162,7 +154,9 @@ def _float_end_rows(mode: EndConditionMode):
     Returns three read-only arrays, zero where a row has no such term: the U
     and knot weights, shape (6, min_knots + 1), indexed by knot, and the
     negated init weights -b_m, shape (6, 7), indexed by m - 1 (negated so
-    that ``build``'s subtracting fold adds the init terms).
+    that ``build``'s subtracting fold adds the init terms).  Then the scalars
+    of ``build``'s range check: the largest row sums of |U weights| and of
+    |knot weights|, and per m the largest |b_m|.
     """
     rows = _end_rows(mode)
     u = np.zeros((len(rows), min_knots(mode) + 1))
@@ -177,9 +171,11 @@ def _float_end_rows(mode: EndConditionMode):
             init[k, m - 1] = -float(b)
     for table in (u, y, init):
         table.flags.writeable = False    # shared by every build
-    return u, y, init
+    return (u, y, init, float(np.abs(u).sum(axis=1).max()), float(np.abs(y).sum(axis=1).max()),
+            tuple(np.abs(init).max(axis=0).tolist()))
 
 
+@functools.cache
 def min_knots(mode: EndConditionMode) -> int:
     """Highest knot index the end rows of ``mode`` reference; the smallest admissible n."""
     return max(max(spec.u[-1], spec.y[-1]) for spec in _END_ROW_SPECS[mode][1])
@@ -201,9 +197,10 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
 
     Requires ``n >= min_knots(mode)`` (the end rows reach that far into the
     grid), a parameter set passing :func:`spline_params.validate`, a grid
-    step h with h^7 finite and nonzero and the end-row weights q/h^7 finite,
-    and f, g and u_7 = g(a) - f(a)*u_0 finite on the grid.  The
-    seventh-order problem is the only one the stencil encodes.
+    step h with h^7 finite and nonzero and the row weights q/h^7 and w*h^7
+    finite, f, g and u_7 = g(a) - f(a)*u_0 finite on the grid, and finite
+    bounds on the row sums of |matrix| and |rhs|, checked before any array
+    is filled.  The seventh-order problem is the only one the stencil encodes.
     """
     if problem.order != 7:
         raise ValueError(f"spline assembly requires a 7th order problem, got order {problem.order}")
@@ -214,14 +211,16 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
 
     a, b = problem.a, problem.b
     h = (b - a) / n
-    end_u, end_y, end_init = _float_end_rows(mode)
+    end_u, end_y, end_init, u_sum, y_sum, b_max = _float_end_rows(mode)
+    half = params.as_floats()
     try:
         h7 = h**7
     except OverflowError:
         h7 = math.inf
-    if not (0 < h7 < math.inf and math.isfinite(float(np.abs(end_y).max()) / h7)):
+    u_sum = max(u_sum, 2 * h7 * sum(map(abs, half)))    # interior rows: w * h^7
+    if not (0 < h7 < math.inf and math.isfinite(y_sum / h7 + u_sum)):
         raise ValueError(f"grid step h = {h} is out of float range: h^7 = {h7} must be "
-                         f"finite and nonzero, and the end-row weights q/h^7 finite")
+                         f"finite and nonzero, and the row weights q/h^7 and w*h^7 finite")
     grid = a + h * np.arange(n + 1)
     fv = tabulate(problem.f, grid, "f")
     gv = tabulate(problem.g, grid, "g")
@@ -229,6 +228,19 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     u7 = float(gv[0]) - float(fv[0]) * u[0]              # y^(7)(a); floats overflow unwarned
     if not math.isfinite(u7):
         raise ValueError(f"u_7 = g(a) - f(a)*u_0 = {u7} at t = {a!r} is beyond float range")
+    init = (*u[1:], u7)                                  # u_1..u_7
+    scale = [h ** (m - 7) for m in range(1, 8)]
+
+    # While these bounds are finite no product or sum below overflows; floats overflow unwarned.
+    fmax, gmax = np.abs((fv, gv)).max(axis=1).tolist()
+    row_bound = fmax * u_sum + max(y_sum / h7, 15360.0)     # 15360 = sum |Y_j|
+    if not math.isfinite(row_bound):
+        raise ValueError(f"f reaches {fmax!r} in magnitude on the grid: the matrix would overflow")
+    if not math.isfinite(gmax * u_sum):
+        raise ValueError(f"g reaches {gmax!r} in magnitude on the grid: the rhs would overflow")
+    data = sum(bm * s * abs(v) for bm, s, v in zip(b_max, scale, init)) + row_bound * abs(u[0])
+    if not math.isfinite(gmax * u_sum + data):
+        raise ValueError(f"initial data u_0..u_7 = {(u[0], *init)}: the rhs would overflow")
 
     # Row k of ``work`` is equation k over the knot values y_0..y_n; column 0
     # (y_0 = u_0 is data) moves to the right-hand side at the end, and the
@@ -241,8 +253,6 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     # The right-hand side folds each row's g terms in knot order, then its
     # init terms b_m * h^(m-7) * u_m in order of m.
     work[:6, :width] = (0.0 - end_u * fv[:width]) - end_y / h7
-    init = np.array((*u[1:], u7))                        # u_1..u_7
-    scale = np.array([h ** (m - 7) for m in range(1, 8)])
     terms = np.concatenate((end_u * gv[:width], end_init * scale * init), axis=1)
     rhs[:6] = np.subtract.reduce(terms, axis=1, initial=0.0)
 
@@ -250,7 +260,6 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     # weight j on knot k + j; the right-hand side folds the eight g terms in
     # the order j = 0..7.
     knots = np.arange(n - 6)[:, None] + np.arange(8)
-    half = params.as_floats()
     weights = np.array(half + half[::-1]) * h7
     work[6 + knots[:, :1], knots] = fv[knots] * -weights - _INTERIOR_Y_WEIGHTS
     rhs[6:] = np.subtract.reduce(gv[knots] * weights, axis=1, initial=0.0)
@@ -259,23 +268,16 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     return LinearSystem(matrix=work[:, 1:], rhs=rhs, grid=grid, y0=u[0])
 
 
-def _monomial_derivative(degree: int, order: int, t: int | Fraction) -> int | Fraction:
-    """order-th derivative of (t - a)^degree evaluated at offset ``t`` from a.
-
-    Exact for an int or Fraction ``t``; the result has the type of ``t``.
-    """
-    return math.perm(degree, order) * t ** (degree - order) if order <= degree else 0 * t
-
-
 def row_residual(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
                  degree: int, n: int, row: int) -> Fraction:
     """Exact residual of one row on the sample y(t) = (t - a)^degree with f = 0.
 
     With f identically zero, U_i is exactly y^(7)(t_i) for the sampled
     polynomial, so the residual (U-side minus knot-value side) isolates the
-    row's truncation behaviour.  ``row`` 1..6 selects an end-condition row,
-    ``row`` in 7..n an interior row.  All arithmetic is exact: the grid step
-    is formed from the dyadic rationals of the interval endpoints, so a zero
+    row's truncation behaviour.  ``row`` 1..6 selects an end-condition row
+    (h^(degree-7) times its residual at h = 1), ``row`` in 7..n an interior
+    row (h^degree times it).  All arithmetic is exact: the grid step is
+    formed from the dyadic rationals of the interval endpoints, so a zero
     return certifies the row's coefficients.
     """
     if not problem.f.is_zero:
@@ -285,22 +287,10 @@ def row_residual(problem: IvpProblem, params: SplineParams, mode: EndConditionMo
     if not 1 <= row <= n:
         raise ValueError(f"row must be in 1..{n}, got {row}")
     h = (Fraction(problem.b) - Fraction(problem.a)) / n
-
     if row <= 6:
         er = _end_rows(mode)[row - 1]
-        lhs = sum((c * _monomial_derivative(degree, 7, j * h) for j, c in er.u_terms),
-                  start=Fraction(0))
-        bracket = sum((q * _monomial_derivative(degree, 0, j * h) for j, q in er.y_terms),
-                      start=Fraction(0))
-        bracket += sum((coeff * h**m * _monomial_derivative(degree, m, Fraction(0))
-                        for m, coeff in er.init_terms), start=Fraction(0))
-        return lhs - bracket / h**7
-
-    al, be, ga, de = (Fraction(v) for v in
-                      (params.alpha, params.beta, params.gamma, params.delta))
-    stencil = (al, be, ga, de, de, ga, be, al)
-    lhs = sum((stencil[j] * h**7 * _monomial_derivative(degree, 7, (row - 7 + j) * h)
-               for j in range(8)), start=Fraction(0))
-    rhs = sum((INTERIOR_Y_WEIGHTS[j] * _monomial_derivative(degree, 0, (row - 7 + j) * h)
-               for j in range(8)), start=Fraction(0))
-    return lhs - rhs
+        return h ** (degree - 7) * _residual(er.u_terms, er.y_terms, er.init_terms, degree)
+    half = tuple(Fraction(v) for v in (params.alpha, params.beta, params.gamma, params.delta))
+    knots = range(row - 7, row + 1)
+    return h ** degree * _residual(zip(knots, half + half[::-1]), zip(knots, INTERIOR_Y_WEIGHTS),
+                                   (), degree)

@@ -215,25 +215,15 @@ def _forcing(delta, utab, sums):
     c_i is Delta's three (d, m) stage blocks applied to u at the start,
     middle and end of step i; ``utab`` holds u on the half-step grid, and
     ``sums`` takes step i's row at [i % width, i // width] (``_sums`` of a
-    ``_scan_work``).  Each in-block offset takes products with C-ordered
-    (K, d) right operands, K > 1.  For m = 1 that is the ``_stage_values``
-    rows times the (3, d) stage matrix: the overlapping view is no BLAS
-    operand, but a K = 1 BLAS product is ten times slower.  Otherwise the
-    start and middle values, ``utab[:-1]`` read as (steps, 2m) rows, take
-    one BLAS product and the end values ``utab[2::2]`` a second.
+    ``_scan_work``).  Each in-block offset is one product of its
+    ``_stage_values`` rows with the C-ordered (3m, d) stage matrix.  The
+    overlapping view is no BLAS operand; split into BLAS products, the
+    product measured no faster for m > 1 and ten times slower for m = 1.
     """
-    width, d, m = len(sums), sums.shape[-1], utab.shape[1]
-    steps = len(utab) // 2
-    w = np.ascontiguousarray(delta[0, :, d:].T)     # rows j*m..(j+1)*m: stage j
-    if m == 1:
-        lead, tail = _stage_values(utab), None
-    else:
-        lead, tail = utab[:-1].reshape(steps, 2 * m), utab[2::2]
-    for k in range(min(width, steps)):
-        row = sums[k, :len(lead[k::width])]
-        np.matmul(lead[k::width], w[:lead.shape[1]], out=row)
-        if tail is not None:
-            row += tail[k::width] @ w[2 * m:]
+    width, values = len(sums), _stage_values(utab)
+    w = np.ascontiguousarray(delta[0, :, sums.shape[-1]:].T)     # rows j*m..(j+1)*m: stage j
+    for k in range(min(width, len(values))):
+        np.matmul(values[k::width], w, out=sums[k, :len(values[k::width])])
 
 
 def _scan_length(n):

@@ -6,6 +6,9 @@ given directly, produced from the one-parameter optimal family (which
 annihilates the h^9..h^12 truncation terms), or evaluated from the
 trigonometric closed forms in theta = omega*h.
 
+One exact row residual on monomials, ``_residual``, yields the truncation
+coefficients c7..c12 and derives and checks the end rows of ``assembly``.
+
 Weights are kept as exact rationals when constructed from rationals, so the
 vanishing-coefficient identities can be tested exactly; they are reduced to
 floats only when a linear system is assembled.
@@ -31,6 +34,10 @@ __all__ = [
 Scalar = Union[int, float, Fraction]
 
 _SUM_TOLERANCE = 1e-9
+
+#: y-side of the interior stencil: 120 times the binomial weights of the
+#: seventh forward difference over knots i-7..i.
+INTERIOR_Y_WEIGHTS = tuple(120 * (-1) ** (7 - j) * math.comb(7, j) for j in range(8))
 
 
 @dataclass(frozen=True)
@@ -135,22 +142,34 @@ def from_theta(theta: float) -> SplineParams:
     return SplineParams(alpha, beta, gamma, delta)
 
 
-def truncation_coeffs(params: SplineParams) -> TruncationCoeffs:
-    """Interior truncation coefficients c7..c12 as linear forms in the weights.
+def _monomial_derivative(degree: int, order: int, t: int | Fraction) -> int | Fraction:
+    """order-th derivative of t^degree at ``t``, exact and of the type of ``t``."""
+    return math.perm(degree, order) * t ** (degree - order) if order <= degree else 0 * t
 
-    Exact when the weights are ints or Fractions.  c7 and c8 are multiples of
-    (sum - 60) and vanish for every validated parameter set; c9..c12 vanish
-    identically on the optimal family.
+
+def _residual(u_terms, y_terms, init_terms, degree: int, at: int = 0):
+    """Exact residual of one row on y = (t - at)^degree, at h = 1 with knot j at t = j.
+
+    The row sum(c * U_j) = sum(q * y_j) + sum(b * u_m) has U = y^(7) and
+    u_m = y^(m)(0); the result, U side minus the others, is linear in the
+    weights and exact for int and Fraction ones.
     """
-    al, be, ga, de = params.alpha, params.beta, params.gamma, params.delta
-    s = al + be + ga + de
-    # Fraction * float degrades to float, so these stay exact only for
-    # rational weights, which is the intended use.
-    return TruncationCoeffs(
-        c7=2 * (-60 + s),
-        c8=(-60 + s),
-        c9=Fraction(1, 2) * (-100 + 25 * al + 13 * be + 5 * ga + de),
-        c10=Fraction(1, 6) * (-120 + 37 * al + 19 * be + 7 * ga + de),
-        c11=Fraction(1, 24) * (-228 + 337 * al + 97 * be + 17 * ga + de),
-        c12=Fraction(1, 120) * (-380 + 781 * al + 211 * be + 31 * ga + de),
-    )
+    return (sum(c * _monomial_derivative(degree, 7, j - at) for j, c in u_terms)
+            - sum(q * _monomial_derivative(degree, 0, j - at) for j, q in y_terms)
+            - sum(b * _monomial_derivative(degree, m, -at) for m, b in init_terms))
+
+
+def truncation_coeffs(params: SplineParams) -> TruncationCoeffs:
+    """Interior truncation coefficients c7..c12: the interior row over knots
+    0..7, expanded about knot 3, is sum(c_m h^m y^(m)), so c_m is its residual
+    on (t - 3)^m at h = 1 over m!.
+
+    A Fraction for int or Fraction weights, a float for float ones.  c7 and
+    c8 are multiples of (sum - 60) and vanish for every validated parameter
+    set; c9..c12 vanish identically on the optimal family.
+    """
+    half = (params.alpha, params.beta, params.gamma, params.delta)
+    stencil = tuple(enumerate(half + half[::-1]))
+    knots = tuple(enumerate(INTERIOR_Y_WEIGHTS))
+    return TruncationCoeffs(*(_residual(stencil, knots, (), m, at=3) / Fraction(math.factorial(m))
+                              for m in range(7, 13)))

@@ -2,16 +2,17 @@ import hashlib
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heptaspline.assembly import (INTERIOR_Y_WEIGHTS, EndConditionMode, EndRow, LinearSystem,
-                                  _derive_row, _end_rows, _RowSpec, build, min_knots,
-                                  row_residual)
+from heptaspline import assembly, spline_params
+from heptaspline.assembly import (EndConditionMode, EndRow, LinearSystem, _derive_row, _end_rows,
+                                  _RowSpec, build, min_knots, row_residual)
 from heptaspline.cascade import IvpProblem
 from heptaspline.forces import ForceExpr, ForceTerm, parse
 from heptaspline.linsolve import lu_solve
@@ -22,6 +23,10 @@ from heptaspline.spline_params import SplineParams, optimal_family
 #: six standard end-condition rows, in the orientation that treats the
 #: knot-value side as positive (the assembled rows measure the opposite one).
 STANDARD_END_ROW_H9_CONSTANTS = (-5.778, -6.472, -7.230, -19.288, -25.620, -33.020)
+
+#: y-side of the interior stencil as printed: 120 times the binomial weights
+#: of the seventh forward difference.
+REFERENCE_Y_WEIGHTS = (-120, 840, -2520, 4200, -4200, 2520, -840, 120)
 
 TAB_PARAMS = [
     SplineParams(F(1, 2), F(19, 2), F(49, 2), F(51, 2)),
@@ -74,6 +79,22 @@ class TestBuildContract:
         with pytest.raises(ValueError, match="60"):
             build(BENCHMARKS[0].problem, SplineParams(1, 1, 1, 1),
                   EndConditionMode.STANDARD, 12)
+
+    @pytest.mark.parametrize("mode", EndConditionMode)
+    @pytest.mark.parametrize("f,g,u,b,message", [
+        ("1e308", "1", (0.0,) * 7, 1.0, "f reaches 1e"),
+        ("1e300", "0", (0.0,) * 7, 100.0, "f reaches 1e"),
+        ("0", "1e308", (0.0,) * 7, 1.0, "g reaches 1e"),
+        ("0", "1e300", (0.0,) * 7, 100.0, "g reaches 1e"),
+        ("0", "0", (0.0,) * 6 + (1e308,), 1.0, "initial data"),
+        ("0", "0", (1e308,) + (0.0,) * 6, 1e-3, "initial data"),
+    ])
+    def test_system_beyond_float_range_rejected_before_filling(self, mode, f, g, u, b, message):
+        problem = IvpProblem(0.0, b, parse(f), parse(g), u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                build(problem, TAB_PARAMS[0], mode, 12)
 
     def test_non_seventh_order_problem_rejected(self):
         problem = IvpProblem(0.0, 1.0, ForceExpr.zero(), ForceExpr.zero(), (0.0,) * 5)
@@ -171,7 +192,7 @@ def _reference_build(problem: IvpProblem, params: SplineParams, mode: EndConditi
             c = stencil[j] * h7
             work[col] -= c * fv[col]
             r -= c * gv[col]
-            work[col] -= INTERIOR_Y_WEIGHTS[j]
+            work[col] -= REFERENCE_Y_WEIGHTS[j]
         install(6 + (i - 7), work, r)
 
     return LinearSystem(matrix=A, rhs=rhs, grid=grid, y0=u[0])
@@ -251,6 +272,10 @@ class TestAssemblyMatchesRowAtATime:
 class TestPolynomialExactness:
     """Exact-rational residuals pin every row coefficient."""
 
+    def test_interior_y_weights_are_the_printed_ones(self):
+        assert spline_params.INTERIOR_Y_WEIGHTS == REFERENCE_Y_WEIGHTS
+        assert assembly.INTERIOR_Y_WEIGHTS is spline_params.INTERIOR_Y_WEIGHTS
+
     @pytest.mark.parametrize("params", TAB_PARAMS)
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0)])
     def test_interior_rows_annihilate_degree_le_8(self, params, interval):
@@ -261,7 +286,12 @@ class TestPolynomialExactness:
                 assert row_residual(problem, params, EndConditionMode.STANDARD,
                                     degree, n, row) == 0
 
-    @pytest.mark.parametrize("delta", [0, 30, F(51, 2), -7])
+    @settings(max_examples=25, deadline=None)
+    @given(delta=st.fractions(-10**4, 10**4, max_denominator=10**4))
+    @example(delta=0)
+    @example(delta=30)
+    @example(delta=F(51, 2))
+    @example(delta=-7)
     def test_interior_rows_on_optimal_family_annihilate_degree_le_12(self, delta):
         problem = f_zero_problem()
         params = optimal_family(delta)

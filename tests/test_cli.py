@@ -5,10 +5,11 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from heptaspline import cli
 from heptaspline.cli import main
+from heptaspline.linsolve import LinearSolveError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -134,17 +135,22 @@ csv_path = {}
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "60" in capsys.readouterr().err
 
-    def test_numerical_failure_exits_two(self, tmp_path, capsys):
-        # f = 1e308 is finite on the grid, but its end-row products overflow
-        # to inf, so assembly produces a non-finite system and the solve is
-        # rejected as a numerical failure
+    @pytest.mark.parametrize("f,g,code,message", [
+        ("1e308", "1.0", 1, "f reaches 1e+308 in magnitude on the grid"),
+        ("0", "1e308", 1, "g reaches 1e+308 in magnitude on the grid"),
+        ("1e300", "1.0", 0, ""),
+    ])
+    def test_assembly_overflow_exits_one(self, tmp_path, capsys, f, g, code, message):
+        # f = 1e308 and g = 1e308 are finite on the grid, but their products
+        # with the end-row weights are not: build rejects them by name before
+        # it fills the system.  f = 1e300 stays in range and solves.
         cfg = tmp_path / "overflow.ini"
         cfg.write_text("""\
 [problem]
 a = 0
 b = 1
-f = 1e308
-g = 1.0
+f = {}
+g = {}
 u0 = 0
 u1 = 0
 u2 = 0
@@ -163,11 +169,20 @@ n = 12
 
 [output]
 csv_path = {}
-""".format(tmp_path / "overflow.csv"))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["solve", "--config", str(cfg)])
-        assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
+""".format(f, g, tmp_path / "overflow.csv"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", "--config", str(cfg)]) == code
+        assert message in capsys.readouterr().err
+
+    def test_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        def reject(system):
+            raise LinearSolveError("backward residual 1 exceeds bound 0")
+
+        monkeypatch.setattr(cli, "lu_solve", reject)
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert "numerical failure: backward residual" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edits,message", [
         ({"g = ": "exp(800*t)"}, "force g(t) = inf at t = 0.9000000000000001 "),

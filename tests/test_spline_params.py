@@ -4,14 +4,35 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heptaspline.spline_params import (
     SplineParams,
+    TruncationCoeffs,
     from_theta,
     optimal_family,
     truncation_coeffs,
     validate,
 )
+
+
+def reference_truncation_coeffs(params: SplineParams) -> TruncationCoeffs:
+    """c7..c12 as the paper's six linear forms in the weights, transcribed."""
+    al, be, ga, de = params.alpha, params.beta, params.gamma, params.delta
+    s = al + be + ga + de
+    return TruncationCoeffs(
+        c7=2 * (-60 + s),
+        c8=(-60 + s),
+        c9=F(1, 2) * (-100 + 25 * al + 13 * be + 5 * ga + de),
+        c10=F(1, 6) * (-120 + 37 * al + 19 * be + 7 * ga + de),
+        c11=F(1, 24) * (-228 + 337 * al + 97 * be + 17 * ga + de),
+        c12=F(1, 120) * (-380 + 781 * al + 211 * be + 31 * ga + de),
+    )
+
+
+#: Exact rational weights, and rational optimal-family parameters.
+rationals = st.one_of(st.integers(-10**6, 10**6), st.fractions(-10**4, 10**4, max_denominator=10**4))
 
 
 def mp_params_from_theta(theta):
@@ -79,7 +100,11 @@ class TestOptimalFamily:
         assert p.total == 60
         validate(p)
 
-    @pytest.mark.parametrize("delta", [0, 30, F(51, 2), -7])
+    @given(delta=rationals)
+    @example(delta=0)
+    @example(delta=30)
+    @example(delta=F(51, 2))
+    @example(delta=-7)
     def test_high_order_truncation_coefficients_vanish_identically(self, delta):
         c = truncation_coeffs(optimal_family(delta))
         assert (c.c9, c.c10, c.c11, c.c12) == (0, 0, 0, 0)
@@ -87,6 +112,22 @@ class TestOptimalFamily:
 
 
 class TestTruncationCoeffs:
+    @given(weights=st.tuples(rationals, rationals, rationals, rationals))
+    @example(weights=(F(1, 2), F(19, 2), F(49, 2), F(51, 2)))
+    def test_derived_equals_transcribed_forms_exactly(self, weights):
+        params = SplineParams(*weights)
+        c = truncation_coeffs(params)
+        assert c == reference_truncation_coeffs(params)
+        assert all(isinstance(v, F) for v in vars(c).values())
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 2.0])
+    def test_float_weights_within_rounding_of_transcribed_forms(self, theta):
+        params = from_theta(theta)
+        got, want = vars(truncation_coeffs(params)), vars(reference_truncation_coeffs(params))
+        for name in got:
+            assert isinstance(got[name], float)
+            assert got[name] == pytest.approx(want[name], rel=1e-15)
+
     def test_anchor_delta_sixty(self):
         c = truncation_coeffs(SplineParams(0, 0, 0, 60))
         assert c.c7 == 0 and c.c8 == 0
