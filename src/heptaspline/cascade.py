@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forces import ForceExpr, tabulate
+from .forces import ForceExpr, tabulate, tabulate_grid
 
 __all__ = [
     "CascadeModel",
@@ -144,18 +144,17 @@ def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.nda
     k+1 at ``times[i]``; shape (steps+1, n_scales).  The coupled system is
     linear, ``y' = -Gamma*P y + L(t)`` with P the cyclic shift, so it runs
     through the same blocked affine RK4 kernel as the companion-system
-    oracle (``_rk4_linear``); the forces are tabulated on the half-step grid
-    up front, and ValueError names the first force L^(k) not finite there.
+    oracle (``_rk4_linear``).  The forces are tabulated on the half-step
+    grid up front, all in one ``tabulate_grid`` call that returns the
+    C-ordered (2*steps + 1, n_scales) table the kernel reads, and ValueError
+    names the first force L^(k) not finite there.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     n = model.n_scales
     a, b = model.interval
     h = (b - a) / steps
-    half_grid = a + 0.5 * h * np.arange(2 * steps + 1)
-    ftab = np.empty((half_grid.size, n))
-    for k, force in enumerate(model.forces):
-        ftab[:, k] = tabulate(force, half_grid, f"L{k + 1}")
+    ftab = tabulate_grid(model.forces, [f"L{k + 1}" for k in range(n)], a, 0.5 * h, 2 * steps + 1)
     coupling = -model.gamma * np.roll(np.eye(n), 1, axis=1)    # row k picks y[k+1]
     out = _rk4_linear(coupling[None], np.eye(n), ftab,
                       np.array(model.init_velocities, dtype=float), h)
@@ -330,7 +329,10 @@ def _rk4_linear(a, e, utab, z0, h):
     at a time and keeps d*d floats per step.
 
     Overflow inside the run is not warned about; ValueError names the first
-    step whose state is not finite.
+    step whose state is not finite.  That state may be finite in exact
+    arithmetic: the in-block and block-end maps are products of step maps,
+    which can leave float range (and give inf * 0 = NaN) when the rates are
+    too large for the step count, even on a zero solution.
     """
     steps = (len(utab) - 1) // 2
     d = e.shape[0]
@@ -357,5 +359,8 @@ def _rk4_linear(a, e, utab, z0, h):
     states = out[:steps + 1]
     if not np.isfinite(states).all():
         i = int(np.argmin(np.isfinite(states).all(axis=1)))
-        raise ValueError(f"RK4 state at step {i} of {steps} is beyond float range")
+        raise ValueError(f"RK4 state at step {i} of {steps} is beyond float range, or the "
+                         f"products of the kernel's step maps left float range before it: the "
+                         f"rates are too large for this step count (|f|*h^7 for a companion "
+                         f"system)")
     return states

@@ -217,6 +217,79 @@ def tabulate(force: ForceExpr, t: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
+def tabulate_grid(forces, names, start: float, step: float, count: int) -> np.ndarray:
+    """Several forces on the grid ``start + step*arange(count)`` as one table.
+
+    Returns the C-ordered (count, len(forces)) array whose column k is
+    ``forces[k]``, equal to ``tabulate`` on that grid up to a few ulps of the
+    terms' magnitudes.  Each distinct term shape t^p exp(r t) trig(w t + phi)
+    over all the forces gets one basis row, and the table is one product of
+    the basis with the forces' coefficients.  t^p and exp(r t) are computed
+    once per distinct p and r, sin and cos once per distinct (w, phi) by
+    angle addition (``_sin_cos``).  Where the table is not finite, the forces
+    go through ``tabulate`` one by one, which names the first one not finite
+    (the basis product alone can also turn a finite column into inf * 0).
+    """
+    t = start + step * np.arange(count)
+    shapes: dict[tuple, int] = {}
+    entries = []
+    for k, force in enumerate(forces):
+        for term in force.terms:
+            entries.append((shapes.setdefault(term._key(), len(shapes)), k, term.coeff))
+    weights = np.zeros((len(shapes), len(forces)))
+    for row, k, coeff in entries:
+        weights[row, k] = coeff
+    basis = np.empty((len(shapes), count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = {p: np.power(t, p) for p, *_ in shapes if p}
+        exps = {r: np.exp(r * t) for _, r, *_ in shapes if r}
+        waves: dict[tuple, list] = {}
+        for (p, r, trig, freq, phase), row in shapes.items():
+            factors = [x for x in (powers.get(p), exps.get(r)) if x is not None]
+            if trig:
+                waves.setdefault((freq, phase), []).append((row, trig, factors))
+            else:
+                _product(basis[row], factors)
+        for (freq, phase), rows in waves.items():
+            sin, cos = _sin_cos(freq, phase, start, step, count)
+            for row, trig, factors in rows:
+                _product(basis[row], [sin if _TRIG_KINDS[trig] == "sin" else cos, *factors])
+            del sin, cos
+        table = basis.T @ weights
+    if not np.isfinite(table).all():
+        return np.stack([tabulate(force, t, name) for force, name in zip(forces, names)], axis=1)
+    return table
+
+
+def _product(out: np.ndarray, factors) -> None:
+    """Write the product of the arrays ``factors`` (1 for none) into ``out``."""
+    if len(factors) < 2:
+        out[...] = factors[0] if factors else 1.0
+        return
+    np.multiply(factors[0], factors[1], out=out)
+    for factor in factors[2:]:
+        out *= factor
+
+
+def _sin_cos(freq: float, phase: float, start: float, step: float, count: int):
+    """sin and cos of ``freq*t + phase`` on the grid ``start + step*arange(count)``.
+
+    The grid is cut into blocks of width ~sqrt(count): with A the angle at a
+    block's start and B = freq*step*j at in-block offset j, angle addition
+    gives sin(A + B) = sin A cos B + cos A sin B and cos(A + B) = cos A cos B
+    - sin A sin B, so ~2 sqrt(count) libm calls and one (2*blocks, 2) @
+    (2, width) product replace 2*count calls.
+    """
+    width = math.isqrt(max(count - 1, 0)) + 1
+    blocks = -(-count // width)
+    angles = freq * (start + step * (width * np.arange(blocks))) + phase
+    offsets = freq * (step * np.arange(width))
+    s, c = np.sin(angles), np.cos(angles)
+    left = np.array([[s, c], [c, -s]]).swapaxes(1, 2).reshape(2 * blocks, 2)
+    values = (left @ np.array([np.cos(offsets), np.sin(offsets)])).reshape(2, blocks * width)
+    return values[0, :count], values[1, :count]
+
+
 # --- parser -------------------------------------------------------------
 
 _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")

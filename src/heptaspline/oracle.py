@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import EndConditionMode, build, min_knots
 from .cascade import IvpProblem, _rk4_linear
-from .forces import ForceExpr, parse, tabulate
+from .forces import ForceExpr, parse, tabulate, tabulate_grid
 from .linsolve import SolutionGrid, lu_solve
 from .spline_params import SplineParams
 
@@ -67,19 +67,20 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     Works for any equation order (the state dimension is ``problem.order``).
     The companion system ``z' = A(t) z + e_N g(t)``, with ``-f`` in the last
     row of A, is linear, so it runs through the blocked affine RK4 kernel
-    shared with ``simulate_direct`` (``_rk4_linear``); f and g are tabulated
-    on the half-step grid (ValueError where one is not finite there, or
-    where the run leaves float range).  A is one matrix when f is constant
-    there; otherwise the kernel asks for it a chunk of steps at a time.
+    shared with ``simulate_direct`` (``_rk4_linear``).  g and f are tabulated
+    together on the half-step grid by ``tabulate_grid`` (one basis product,
+    sin and cos by angle addition); ValueError names the one not finite
+    there, or says where the run leaves float range.  A is one matrix when
+    f is constant there; otherwise the kernel asks for it a chunk of steps
+    at a time.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     order = problem.order
     a, b = problem.a, problem.b
     h = (b - a) / steps
-    half_grid = a + 0.5 * h * np.arange(2 * steps + 1)
-    gtab = tabulate(problem.g, half_grid, "g")
-    ftab = tabulate(problem.f, half_grid, "f")
+    table = tabulate_grid((problem.g, problem.f), ("g", "f"), a, 0.5 * h, 2 * steps + 1)
+    gtab, ftab = np.ascontiguousarray(table[:, :1]), table[:, 1]
     companion = np.zeros((1, order, order))
     companion[0, :-1, 1:] = np.eye(order - 1)
     companion[0, -1, 0] = -ftab[0]
@@ -93,7 +94,7 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     forcing = np.zeros((order, 1))
     forcing[-1] = 1.0
     states = _rk4_linear(companion if np.all(ftab == ftab[0]) else window, forcing,
-                         gtab[:, None], np.array(problem.u, dtype=float), h)
+                         gtab, np.array(problem.u, dtype=float), h)
     return RkTrajectory(t=a + h * np.arange(steps + 1), states=states)
 
 
@@ -143,21 +144,20 @@ def convergence_study(problem: IvpProblem, params: SplineParams,
     least = min_knots(mode)
     if ns and ns[0] < least:
         raise ValueError(f"{mode.value} end conditions need n >= {least}, got n={ns[0]}")
-    ref: Reference
     if reference is None:
         steps = 100 * max(ns)
         for n in ns:
             if steps % n:
                 raise ValueError(f"n={n} does not divide the {steps} steps of the RK reference")
-        ref = rk_solve(problem, steps=steps)
-    else:
-        ref = reference
+        trajectory = rk_solve(problem, steps=steps)
     entries = []
     for n in ns:
         grid = lu_solve(build(problem, params, mode, n))
-        if reference is not None:
-            tabulate(reference, grid.t, "exact")    # ValueError where it leaves float range
-        entries.append((n, max_abs_error(grid, ref)))
+        if reference is None:
+            error = max_abs_error(grid, trajectory)
+        else:       # one table of the closed form; ValueError where it leaves float range
+            error = float(np.max(np.abs(grid.y - tabulate(reference, grid.t, "exact"))))
+        entries.append((n, error))
     orders = tuple(math.log2(e1 / e2) if n2 == 2 * n1 and e1 > 0.0 and e2 > 0.0 else None
                    for (n1, e1), (n2, e2) in zip(entries, entries[1:]))
     return ConvergenceReport(entries=tuple(entries), orders=orders)

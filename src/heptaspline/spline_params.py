@@ -117,29 +117,37 @@ def optimal_family(delta: Scalar) -> SplineParams:
 def from_theta(theta: float) -> SplineParams:
     """Evaluate the trigonometric closed forms of the four weights.
 
-    ``theta`` must stay away from 0 and multiples of pi (sin theta = 0).
-    Note: the resulting weights do not satisfy the sum-60 constraint (the
-    deviation is large and grows as theta -> 0), so they serve for inspection
-    (``coeffs --theta``) rather than for solving.
+    ``theta`` = omega*h must stay away from 0 and multiples of pi (sin theta
+    = 0).  The weights make the interior row exact on sin(omega*t) and
+    cos(omega*t), and tend to the Eulerian weights (1, 247, 4293, 15619)/336
+    of the polynomial stencil as theta -> 0.  Their sum is 60 + O(theta^2),
+    so they fail the sum-60 constraint and serve for inspection (``coeffs
+    --theta``) rather than for solving.  In floats the closed forms cancel
+    terms of size ~1/theta^6, so small theta loses digits accordingly.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     if abs(theta) <= 1e-12:
         raise ValueError(f"theta={theta} is too close to 0")
-    s = math.sin(theta)
-    if abs(s) <= 1e-12:
+    if abs(math.sin(theta)) <= 1e-12:
         raise ValueError(f"theta={theta} is too close to a multiple of pi (sin theta = 0)")
-    c = math.cos(theta)
+    return SplineParams(*_theta_weights(theta, math.sin, math.cos))
+
+
+def _theta_weights(theta, sin, cos):
+    """(alpha, beta, gamma, delta) at ``theta`` in the arithmetic of ``sin`` and
+    ``cos``: floats for ``math``, any precision for mpmath."""
+    s, c = sin(theta), cos(theta)
     t3, t5, t7 = theta**3, theta**5, theta**7
     alpha = (120 * (c - 1) / (t7 * s) + 60 / (t5 * s)
              - 5 / (t3 * s) + 1 / (6 * theta * s))
-    beta = (600 * (1 - c) / (t7 * s) - 60 * (2 * c - 3) / (t5 * s)
+    beta = (600 * (1 - c) / (t7 * s) - 60 * (2 * c + 3) / (t5 * s)
             + 5 * (2 * c - 9) / (t3 * s) - (2 * c - 57) / (6 * theta * s))
     gamma = (1080 * (c - 1) / (t7 * s) + 180 * (2 * c + 1) / (t5 * s)
              + 45 * (2 * c + 1) / (t3 * s) - (38 * c - 101) / (2 * theta * s))
     delta = (600 * (1 - c) / (t7 * s) - 60 * (4 * c + 1) / (t5 * s)
              - 5 * (20 * c - 1) / (t3 * s) - (604 * c - 359) / (6 * theta * s))
-    return SplineParams(alpha, beta, gamma, delta)
+    return alpha, beta, gamma, delta
 
 
 def _monomial_derivative(degree: int, order: int, t: int | Fraction) -> int | Fraction:

@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from heptaspline.forces import ForceExpr, ForceTerm, ParseError, parse, tabulate
+from heptaspline.forces import ForceExpr, ForceTerm, ParseError, parse, tabulate, tabulate_grid
 
 
 def random_expr(rng: random.Random, max_terms: int = 4) -> ForceExpr:
@@ -61,6 +63,94 @@ class TestTabulate:
             with pytest.raises(ValueError) as info:
                 tabulate(parse(text), np.array(grid), "L3")
         assert str(info.value).startswith("force L3(t) " + message)
+
+
+#: Grid sizes around the block widths of the angle addition, and the
+#: half-step grid of a 10 000-step RK run.
+GRID_COUNTS = st.one_of(st.just(3), st.just(20_001),
+                        st.integers(2, 150).flatmap(lambda k: st.sampled_from([k * k - 1, k * k,
+                                                                               k * k + 1])))
+
+
+@st.composite
+def force_lists(draw):
+    """1-4 forces whose terms share a few rates and (freq, phase) pairs."""
+    rates = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=2))
+    waves = draw(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                          min_size=1, max_size=3))
+    forces = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = []
+        for _ in range(draw(st.integers(0, 4))):
+            trig = draw(st.sampled_from(["none", "sin", "cos"]))
+            freq, phase = (0.0, 0.0) if trig == "none" else draw(st.sampled_from(waves))
+            terms.append(ForceTerm(draw(st.floats(-10, 10)), draw(st.integers(0, 6)),
+                                   draw(st.sampled_from([0.0, *rates])), trig, freq, phase))
+        forces.append(ForceExpr(tuple(terms)))
+    return forces
+
+
+def rounding_bound(force, t, start, step):
+    """How far ``tabulate_grid`` may stray from ``evaluate``: 8 ulps of the sum
+    over terms of |coeff t^p exp(r t)| (1 + |arg|), the argument's rounding
+    bounded through |freq| (|start| + |step| i) + |phase|, plus 8 units of
+    underflow per term, grown by the factors applied after it."""
+    reach = abs(start) + abs(step) * np.arange(t.size)
+    eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    total = np.zeros(t.shape)
+    for term in force.terms:
+        growth = np.exp(term.exp_rate * t)
+        size = abs(term.coeff) * np.abs(t) ** term.poly_power * growth
+        total += size * (1.0 + abs(term.trig_freq) * reach + abs(term.trig_phase)) * (8 * eps)
+        total += 8 * eta * max(1.0, abs(term.coeff)) * np.maximum(1.0, growth)
+    return total
+
+
+class TestTabulateGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(forces=force_lists(), start=st.floats(-5, 5), length=st.floats(1e-3, 10),
+           count=GRID_COUNTS)
+    @example(forces=[parse("t^6*exp(2*t)*sin(900*t + 700)"), parse("cos(900*t + 700) - 3")],
+             start=-5.0, length=10.0, count=20_001)
+    @example(forces=[parse("2*t^3*sin(0*t + 2)")], start=6.761596128445414e-108, length=1.0,
+             count=3)                                   # t^3 underflows to a subnormal
+    @example(forces=[parse("2.2250738585e-313*t^4*sin(228*t)")], start=0.0, length=5.0,
+             count=20_001)                              # subnormal terms
+    def test_matches_pointwise_evaluate(self, forces, start, length, count):
+        step = length / (count - 1)
+        t = start + step * np.arange(count)
+        table = tabulate_grid(forces, [f"L{k}" for k in range(len(forces))], start, step, count)
+        assert table.shape == (count, len(forces)) and table.flags.c_contiguous
+        for k, force in enumerate(forces):
+            want = np.broadcast_to(force.evaluate(t), t.shape)
+            assert np.all(np.abs(table[:, k] - want) <= rounding_bound(force, t, start, step))
+
+    def test_empty_and_zero_forces(self):
+        table = tabulate_grid([ForceExpr.zero(), ForceExpr.zero()], ["L1", "L2"], 0.0, 0.1, 5)
+        assert table.shape == (5, 2) and not table.any()
+
+    def test_constant_column_is_exact(self):
+        table = tabulate_grid([parse("sin(3*t) + t^2"), ForceExpr.constant(-0.1)],
+                              ["g", "f"], 0.0, 0.5e-4, 20_001)
+        assert np.all(table[:, 1] == -0.1)
+
+    def test_first_force_not_finite_is_named(self):
+        # L1's column would read t*1 + inf*0 = NaN in the basis product, so the
+        # forces are checked one by one, in order.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^force L2\(t\) = inf at t = 0\.8875"):
+                tabulate_grid([parse("t"), parse("exp(800*t)")], ["L1", "L2"], 0.0, 0.0125, 81)
+
+    def test_basis_overflow_of_a_finite_force_falls_back(self):
+        # t^100 * exp(4.6 t) overflows at t = 100, but the coefficient keeps
+        # the force itself finite there.
+        force = parse("1e-300*t^100*exp(4.6*t)")
+        t = 99.0 + 0.5 * np.arange(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = tabulate_grid([force], ["f"], 99.0, 0.5, 3)
+        assert table[:, 0].tobytes() == tabulate(force, t, "f").tobytes()
 
 
 class TestDerivative:

@@ -106,6 +106,16 @@ class TestRkSolve:
             with pytest.raises(ValueError, match=r"RK4 state at step \d+ of 2400 is beyond float"):
                 rk_solve(problem, 2400)
 
+    def test_step_map_overflow_on_zero_solution_named(self):
+        # Every exact RK state is 0; only the products of the step maps overflow.
+        problem = IvpProblem(0.0, 1.0, parse("-1e30"), ForceExpr.zero(), (0.0,) * 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"RK4 state at step \d+ of 2400 is beyond float "
+                                                 r"range, or the products of the kernel's step "
+                                                 r"maps left float range .*\|f\|\*h\^7"):
+                rk_solve(problem, 2400)
+
     def test_time_varying_f_keeps_no_companion_stack(self):
         # A (2*steps + 1, 7, 7) stack of companion matrices would alone take 7.8 MB.
         steps = 10_000
@@ -300,6 +310,22 @@ class TestConvergenceStudy:
                 convergence_study(EXPONENTIAL.problem, optimal_family(30),
                                   EndConditionMode.IMPROVED, [10, 20],
                                   reference=parse("exp(800*t)"))
+
+    def test_closed_form_reference_evaluated_once_per_n(self, monkeypatch):
+        exact = EXPONENTIAL.exact
+        calls = []
+        evaluate = ForceExpr.evaluate
+
+        def counting(self, t):
+            if self is exact:
+                calls.append(np.size(t))
+            return evaluate(self, t)
+
+        monkeypatch.setattr(ForceExpr, "evaluate", counting)
+        report = convergence_study(EXPONENTIAL.problem, optimal_family(30),
+                                   EndConditionMode.IMPROVED, [10, 20, 40], reference=exact)
+        assert calls == [11, 21, 41]
+        assert [n for n, _ in report.entries] == [10, 20, 40]
 
     def test_non_increasing_n_list_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):

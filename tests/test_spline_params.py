@@ -8,8 +8,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heptaspline.spline_params import (
+    INTERIOR_Y_WEIGHTS,
     SplineParams,
     TruncationCoeffs,
+    _theta_weights,
     from_theta,
     optimal_family,
     truncation_coeffs,
@@ -35,19 +37,16 @@ def reference_truncation_coeffs(params: SplineParams) -> TruncationCoeffs:
 rationals = st.one_of(st.integers(-10**6, 10**6), st.fractions(-10**4, 10**4, max_denominator=10**4))
 
 
-def mp_params_from_theta(theta):
-    """Independent 50-digit evaluation of the four trigonometric closed forms."""
-    with mp.workdps(50):
-        th = mp.mpf(theta)
-        s, c = mp.sin(th), mp.cos(th)
-        alpha = 120 * (c - 1) / (th**7 * s) + 60 / (th**5 * s) - 5 / (th**3 * s) + 1 / (6 * th * s)
-        beta = (600 * (1 - c) / (th**7 * s) - 60 * (2 * c - 3) / (th**5 * s)
-                + 5 * (2 * c - 9) / (th**3 * s) - (2 * c - 57) / (6 * th * s))
-        gamma = (1080 * (c - 1) / (th**7 * s) + 180 * (2 * c + 1) / (th**5 * s)
-                 + 45 * (2 * c + 1) / (th**3 * s) - (38 * c - 101) / (2 * th * s))
-        delta = (600 * (1 - c) / (th**7 * s) - 60 * (4 * c + 1) / (th**5 * s)
-                 - 5 * (20 * c - 1) / (th**3 * s) - (604 * c - 359) / (6 * th * s))
-        return tuple(float(x) for x in (alpha, beta, gamma, delta))
+#: Eulerian numbers A(8, k), k = 0..3, over 8!/120: the interior weights of the
+#: polynomial stencil, which the theta family must approach as theta -> 0.
+EULERIAN_WEIGHTS = tuple(F(a, 336) for a in (1, 247, 4293, 15619))
+
+
+def interior_row_residual(weights, omega, y, y7, center):
+    """Interior row over knots 0..7 at h = 1 on y(t - center), given y^(7)."""
+    stencil = tuple(weights) + tuple(weights)[::-1]
+    return (sum(w * y7(omega, j - center) for j, w in enumerate(stencil))
+            - sum(q * y(omega * (j - center)) for j, q in enumerate(INTERIOR_Y_WEIGHTS)))
 
 
 class TestValidate:
@@ -147,35 +146,50 @@ class TestTruncationCoeffs:
 
 
 class TestFromTheta:
-    # Frozen from the 50-digit evaluation of the closed forms at theta = 0.5.
-    FROZEN_HALF = (0.003095307485231805,
-                   24029.516226045530,
-                   13.090199428514841,
-                   47.430026905302303)
+    @pytest.mark.parametrize("theta", ["1e-4", "1e-3"])
+    def test_tends_to_eulerian_weights(self, theta):
+        # At 60 digits the closed forms keep ~35 digits past their 1/theta^6
+        # cancellation even at theta = 1e-4; the limit is approached as theta^2.
+        with mp.workdps(60):
+            th = mp.mpf(theta)
+            weights = _theta_weights(th, mp.sin, mp.cos)
+            for got, want in zip(weights, EULERIAN_WEIGHTS):
+                assert abs(got - mp.mpf(want.numerator) / want.denominator) <= 4 * th**2
+            assert abs(sum(weights) - 60 - 5 * th**2) <= th**4
 
-    def test_matches_high_precision_oracle_at_half(self):
-        p = from_theta(0.5)
-        oracle = mp_params_from_theta("0.5")
-        assert oracle == pytest.approx(self.FROZEN_HALF, rel=1e-15)
-        # The closed forms cancel ~7 digits at this theta (pieces of size
-        # ~1e4 summing to 3e-3), so double evaluation is abs-1e-12 accurate,
-        # not rel-1e-12.
-        for got, want in zip(p.as_floats(), oracle):
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+    @pytest.mark.parametrize("theta", ["0.3", "0.7", "1.3", "2.5"])
+    @pytest.mark.parametrize("center", ["0", "3", "3.5", "1.3"])
+    def test_interior_row_exact_on_sin_and_cos(self, theta, center):
+        # sin^(7) = -cos and cos^(7) = sin, times omega^7 with omega = theta/h.
+        with mp.workdps(60):
+            omega, c = mp.mpf(theta), mp.mpf(center)
+            weights = _theta_weights(omega, mp.sin, mp.cos)
+            for y, y7 in ((mp.sin, lambda w, s: -w**7 * mp.cos(w * s)),
+                          (mp.cos, lambda w, s: w**7 * mp.sin(w * s))):
+                assert abs(interior_row_residual(weights, omega, y, y7, c)) <= mp.mpf("1e-50")
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 2.0])
+    def test_float_evaluation_within_its_cancellation(self, theta):
+        # The closed forms cancel ~1/theta^6 (theta = 0.25: pieces of size ~1e6
+        # summing to O(10)), so double evaluation is abs-1e-8 accurate there.
+        with mp.workdps(60):
+            want = [float(w) for w in _theta_weights(mp.mpf(theta), mp.sin, mp.cos)]
+        for got, ref in zip(from_theta(theta).as_floats(), want):
+            assert got == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
     @pytest.mark.parametrize("theta", [math.pi, 0.0, 1e-13, 2 * math.pi])
     def test_singular_theta_rejected(self, theta):
         with pytest.raises(ValueError):
             from_theta(theta)
 
-    def test_closed_forms_do_not_satisfy_sum_constraint(self):
-        # Documented finding: the four closed forms do NOT sum to 60; the
-        # deviation is structural (beta grows like 360/theta^6 near 0).
-        recorded = {0.25: 1490033.06, 0.5: 24030.04, 1.0: 433.38, 2.0: 45.8167}
-        for theta, deviation in recorded.items():
+    def test_sum_exceeds_sixty_by_order_theta_squared(self):
+        # The weights sum to 60 + ~5 theta^2, so validate rejects them.
+        recorded = {0.25: 0.31446556, 0.5: 1.2820611, 1.0: 5.5562988, 2.0: 33.444463}
+        for theta, excess in recorded.items():
+            with mp.workdps(60):
+                measured = float(sum(_theta_weights(mp.mpf(theta), mp.sin, mp.cos)) - 60)
+            assert measured == pytest.approx(excess, rel=1e-7)
             p = from_theta(theta)
-            measured = sum(mp_params_from_theta(theta)) - 60
-            assert measured == pytest.approx(deviation, rel=1e-4)
-            assert abs(p.total - 60) > 10
+            assert p.total - 60 == pytest.approx(excess, rel=1e-6)
             with pytest.raises(ValueError):
                 validate(p)
