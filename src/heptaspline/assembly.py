@@ -181,6 +181,24 @@ def min_knots(mode: EndConditionMode) -> int:
     return max(max(spec.u[-1], spec.y[-1]) for spec in _END_ROW_SPECS[mode][1])
 
 
+@functools.lru_cache(maxsize=128)
+def _knot_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index tables of an n-subinterval ``build``.
+
+    ``steps`` is 0.0, 1.0, ..., n (knot i lies at a + h * i); ``knots[k, j]
+    = k + j`` is the knot that weight j of interior row 6 + k multiplies, and
+    ``cells`` the flat position of that entry in ``build``'s (n, n + 1) work
+    array.  Kept for the 128 latest n, which covers every n of a sweep up to
+    n = 96 (about 0.5 MB).
+    """
+    steps = np.arange(n + 1, dtype=float)
+    knots = np.arange(n - 6)[:, None] + np.arange(8)
+    cells = (6 + knots[:, :1]) * (n + 1) + knots
+    for table in (steps, knots, cells):
+        table.flags.writeable = False
+    return steps, knots, cells
+
+
 @dataclass
 class LinearSystem:
     """Dense n x n system A y = b for the knot values y_1..y_n on ``grid``; y0 = y(t_0)."""
@@ -221,7 +239,8 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     if not (0 < h7 < math.inf and math.isfinite(y_sum / h7 + u_sum)):
         raise ValueError(f"grid step h = {h} is out of float range: h^7 = {h7} must be "
                          f"finite and nonzero, and the row weights q/h^7 and w*h^7 finite")
-    grid = a + h * np.arange(n + 1)
+    steps, knots, cells = _knot_index(n)
+    grid = a + h * steps
     fv = tabulate(problem.f, grid, "f")
     gv = tabulate(problem.g, grid, "g")
     u = problem.u
@@ -232,7 +251,8 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     scale = [h ** (m - 7) for m in range(1, 8)]
 
     # While these bounds are finite no product or sum below overflows; floats overflow unwarned.
-    fmax, gmax = np.abs((fv, gv)).max(axis=1).tolist()
+    fmax = float(np.maximum.reduce(np.abs(fv)))
+    gmax = float(np.maximum.reduce(np.abs(gv)))
     row_bound = fmax * u_sum + max(y_sum / h7, 15360.0)     # 15360 = sum |Y_j|
     if not math.isfinite(row_bound):
         raise ValueError(f"f reaches {fmax!r} in magnitude on the grid: the matrix would overflow")
@@ -259,11 +279,10 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     # Interior row 6 + k (knot i = 7 + k) couples knots k..k+7 with stencil
     # weight j on knot k + j; the right-hand side folds the eight g terms in
     # the order j = 0..7.
-    knots = np.arange(n - 6)[:, None] + np.arange(8)
     weights = np.array(half + half[::-1]) * h7
-    work[6 + knots[:, :1], knots] = fv[knots] * -weights - _INTERIOR_Y_WEIGHTS
+    work.reshape(-1)[cells] = fv[knots] * -weights - _INTERIOR_Y_WEIGHTS
     rhs[6:] = np.subtract.reduce(gv[knots] * weights, axis=1, initial=0.0)
-    rhs -= work[:, 0] * u[0]
+    rhs[:7] -= work[:7, 0] * u[0]     # rows past 6 do not reach knot 0
 
     return LinearSystem(matrix=work[:, 1:], rhs=rhs, grid=grid, y0=u[0])
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,13 +128,19 @@ class ForceExpr:
     terms: tuple[ForceTerm, ...] = ()
 
     def __post_init__(self):
-        merged: dict[tuple, float] = {}
+        # key -> (0.0 + its terms' coefficients in order, and the key's one
+        # term while it has only one with a float coefficient: that term is
+        # kept as it is, since its coefficient equals the sum)
+        merged: dict[tuple, tuple] = {}
         for term in self.terms:
             key = term._key()
-            merged[key] = merged.get(key, 0.0) + term.coeff
+            if key in merged:
+                merged[key] = (merged[key][0] + term.coeff, None)
+            else:
+                merged[key] = (0.0 + term.coeff, term if type(term.coeff) is float else None)
         normal = tuple(
-            ForceTerm(c, k[0], k[1], _TRIG_KINDS[k[2]], k[3], k[4])
-            for k, c in sorted(merged.items())
+            ForceTerm(c, k[0], k[1], _TRIG_KINDS[k[2]], k[3], k[4]) if term is None else term
+            for k, (c, term) in sorted(merged.items())
             if c != 0.0
         )
         object.__setattr__(self, "terms", normal)
@@ -151,14 +158,21 @@ class ForceExpr:
         return not self.terms
 
     def evaluate(self, t):
-        """Value at ``t`` (scalar or ndarray); scalars come back as floats."""
+        """Value at ``t`` (scalar or ndarray); scalars come back as floats.
+
+        Bit for bit the sum from zero, in term order, of each term's
+        ``ForceTerm.evaluate``; each distinct factor is computed once.
+        """
         tt = np.asarray(t, dtype=float)
-        total = np.zeros(tt.shape)
-        for term in self.terms:
-            total = total + term.evaluate(tt)
+        specs, (terms,) = self._plan
+        total = _fold(terms, _factor_values(specs, tt), np.zeros(tt.shape))
         if tt.ndim == 0:
             return float(total)
         return total
+
+    @cached_property
+    def _plan(self):
+        return _factor_plan((self,))
 
     __call__ = evaluate
 
@@ -214,6 +228,85 @@ def tabulate(force: ForceExpr, t: np.ndarray, name: str) -> np.ndarray:
         i = int(np.argmin(np.isfinite(values)))
         raise ValueError(f"force {name}(t) = {values[i]} at t = {float(t[i])!r} "
                          f"is beyond float range")
+    return values
+
+
+def _factor_plan(exprs) -> tuple[tuple, tuple]:
+    """The distinct factors of the terms of ``exprs``, and their terms.
+
+    Returns the factor specs in order of first use, ("pow", p), ("exp", r),
+    ("arg", w, phi) for the argument w t + phi and ("sin" | "cos", index of
+    its argument), and per expression its terms as (coeff, indices of the
+    term's factors in the order t^p, exp(r t), trig).
+    """
+    index: dict[tuple, int] = {}
+
+    def use(spec):
+        return index.setdefault(spec, len(index))
+
+    groups = []
+    for expr in exprs:
+        terms = []
+        for term in expr.terms:
+            factors = []
+            if term.poly_power:
+                factors.append(use(("pow", term.poly_power)))
+            if term.exp_rate:
+                factors.append(use(("exp", term.exp_rate)))
+            if term.trig != "none":
+                factors.append(use((term.trig, use(("arg", term.trig_freq, term.trig_phase)))))
+            terms.append((term.coeff, tuple(factors)))
+        groups.append(tuple(terms))
+    return tuple(index), tuple(groups)
+
+
+def _factor_values(specs, t: np.ndarray) -> list:
+    """The factors ``specs`` (from ``_factor_plan``) on ``t``, each by the
+    ufunc call ``ForceTerm.evaluate`` makes, so that products of them in
+    term order are bit for bit ``ForceTerm.evaluate``."""
+    values = []
+    for spec in specs:
+        kind = spec[0]
+        if kind == "pow":
+            values.append(np.power(t, spec[1]))
+        elif kind == "exp":
+            values.append(np.exp(spec[1] * t))
+        elif kind == "arg":
+            values.append(spec[1] * t + spec[2])
+        else:
+            values.append(np.sin(values[spec[1]]) if kind == "sin" else np.cos(values[spec[1]]))
+    return values
+
+
+def _fold(terms, values, total):
+    """``total`` plus each term's coeff * factors, multiplied in the term's
+    factor order and added in term order; ``values`` are the factors."""
+    for coeff, factors in terms:
+        v = coeff
+        for i in factors:
+            v *= values[i]      # the first product is new, so an array takes the rest in place
+        total += v
+    return total
+
+
+def tabulate_at(forces, names, t: float) -> list[float]:
+    """Several forces at the one point ``t``, with their factors shared.
+
+    Each value is bit for bit ``tabulate(force, np.array([t]), name)[0]``:
+    the factors come from the same ufunc calls, and the products and sums,
+    taken in Python floats, round as numpy's do.  ValueError names the first
+    force that is not finite there, as ``tabulate`` does.
+    """
+    specs, groups = _factor_plan(forces)
+    values = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = [x.item() for x in _factor_values(specs, np.array([t], dtype=float))]
+        for terms, name in zip(groups, names):
+            total = _fold(terms, factors, 0.0)
+            if not math.isfinite(total):
+                raise ValueError(f"force {name}(t) = {total} at t = {float(t)!r} "
+                                 f"is beyond float range")
+            values.append(total)
     return values
 
 
@@ -343,6 +436,19 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> ForceExpr:
+        # Merging like terms can overflow where no single term does.  The sums
+        # run in the order ForceExpr merges them, from 0.0 in term order.
+        terms = self.parse_terms()
+        sums: dict[tuple, float] = {}
+        for start, t in terms:
+            key = t._key()
+            sums[key] = sums.get(key, 0.0) + t.coeff
+            if not math.isfinite(sums[key]):
+                raise ParseError("sum of like terms is out of float range", start)
+        return ForceExpr(tuple(t for _, t in terms))
+
+    def parse_terms(self) -> list[tuple[int, ForceTerm]]:
+        """The signed terms of the whole input, each with its start position."""
         sign = 1.0
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
@@ -358,13 +464,7 @@ class _Parser:
                 break
             else:
                 raise ParseError(f"expected '+', '-' or end of input, got {val!r}", pos)
-        expr = ForceExpr.zero()
-        for start, t in terms:
-            expr = expr + ForceExpr((t,))
-            # merging like terms can overflow where no single term does
-            if not all(math.isfinite(merged.coeff) for merged in expr.terms):
-                raise ParseError("sum of like terms is out of float range", start)
-        return expr
+        return terms
 
     def parse_term(self, sign: float) -> ForceTerm:
         coeff = sign

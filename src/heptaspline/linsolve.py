@@ -10,6 +10,8 @@ factorisation, so importing the package (as ``coeffs`` does) does not load it.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,9 @@ _PIVOT_RTOL = 1e-14
 #: Accepted bound on ||A y - b||_inf relative to ||A||_inf * ||y||_inf.
 _RESIDUAL_RTOL = 1e-8
 
+#: Floor of ||y||_inf in that bound: the smallest positive normal float.
+_TINY = float(np.finfo(float).tiny)
+
 
 class LinearSolveError(RuntimeError):
     """Numerically singular system or failed accuracy check."""
@@ -39,30 +44,53 @@ class SolutionGrid:
     residual_inf: float
 
 
+@functools.cache
+def _lapack():
+    """The module ``scipy.linalg.lapack``, imported on first use."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
+
+
+@functools.lru_cache(maxsize=128)
+def _upper_segments(n: int) -> np.ndarray:
+    """Read-only ``np.maximum.reduceat`` offsets over a flattened n x n matrix.
+
+    Segment 2i is row i from its diagonal on (its part in U), segment 2i + 1
+    the part of row i + 1 left of its diagonal.  Kept for the 128 latest n,
+    2n - 1 integers each.
+    """
+    i = np.arange(n)
+    segments = np.stack((i * (n + 1), (i + 1) * n), axis=1).reshape(-1)[:-1]
+    segments.flags.writeable = False
+    return segments
+
+
 def _factor(system: LinearSystem) -> tuple[np.ndarray, np.ndarray, float]:
     """LU factors and pivots of ``system.matrix`` (LAPACK getrf), and its inf-norm."""
     A = system.matrix
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     magnitude = np.abs(A)
-    # max |a_ij| is finite exactly when every entry is (NaN propagates)
-    if not np.isfinite(magnitude.max(initial=0.0)) or not np.isfinite(system.rhs).all():
+    anorm = float(np.maximum.reduce(np.add.reduce(magnitude, axis=1), initial=0.0))
+    # The row sums of |A| are finite when every entry is (NaN propagates), so
+    # the largest entry is looked at only when they are not.
+    finite = math.isfinite(anorm) or math.isfinite(magnitude.max())
+    if not finite or not np.isfinite(system.rhs).all():
         raise LinearSolveError("system contains non-finite entries")
-    from scipy.linalg.lapack import dgetrf
-
-    lu, piv, _ = dgetrf(A)   # an exactly zero pivot (info > 0) fails the guard below
+    lu, piv, _ = _lapack().dgetrf(A)   # an exactly zero pivot (info > 0) fails the guard below
     # Row magnitudes legitimately span many orders (1/h^7 end rows vs O(1)
-    # interior rows), so each pivot is judged against its own row of U.
+    # interior rows), so each pivot is judged against its own row of U.  A
+    # row of U that is all zero fails too, since its pivot 0 <= 0.
     lu_magnitude = np.abs(lu)
     pivots = lu_magnitude.diagonal()
-    index = np.arange(len(pivots))
-    row_scale = lu_magnitude.max(axis=1, where=index >= index[:, None], initial=0.0)
-    if np.any(pivots <= _PIVOT_RTOL * row_scale) or np.any(row_scale == 0.0):
+    row_scale = np.maximum.reduceat(lu_magnitude.reshape(-1), _upper_segments(len(pivots)))[::2]
+    if (pivots <= _PIVOT_RTOL * row_scale).any():
         worst = int(np.argmin(np.where(row_scale > 0, pivots / np.maximum(row_scale, 1e-300), 0.0)))
         raise LinearSolveError(
             f"numerically singular matrix: pivot {pivots[worst]:.3e} vs "
             f"row scale {row_scale[worst]:.3e} at elimination step {worst}")
-    return lu, piv, float(magnitude.sum(axis=1).max(initial=0.0))
+    return lu, piv, anorm
 
 
 def lu_solve(system: LinearSystem) -> SolutionGrid:
@@ -72,13 +100,11 @@ def lu_solve(system: LinearSystem) -> SolutionGrid:
     satisfy residual <= 1e-8 * ||A||_inf * ||y||_inf, else the solve is
     rejected as unreliable.
     """
-    from scipy.linalg.lapack import dgetrs
-
     lu, piv, anorm = _factor(system)
-    y, _ = dgetrs(lu, piv, system.rhs)
-    residual = float(np.abs(system.matrix @ y - system.rhs).max(initial=0.0))
-    ynorm = float(np.abs(y).max(initial=0.0))
-    bound = _RESIDUAL_RTOL * anorm * max(ynorm, np.finfo(float).tiny)
+    y, _ = _lapack().dgetrs(lu, piv, system.rhs)
+    residual = float(np.maximum.reduce(np.abs(system.matrix @ y - system.rhs), initial=0.0))
+    ynorm = float(np.maximum.reduce(np.abs(y), initial=0.0))
+    bound = _RESIDUAL_RTOL * anorm * max(ynorm, _TINY)
     if residual > bound:
         raise LinearSolveError(
             f"backward residual {residual:.3e} exceeds bound {bound:.3e}")

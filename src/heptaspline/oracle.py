@@ -111,7 +111,7 @@ def max_abs_error(grid: SolutionGrid, reference: Reference) -> float:
         ref = reference.y[reference._step_indices(grid.t)]
     else:
         ref = reference.evaluate(grid.t)
-    return float(np.max(np.abs(grid.y - ref)))
+    return float(np.maximum.reduce(np.abs(grid.y - ref)))
 
 
 @dataclass

@@ -35,6 +35,12 @@ Scalar = Union[int, float, Fraction]
 
 _SUM_TOLERANCE = 1e-9
 
+#: Smallest |theta| that ``from_theta`` accepts.  Its closed forms cancel
+#: terms of size ~1/theta^6.  Against a 60-digit evaluation the worst
+#: relative error of the float weights is 7.6e-7 on [0.2, 3.1]; it passes
+#: 1e-6 just below 0.2 and reaches 2.2e-4 at 0.1 and ~6e3 at 0.01.
+_THETA_MIN = 0.2
+
 #: y-side of the interior stencil: 120 times the binomial weights of the
 #: seventh forward difference over knots i-7..i.
 INTERIOR_Y_WEIGHTS = tuple(120 * (-1) ** (7 - j) * math.comb(7, j) for j in range(8))
@@ -117,18 +123,21 @@ def optimal_family(delta: Scalar) -> SplineParams:
 def from_theta(theta: float) -> SplineParams:
     """Evaluate the trigonometric closed forms of the four weights.
 
-    ``theta`` = omega*h must stay away from 0 and multiples of pi (sin theta
-    = 0).  The weights make the interior row exact on sin(omega*t) and
+    ``theta`` = omega*h must stay away from multiples of pi (sin theta = 0).
+    The weights make the interior row exact on sin(omega*t) and
     cos(omega*t), and tend to the Eulerian weights (1, 247, 4293, 15619)/336
     of the polynomial stencil as theta -> 0.  Their sum is 60 + O(theta^2),
     so they fail the sum-60 constraint and serve for inspection (``coeffs
     --theta``) rather than for solving.  In floats the closed forms cancel
-    terms of size ~1/theta^6, so small theta loses digits accordingly.
+    terms of size ~1/theta^6, so |theta| below 0.2, where the weights would
+    be off by more than 1e-6 relative, is rejected with ValueError.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    if abs(theta) <= 1e-12:
-        raise ValueError(f"theta={theta} is too close to 0")
+    if abs(theta) < _THETA_MIN:
+        raise ValueError(f"|theta| = {abs(theta)} is below {_THETA_MIN}: the closed forms cancel "
+                         f"terms of size ~1/theta^6 and would lose more than 1e-6 of each weight "
+                         f"in floats")
     if abs(math.sin(theta)) <= 1e-12:
         raise ValueError(f"theta={theta} is too close to a multiple of pi (sin theta = 0)")
     return SplineParams(*_theta_weights(theta, math.sin, math.cos))

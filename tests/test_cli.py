@@ -78,6 +78,18 @@ class TestCoeffs:
     def test_exactly_one_selector_required(self, capsys):
         assert main(["coeffs", "--delta", "30", "--theta", "0.5"]) == 1
 
+    @pytest.mark.parametrize("theta", ["0.01", "0.19999999999999998"])
+    def test_theta_below_cut_exits_one_naming_the_cancellation(self, theta, capsys):
+        assert main(["coeffs", "--theta", theta]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"|theta| = {theta} is below 0.2: the closed forms cancel terms of size " \
+               f"~1/theta^6" in captured.err
+
+    def test_theta_at_cut_accepted(self, capsys):
+        assert main(["coeffs", "--theta", "0.2"]) == 0
+        assert capsys.readouterr().out.startswith("alpha = 0.0029947933702869634\n")
+
     @pytest.mark.parametrize("theta", ["nan", "inf"])
     def test_non_finite_theta_exits_one(self, theta, capsys):
         assert main(["coeffs", "--theta", theta]) == 1

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from heptaspline.assembly import EndConditionMode, LinearSystem, build
+from heptaspline import linsolve
 from heptaspline.linsolve import LinearSolveError, lu_solve
 from heptaspline.oracle import BENCHMARKS
 from heptaspline.spline_params import SplineParams, optimal_family
@@ -60,6 +61,32 @@ class TestLuSolve:
         expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.matrix), system.rhs)
         y = lu_solve(system).y[1:]
         assert y.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("matrix,step", [([[1.0, 2.0], [1.0, 2.0]], 1),
+                                             ([[2.0, 1.0], [4.0, 2.0]], 1),
+                                             ([[0.0, 0.0], [0.0, 0.0]], 0)])
+    def test_all_zero_row_of_u_is_singular(self, matrix, step):
+        # A row of U is all zero: its pivot 0 is at most 1e-14 times its scale 0.
+        with pytest.raises(LinearSolveError, match=r"pivot 0\.000e\+00 vs row scale 0\.000e\+00 "
+                                                   rf"at elimination step {step}$"):
+            lu_solve(small_system(matrix, [1.0, 1.0]))
+
+    def test_row_offset_tables_read_only_and_bounded(self):
+        lu_solve(build(BENCHMARKS[1].problem, optimal_family(30), EndConditionMode.STANDARD, 12))
+        segments = linsolve._upper_segments(12)
+        assert linsolve._upper_segments(12) is segments and not segments.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            segments[0] = 1
+        for n in range(1, 200):
+            linsolve._upper_segments(n)
+        assert linsolve._upper_segments.cache_info().currsize == 128
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13])
+    def test_row_scale_is_the_largest_entry_of_each_row_of_u(self, n):
+        rng = np.random.default_rng(n)
+        lu = np.abs(rng.normal(size=(n, n)))
+        got = np.maximum.reduceat(lu.reshape(-1), linsolve._upper_segments(n))[::2]
+        assert got.tolist() == [float(lu[i, i:].max()) for i in range(n)]
 
     def test_non_finite_entries_rejected(self):
         with pytest.raises(LinearSolveError, match="non-finite"):

@@ -11,6 +11,7 @@ from heptaspline.spline_params import (
     INTERIOR_Y_WEIGHTS,
     SplineParams,
     TruncationCoeffs,
+    _THETA_MIN,
     _theta_weights,
     from_theta,
     optimal_family,
@@ -181,6 +182,27 @@ class TestFromTheta:
     def test_singular_theta_rejected(self, theta):
         with pytest.raises(ValueError):
             from_theta(theta)
+
+    @pytest.mark.parametrize("theta", [0.01, 0.1, -0.15, math.nextafter(_THETA_MIN, 0.0)])
+    def test_small_theta_rejected_for_its_cancellation(self, theta):
+        with pytest.raises(ValueError, match=r"below 0\.2: the closed forms cancel terms"):
+            from_theta(theta)
+
+    def test_float_weights_within_1e_6_from_the_cut(self):
+        # The cut is where the float weights start to keep 1e-6 relative
+        # accuracy against 60 digits; just below it they no longer do.
+        def worst(theta):
+            floats = _theta_weights(theta, math.sin, math.cos)
+            with mp.workdps(60):
+                exact = _theta_weights(mp.mpf(theta), mp.sin, mp.cos)
+                return max(float(abs((mp.mpf(x) - w) / w)) for x, w in zip(floats, exact))
+
+        assert _THETA_MIN == 0.2
+        for k in range(101):
+            theta = _THETA_MIN + k * 1e-3
+            assert from_theta(theta).as_floats() == from_theta(-theta).as_floats()
+            assert worst(theta) <= 1e-6
+        assert worst(0.1967) > 1e-6
 
     def test_sum_exceeds_sixty_by_order_theta_squared(self):
         # The weights sum to 60 + ~5 theta^2, so validate rejects them.
