@@ -182,21 +182,19 @@ def min_knots(mode: EndConditionMode) -> int:
 
 
 @functools.lru_cache(maxsize=128)
-def _knot_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _knot_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only index tables of an n-subinterval ``build``.
 
-    ``steps`` is 0.0, 1.0, ..., n (knot i lies at a + h * i); ``knots[k, j]
-    = k + j`` is the knot that weight j of interior row 6 + k multiplies, and
-    ``cells`` the flat position of that entry in ``build``'s (n, n + 1) work
-    array.  Kept for the 128 latest n, which covers every n of a sweep up to
-    n = 96 (about 0.5 MB).
+    ``knots[k, j] = k + j`` is the knot that weight j of interior row 6 + k
+    multiplies, and ``cells`` the flat position of that entry in ``build``'s
+    (n, n + 1) work array.  Kept for the 128 latest n, which covers every n
+    of a sweep up to n = 96 (about 0.5 MB).
     """
-    steps = np.arange(n + 1, dtype=float)
     knots = np.arange(n - 6)[:, None] + np.arange(8)
     cells = (6 + knots[:, :1]) * (n + 1) + knots
-    for table in (steps, knots, cells):
+    for table in (knots, cells):
         table.flags.writeable = False
-    return steps, knots, cells
+    return knots, cells
 
 
 @dataclass
@@ -239,8 +237,8 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     if not (0 < h7 < math.inf and math.isfinite(y_sum / h7 + u_sum)):
         raise ValueError(f"grid step h = {h} is out of float range: h^7 = {h7} must be "
                          f"finite and nonzero, and the row weights q/h^7 and w*h^7 finite")
-    steps, knots, cells = _knot_index(n)
-    grid = a + h * steps
+    knots, cells = _knot_index(n)
+    grid = a + h * np.arange(n + 1)
     fv = tabulate(problem.f, grid, "f")
     gv = tabulate(problem.g, grid, "g")
     u = problem.u

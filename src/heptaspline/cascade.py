@@ -15,8 +15,8 @@ and at m = N the top scale closes on itself: for odd N,
 
     y^(N) + Gamma^N * y = g(t),   g = F_N.
 
-``reduce`` runs this recurrence once and then takes the N initial
-derivative values u_m = (-Gamma)^m v_(1+m) + F_m(a) of the top scale.
+``reduce`` runs this recurrence once, collecting the N initial derivative
+values u_m = (-Gamma)^m v_(1+m) + F_m(a) of the top scale on the way.
 ``simulate_direct`` integrates the coupled system itself for
 cross-validation.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forces import ForceExpr, tabulate_at, tabulate_grid
+from .forces import ForceExpr, tabulate, tabulate_grid
 
 __all__ = [
     "CascadeModel",
@@ -110,13 +110,10 @@ def reduce(model: CascadeModel) -> IvpProblem:
 
         u_m = (-Gamma)^m v_(1+m) + F_m(a),   F_{m+1} = F_m' + (-Gamma)^m L^(1+m),
 
-    with one symbolic derivative per step, and returns g = F_N; the values
-    F_m(a) are taken after the loop, in one pass that shares their factors
-    (``tabulate_at``).  Only odd N closes to ``y^(N) + Gamma^N y = g`` (even
-    N would flip the sign of the feedback term and is not supported).
-    Raises ValueError when Gamma^N, a coefficient of some F_m or its value
-    F_m(a) is beyond float range, naming the first in the order m = 0, 1, ...
-    with F_m(a) before the coefficients of F_(m+1).
+    with one symbolic derivative per step, and returns g = F_N.  Only odd N
+    closes to ``y^(N) + Gamma^N y = g`` (even N would flip the sign of the
+    feedback term and is not supported).  Raises ValueError when Gamma^N,
+    a coefficient of some F_m or its value F_m(a) is beyond float range.
     For odd N other than 7 the result can be integrated by the oracle but is
     rejected by the spline assembler.
     """
@@ -128,18 +125,15 @@ def reduce(model: CascadeModel) -> IvpProblem:
     except OverflowError:
         raise ValueError(f"Gamma^N = {model.gamma}^{n} is beyond float range") from None
     a, b = model.interval
-    weights = [(-model.gamma) ** m for m in range(n)]
-    composed, g = [], ForceExpr.zero()     # composed[m] is F_m; g holds F_m until the loop ends
+    u, g = [], ForceExpr.zero()        # g holds F_m until the loop ends
     for m in range(n):
-        composed.append(g)
-        g = g.derivative() + weights[m] * model.forces[m]
+        weight = (-model.gamma) ** m
+        u.append(weight * model.init_velocities[m] + tabulate(g, np.array([a]), f"F_{m}")[0])
+        g = g.derivative() + weight * model.forces[m]
         if not all(math.isfinite(term.coeff) for term in g.terms):
-            tabulate_at(composed, [f"F_{k}" for k in range(m + 1)], a)   # an F_k(a) first
             name = "g" if m + 1 == n else f"F_{m + 1}"
             raise ValueError(f"composed force {name}(t) = {g} has a coefficient beyond float "
                              f"range (Gamma^k times a force coefficient)")
-    values = tabulate_at(composed, [f"F_{m}" for m in range(n)], a)
-    u = [w * v + value for w, v, value in zip(weights, model.init_velocities, values)]
     return IvpProblem(a=a, b=b, f=ForceExpr.constant(feedback), g=g, u=tuple(u))
 
 

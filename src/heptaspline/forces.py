@@ -128,19 +128,13 @@ class ForceExpr:
     terms: tuple[ForceTerm, ...] = ()
 
     def __post_init__(self):
-        # key -> (0.0 + its terms' coefficients in order, and the key's one
-        # term while it has only one with a float coefficient: that term is
-        # kept as it is, since its coefficient equals the sum)
-        merged: dict[tuple, tuple] = {}
+        merged: dict[tuple, float] = {}
         for term in self.terms:
             key = term._key()
-            if key in merged:
-                merged[key] = (merged[key][0] + term.coeff, None)
-            else:
-                merged[key] = (0.0 + term.coeff, term if type(term.coeff) is float else None)
+            merged[key] = merged.get(key, 0.0) + term.coeff
         normal = tuple(
-            ForceTerm(c, k[0], k[1], _TRIG_KINDS[k[2]], k[3], k[4]) if term is None else term
-            for k, (c, term) in sorted(merged.items())
+            ForceTerm(c, k[0], k[1], _TRIG_KINDS[k[2]], k[3], k[4])
+            for k, c in sorted(merged.items())
             if c != 0.0
         )
         object.__setattr__(self, "terms", normal)
@@ -164,15 +158,21 @@ class ForceExpr:
         ``ForceTerm.evaluate``; each distinct factor is computed once.
         """
         tt = np.asarray(t, dtype=float)
-        specs, (terms,) = self._plan
-        total = _fold(terms, _factor_values(specs, tt), np.zeros(tt.shape))
+        specs, terms = self._plan
+        values = _factor_values(specs, tt)
+        total = np.zeros(tt.shape)
+        for coeff, factors in terms:
+            v = coeff
+            for i in factors:
+                v *= values[i]      # the first product is new, so an array takes the rest in place
+            total += v
         if tt.ndim == 0:
             return float(total)
         return total
 
     @cached_property
     def _plan(self):
-        return _factor_plan((self,))
+        return _factor_plan(self)
 
     __call__ = evaluate
 
@@ -231,33 +231,30 @@ def tabulate(force: ForceExpr, t: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-def _factor_plan(exprs) -> tuple[tuple, tuple]:
-    """The distinct factors of the terms of ``exprs``, and their terms.
+def _factor_plan(expr: ForceExpr) -> tuple[tuple, tuple]:
+    """The distinct factors of the terms of ``expr``, and its terms.
 
     Returns the factor specs in order of first use, ("pow", p), ("exp", r),
     ("arg", w, phi) for the argument w t + phi and ("sin" | "cos", index of
-    its argument), and per expression its terms as (coeff, indices of the
-    term's factors in the order t^p, exp(r t), trig).
+    its argument), and the terms as (coeff, indices of the term's factors in
+    the order t^p, exp(r t), trig).
     """
     index: dict[tuple, int] = {}
 
     def use(spec):
         return index.setdefault(spec, len(index))
 
-    groups = []
-    for expr in exprs:
-        terms = []
-        for term in expr.terms:
-            factors = []
-            if term.poly_power:
-                factors.append(use(("pow", term.poly_power)))
-            if term.exp_rate:
-                factors.append(use(("exp", term.exp_rate)))
-            if term.trig != "none":
-                factors.append(use((term.trig, use(("arg", term.trig_freq, term.trig_phase)))))
-            terms.append((term.coeff, tuple(factors)))
-        groups.append(tuple(terms))
-    return tuple(index), tuple(groups)
+    terms = []
+    for term in expr.terms:
+        factors = []
+        if term.poly_power:
+            factors.append(use(("pow", term.poly_power)))
+        if term.exp_rate:
+            factors.append(use(("exp", term.exp_rate)))
+        if term.trig != "none":
+            factors.append(use((term.trig, use(("arg", term.trig_freq, term.trig_phase)))))
+        terms.append((term.coeff, tuple(factors)))
+    return tuple(index), tuple(terms)
 
 
 def _factor_values(specs, t: np.ndarray) -> list:
@@ -275,38 +272,6 @@ def _factor_values(specs, t: np.ndarray) -> list:
             values.append(spec[1] * t + spec[2])
         else:
             values.append(np.sin(values[spec[1]]) if kind == "sin" else np.cos(values[spec[1]]))
-    return values
-
-
-def _fold(terms, values, total):
-    """``total`` plus each term's coeff * factors, multiplied in the term's
-    factor order and added in term order; ``values`` are the factors."""
-    for coeff, factors in terms:
-        v = coeff
-        for i in factors:
-            v *= values[i]      # the first product is new, so an array takes the rest in place
-        total += v
-    return total
-
-
-def tabulate_at(forces, names, t: float) -> list[float]:
-    """Several forces at the one point ``t``, with their factors shared.
-
-    Each value is bit for bit ``tabulate(force, np.array([t]), name)[0]``:
-    the factors come from the same ufunc calls, and the products and sums,
-    taken in Python floats, round as numpy's do.  ValueError names the first
-    force that is not finite there, as ``tabulate`` does.
-    """
-    specs, groups = _factor_plan(forces)
-    values = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        factors = [x.item() for x in _factor_values(specs, np.array([t], dtype=float))]
-        for terms, name in zip(groups, names):
-            total = _fold(terms, factors, 0.0)
-            if not math.isfinite(total):
-                raise ValueError(f"force {name}(t) = {total} at t = {float(t)!r} "
-                                 f"is beyond float range")
-            values.append(total)
     return values
 
 
@@ -436,19 +401,6 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> ForceExpr:
-        # Merging like terms can overflow where no single term does.  The sums
-        # run in the order ForceExpr merges them, from 0.0 in term order.
-        terms = self.parse_terms()
-        sums: dict[tuple, float] = {}
-        for start, t in terms:
-            key = t._key()
-            sums[key] = sums.get(key, 0.0) + t.coeff
-            if not math.isfinite(sums[key]):
-                raise ParseError("sum of like terms is out of float range", start)
-        return ForceExpr(tuple(t for _, t in terms))
-
-    def parse_terms(self) -> list[tuple[int, ForceTerm]]:
-        """The signed terms of the whole input, each with its start position."""
         sign = 1.0
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
@@ -464,7 +416,13 @@ class _Parser:
                 break
             else:
                 raise ParseError(f"expected '+', '-' or end of input, got {val!r}", pos)
-        return terms
+        expr = ForceExpr.zero()
+        for start, t in terms:
+            expr = expr + ForceExpr((t,))
+            # merging like terms can overflow where no single term does
+            if not all(math.isfinite(merged.coeff) for merged in expr.terms):
+                raise ParseError("sum of like terms is out of float range", start)
+        return expr
 
     def parse_term(self, sign: float) -> ForceTerm:
         coeff = sign

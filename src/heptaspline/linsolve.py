@@ -10,7 +10,6 @@ factorisation, so importing the package (as ``coeffs`` does) does not load it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,47 +43,38 @@ class SolutionGrid:
     residual_inf: float
 
 
-@functools.cache
-def _lapack():
-    """The module ``scipy.linalg.lapack``, imported on first use."""
-    import scipy.linalg.lapack
-
-    return scipy.linalg.lapack
-
-
-@functools.lru_cache(maxsize=128)
-def _upper_segments(n: int) -> np.ndarray:
-    """Read-only ``np.maximum.reduceat`` offsets over a flattened n x n matrix.
-
-    Segment 2i is row i from its diagonal on (its part in U), segment 2i + 1
-    the part of row i + 1 left of its diagonal.  Kept for the 128 latest n,
-    2n - 1 integers each.
-    """
-    i = np.arange(n)
-    segments = np.stack((i * (n + 1), (i + 1) * n), axis=1).reshape(-1)[:-1]
-    segments.flags.writeable = False
-    return segments
-
-
 def _factor(system: LinearSystem) -> tuple[np.ndarray, np.ndarray, float]:
     """LU factors and pivots of ``system.matrix`` (LAPACK getrf), and its inf-norm."""
     A = system.matrix
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     magnitude = np.abs(A)
-    anorm = float(np.maximum.reduce(np.add.reduce(magnitude, axis=1), initial=0.0))
+    with np.errstate(over="ignore"):
+        anorm = float(np.maximum.reduce(np.add.reduce(magnitude, axis=1), initial=0.0))
     # The row sums of |A| are finite when every entry is (NaN propagates), so
     # the largest entry is looked at only when they are not.
-    finite = math.isfinite(anorm) or math.isfinite(magnitude.max())
-    if not finite or not np.isfinite(system.rhs).all():
+    if not math.isfinite(anorm):
+        if not math.isfinite(magnitude.max()):
+            raise LinearSolveError("system contains non-finite entries")
+        raise LinearSolveError(f"||A||_inf = {anorm} is beyond float range, "
+                               f"so the backward residual cannot be bounded")
+    if not np.isfinite(system.rhs).all():
         raise LinearSolveError("system contains non-finite entries")
-    lu, piv, _ = _lapack().dgetrf(A)   # an exactly zero pivot (info > 0) fails the guard below
+    from scipy.linalg.lapack import dgetrf
+
+    lu, piv, _ = dgetrf(A)   # an exactly zero pivot (info > 0) fails the guard below
     # Row magnitudes legitimately span many orders (1/h^7 end rows vs O(1)
     # interior rows), so each pivot is judged against its own row of U.  A
-    # row of U that is all zero fails too, since its pivot 0 <= 0.
+    # row of U that is all zero fails too, since its pivot 0 <= 0.  One
+    # reduceat over the flat |LU| takes the row maxima: segment 2i is row i
+    # from its diagonal on, segment 2i + 1 the part of row i + 1 left of it.
     lu_magnitude = np.abs(lu)
     pivots = lu_magnitude.diagonal()
-    row_scale = np.maximum.reduceat(lu_magnitude.reshape(-1), _upper_segments(len(pivots)))[::2]
+    n = len(pivots)
+    segments = np.empty((n, 2), dtype=np.intp)
+    segments[:, 0] = np.arange(0, n * (n + 1), n + 1)      # i (n + 1): diagonal of row i
+    segments[:, 1] = np.arange(1, n + 1) * n               # (i + 1) n: start of row i + 1
+    row_scale = np.maximum.reduceat(lu_magnitude.reshape(-1), segments.reshape(-1)[:-1])[::2]
     if (pivots <= _PIVOT_RTOL * row_scale).any():
         worst = int(np.argmin(np.where(row_scale > 0, pivots / np.maximum(row_scale, 1e-300), 0.0)))
         raise LinearSolveError(
@@ -100,12 +90,14 @@ def lu_solve(system: LinearSystem) -> SolutionGrid:
     satisfy residual <= 1e-8 * ||A||_inf * ||y||_inf, else the solve is
     rejected as unreliable.
     """
+    from scipy.linalg.lapack import dgetrs
+
     lu, piv, anorm = _factor(system)
-    y, _ = _lapack().dgetrs(lu, piv, system.rhs)
+    y, _ = dgetrs(lu, piv, system.rhs)
     residual = float(np.maximum.reduce(np.abs(system.matrix @ y - system.rhs), initial=0.0))
     ynorm = float(np.maximum.reduce(np.abs(y), initial=0.0))
     bound = _RESIDUAL_RTOL * anorm * max(ynorm, _TINY)
-    if residual > bound:
+    if not residual <= bound:     # a NaN residual fails too
         raise LinearSolveError(
             f"backward residual {residual:.3e} exceeds bound {bound:.3e}")
     return SolutionGrid(t=system.grid, y=np.concatenate(([system.y0], y)),

@@ -272,10 +272,10 @@ class TestAssemblyMatchesRowAtATime:
 class TestKnotIndexTables:
     def test_read_only_shared_and_bounded(self):
         system = build(BENCHMARKS[1].problem, optimal_family(30), EndConditionMode.IMPROVED, 20)
-        steps, knots, cells = assembly._knot_index(20)
-        assert assembly._knot_index(20)[2] is cells
+        knots, cells = assembly._knot_index(20)
+        assert assembly._knot_index(20)[1] is cells
         assert system.grid.tobytes() == (0.0 + 0.05 * np.arange(21)).tobytes()
-        for table in (steps, knots, cells):
+        for table in (knots, cells):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[(0,) * table.ndim] = 1

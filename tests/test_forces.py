@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, _Parser, parse, tabulate,
-                                tabulate_at, tabulate_grid)
+from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, parse, tabulate,
+                                tabulate_grid)
 
 
 def random_expr(rng: random.Random, max_terms: int = 4) -> ForceExpr:
@@ -89,109 +89,16 @@ class TestSharedFactors:
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    @settings(max_examples=100, deadline=None)
-    @given(exprs=st.lists(shared_factor_exprs(), min_size=1, max_size=7), t=POINTS)
-    def test_tabulate_at_is_tabulate_at_one_point(self, exprs, t):
-        names = [f"F_{m}" for m in range(len(exprs))]
-        want = []
-        for expr, name in zip(exprs, names):
-            try:
-                want.append(tabulate(expr, np.array([t]), name)[0].hex())
-            except ValueError as exc:
-                want.append(str(exc))
-                break
-        try:
-            got = [value.hex() for value in tabulate_at(exprs, names, t)]
-        except ValueError as exc:
-            got = want[:-1] + [str(exc)]
-        assert got == want
-
     def test_tabulate_names_the_force_and_first_bad_t_with_shared_factors(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^force g\(t\) = inf at t = 0\.9 "):
                 tabulate(parse("exp(800*t) + 3*t*exp(800*t)"), np.array([0.0, 0.9, 1.0]), "g")
             with pytest.raises(ValueError, match=r"^force F_1\(t\) = nan at t = 1\.0 "):
-                tabulate_at([parse("t"), parse("exp(800*t) - t*exp(800*t)")], ["F_0", "F_1"], 1.0)
+                tabulate(parse("exp(800*t) - t*exp(800*t)"), np.array([0.0, 1.0]), "F_1")
 
 
-def reference_normalise(terms) -> tuple:
-    """ForceExpr's merge of like terms when every term was rebuilt from its
-    key and 0.0 + its like terms' coefficients."""
-    merged: dict[tuple, float] = {}
-    for term in terms:
-        merged[term._key()] = merged.get(term._key(), 0.0) + term.coeff
-    return tuple(ForceTerm(c, k[0], k[1], _TRIG_KINDS[k[2]], k[3], k[4])
-                 for k, c in sorted(merged.items()) if c != 0.0)
-
-
-def reference_parse(text: str) -> ForceExpr:
-    """parse when it added one single-term ForceExpr at a time and checked
-    every merged coefficient after each addition."""
-    expr = ForceExpr.zero()
-    for start, term in _Parser(text).parse_terms():
-        expr = expr + ForceExpr((term,))
-        if not all(math.isfinite(merged.coeff) for merged in expr.terms):
-            raise ParseError("sum of like terms is out of float range", start)
-    return expr
-
-
-def snapshot(expr: ForceExpr):
-    """Text, terms and coefficient bits of an expression."""
-    return str(expr), expr.terms, [(type(t.coeff), t.coeff.hex()) for t in expr.terms]
-
-
-NUMBERS = ("1", "2.5", "0.125", "7", "0", "3e-300", "1e308", "1.7e308")
-FACTORS = ("t", "t^2", "t^3", "exp(t)", "exp(-2*t)", "sin(t)", "cos(t + 0.5)", "sin(3*t - 1)",
-           "cos(3*t - 1)")
-
-
-@st.composite
-def force_texts(draw):
-    """Sums of 1-6 products of literals and factors, like terms and float
-    overflow included; some are malformed (two trig factors in a term)."""
-    terms = [draw(st.lists(st.sampled_from(NUMBERS + FACTORS), min_size=1, max_size=3))
-             for _ in range(draw(st.integers(1, 6)))]
-    signs = draw(st.lists(st.sampled_from(" + - "), min_size=len(terms), max_size=len(terms)))
-    text = ("-" if signs[0] == "-" else "") + "*".join(terms[0])
-    for sign, factors in zip(signs[1:], terms[1:]):
-        text += f" {sign} " + "*".join(factors)
-    return text
-
-
-def outcome(fn, *args):
-    try:
-        return snapshot(fn(*args))
-    except ParseError as exc:
-        return str(exc), exc.position
-
-
-class TestNormalisation:
-    @settings(max_examples=300, deadline=None)
-    @given(text=force_texts())
-    @example(text="1e308*t + 1.7e308*t - 1e308*t")      # overflows at the second term
-    @example(text="1e308*t - 1e308*t + 2.5*t")          # cancels, then starts again from 0
-    def test_parse_matches_term_at_a_time_reference(self, text):
-        assert outcome(parse, text) == outcome(reference_parse, text)
-
-    @given(expr=shared_factor_exprs(), scale=st.sampled_from([1.0, -1.0, 0.5, 3]))
-    def test_construction_matches_rebuilding_every_term(self, expr, scale):
-        terms = expr.terms + (scale * expr).terms + tuple(reversed(expr.terms))
-        for part in (expr.terms, terms, terms[::2]):
-            got = ForceExpr(part).terms
-            want = reference_normalise(part)
-            assert got == want
-            assert [(type(t.coeff), t.coeff.hex()) for t in got] == \
-                [(type(t.coeff), t.coeff.hex()) for t in want]
-
-    def test_unmerged_float_terms_are_kept_as_they_are(self):
-        single, int_coeff, merged = ForceTerm(2.0, 1, 1.0), ForceTerm(3, 2), ForceTerm(1.0, 0)
-        expr = ForceExpr((single, int_coeff, merged, ForceTerm(0.5, 0), ForceTerm(1.0, 4),
-                          ForceTerm(-1.0, 4)))
-        assert str(expr) == "1.5 + 2.0*t*exp(t) + 3.0*t^2"
-        assert expr.terms[1] is single and expr.terms[0] is not merged
-        assert expr.terms[2] == ForceTerm(3.0, 2) and type(expr.terms[2].coeff) is float
-
+class TestParseLikeTerms:
     @pytest.mark.parametrize("text", ["1e308*t + t^2 + 1e308*t",
                                       "-1.7e308*exp(t) - t + 1e308*exp(t) - 1.7e308*exp(t)"])
     def test_like_term_overflow_keeps_its_position(self, text):

@@ -1,9 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from heptaspline.assembly import EndConditionMode, LinearSystem, build
-from heptaspline import linsolve
 from heptaspline.linsolve import LinearSolveError, lu_solve
 from heptaspline.oracle import BENCHMARKS
 from heptaspline.spline_params import SplineParams, optimal_family
@@ -71,22 +72,36 @@ class TestLuSolve:
                                                    rf"at elimination step {step}$"):
             lu_solve(small_system(matrix, [1.0, 1.0]))
 
-    def test_row_offset_tables_read_only_and_bounded(self):
-        lu_solve(build(BENCHMARKS[1].problem, optimal_family(30), EndConditionMode.STANDARD, 12))
-        segments = linsolve._upper_segments(12)
-        assert linsolve._upper_segments(12) is segments and not segments.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            segments[0] = 1
-        for n in range(1, 200):
-            linsolve._upper_segments(n)
-        assert linsolve._upper_segments.cache_info().currsize == 128
+    def test_row_scale_is_the_part_of_the_row_in_u(self):
+        # LU keeps the multipliers 0.5 and 0.9 (of L) left of the diagonal;
+        # the pivot 1e-18 of step 1 is judged against 1e-3 alone, the largest
+        # entry of row 1 from its diagonal on.
+        with pytest.raises(LinearSolveError, match=r"pivot 1\.000e-18 vs row scale 1\.000e-03 "
+                                                   r"at elimination step 1$"):
+            lu_solve(small_system([[1.0, 0.0, 0.0], [0.5, 1e-18, 1e-3], [0.9, 0.0, 1.0]],
+                                  [1.0, 1.0, 1.0]))
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 13])
-    def test_row_scale_is_the_largest_entry_of_each_row_of_u(self, n):
-        rng = np.random.default_rng(n)
-        lu = np.abs(rng.normal(size=(n, n)))
-        got = np.maximum.reduceat(lu.reshape(-1), linsolve._upper_segments(n))[::2]
-        assert got.tolist() == [float(lu[i, i:].max()) for i in range(n)]
+    def test_overflowing_row_sums_rejected_without_warning(self):
+        # Every entry is finite, but ||A||_inf = 2e308 is not: the residual
+        # bound would be inf and accept anything.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinearSolveError, match=r"^\|\|A\|\|_inf = inf is beyond float range"):
+                lu_solve(small_system([[1e308, 1e308, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 3.0]],
+                                      [1e308, 1.0, 2.0]))
+
+    def test_nan_residual_rejected(self, monkeypatch):
+        import scipy.linalg.lapack
+        exact_dgetrs = scipy.linalg.lapack.dgetrs
+
+        def poisoned(*args):
+            y, info = exact_dgetrs(*args)
+            y[0] = np.nan
+            return y, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrs", poisoned)
+        with pytest.raises(LinearSolveError, match=r"^backward residual nan exceeds bound"):
+            lu_solve(small_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]))
 
     def test_non_finite_entries_rejected(self):
         with pytest.raises(LinearSolveError, match="non-finite"):
