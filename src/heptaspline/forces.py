@@ -164,8 +164,8 @@ class ForceExpr:
         for coeff, factors in terms:
             v = coeff
             for i in factors:
-                v *= values[i]      # the first product is new, so an array takes the rest in place
-            total += v
+                v = v * values[i]
+            total = total + v
         if tt.ndim == 0:
             return float(total)
         return total
