@@ -58,6 +58,15 @@ def _require(section: configparser.SectionProxy, key: str) -> str:
     return section[key]
 
 
+def _rational(text: str, name: str) -> Fraction:
+    """``text`` as an exact rational; ValueError names ``name`` where it is none."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a rational number such as 30, 51/2 or 2.5e1, "
+                         f"got {text!r}") from None
+
+
 def _parse_method(section: configparser.SectionProxy) -> tuple[EndConditionMode, SplineParams]:
     mode_text = _require(section, "mode").strip().lower()
     try:
@@ -71,14 +80,10 @@ def _parse_method(section: configparser.SectionProxy) -> tuple[EndConditionMode,
     if explicit:
         if len(explicit) != 4:
             raise ValueError(f"all four of alpha/beta/gamma_/delta are required, got {explicit}")
-        params = SplineParams(
-            alpha=Fraction(section["alpha"]),
-            beta=Fraction(section["beta"]),
-            gamma=Fraction(section["gamma_"]),
-            delta=Fraction(section["delta"]),
-        )
+        params = SplineParams(*(_rational(section[key], f"[method] {key}")
+                                for key in ("alpha", "beta", "gamma_", "delta")))
     else:
-        params = optimal_family(Fraction(section["delta_opt"]))
+        params = optimal_family(_rational(section["delta_opt"], "[method] delta_opt"))
     return mode, validate(params)
 
 
@@ -198,14 +203,15 @@ def _run_coeffs(args: argparse.Namespace) -> int:
     if len(chosen) != 1:
         raise ValueError("coeffs needs exactly one of --delta, --theta, --params")
     if args.delta is not None:
-        params = optimal_family(Fraction(args.delta))
+        params = optimal_family(_rational(args.delta, "--delta"))
     elif args.theta is not None:
         params = from_theta(float(args.theta))
     else:
         parts = args.params.split(",")
         if len(parts) != 4:
             raise ValueError(f"--params needs four comma-separated values, got {args.params!r}")
-        params = SplineParams(*(Fraction(p.strip()) for p in parts))
+        params = SplineParams(*(_rational(p, "--params value") for p in parts))
+    params.as_floats()      # ValueError where a weight is beyond float range
     coeffs = truncation_coeffs(params)
     for name in ("alpha", "beta", "gamma", "delta"):
         print(f"{name} = {getattr(params, name)}")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -155,24 +154,23 @@ class ForceExpr:
         """Value at ``t`` (scalar or ndarray); scalars come back as floats.
 
         Bit for bit the sum from zero, in term order, of each term's
-        ``ForceTerm.evaluate``; each distinct factor is computed once.
+        ``ForceTerm.evaluate``; each distinct factor is computed once per call.
         """
         tt = np.asarray(t, dtype=float)
-        specs, terms = self._plan
-        values = _factor_values(specs, tt)
+        factors: dict[tuple, np.ndarray] = {}
         total = np.zeros(tt.shape)
-        for coeff, factors in terms:
-            v = coeff
-            for i in factors:
-                v = v * values[i]
+        for term in self.terms:
+            v = term.coeff
+            if term.poly_power:
+                v = v * _factor(factors, ("pow", term.poly_power), tt)
+            if term.exp_rate:
+                v = v * _factor(factors, ("exp", term.exp_rate), tt)
+            if term.trig != "none":
+                v = v * _factor(factors, (term.trig, term.trig_freq, term.trig_phase), tt)
             total = total + v
         if tt.ndim == 0:
             return float(total)
         return total
-
-    @cached_property
-    def _plan(self):
-        return _factor_plan(self)
 
     __call__ = evaluate
 
@@ -231,48 +229,26 @@ def tabulate(force: ForceExpr, t: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-def _factor_plan(expr: ForceExpr) -> tuple[tuple, tuple]:
-    """The distinct factors of the terms of ``expr``, and its terms.
-
-    Returns the factor specs in order of first use, ("pow", p), ("exp", r),
-    ("arg", w, phi) for the argument w t + phi and ("sin" | "cos", index of
-    its argument), and the terms as (coeff, indices of the term's factors in
-    the order t^p, exp(r t), trig).
+def _factor(factors: dict, key: tuple, t: np.ndarray):
+    """The factor ``key`` on ``t``, one of ("pow", p), ("exp", r), ("arg", w,
+    phi) for w t + phi and ("sin" | "cos", w, phi), kept in ``factors`` from
+    its first use.  Each is the ufunc call ``ForceTerm.evaluate`` makes, so
+    that products of them in term order are bit for bit ``ForceTerm.evaluate``.
     """
-    index: dict[tuple, int] = {}
-
-    def use(spec):
-        return index.setdefault(spec, len(index))
-
-    terms = []
-    for term in expr.terms:
-        factors = []
-        if term.poly_power:
-            factors.append(use(("pow", term.poly_power)))
-        if term.exp_rate:
-            factors.append(use(("exp", term.exp_rate)))
-        if term.trig != "none":
-            factors.append(use((term.trig, use(("arg", term.trig_freq, term.trig_phase)))))
-        terms.append((term.coeff, tuple(factors)))
-    return tuple(index), tuple(terms)
-
-
-def _factor_values(specs, t: np.ndarray) -> list:
-    """The factors ``specs`` (from ``_factor_plan``) on ``t``, each by the
-    ufunc call ``ForceTerm.evaluate`` makes, so that products of them in
-    term order are bit for bit ``ForceTerm.evaluate``."""
-    values = []
-    for spec in specs:
-        kind = spec[0]
+    value = factors.get(key)
+    if value is None:
+        kind = key[0]
         if kind == "pow":
-            values.append(np.power(t, spec[1]))
+            value = np.power(t, key[1])
         elif kind == "exp":
-            values.append(np.exp(spec[1] * t))
+            value = np.exp(key[1] * t)
         elif kind == "arg":
-            values.append(spec[1] * t + spec[2])
+            value = key[1] * t + key[2]
         else:
-            values.append(np.sin(values[spec[1]]) if kind == "sin" else np.cos(values[spec[1]]))
-    return values
+            arg = _factor(factors, ("arg", *key[1:]), t)
+            value = np.sin(arg) if kind == "sin" else np.cos(arg)
+        factors[key] = value
+    return value
 
 
 def tabulate_grid(forces, names, start: float, step: float, count: int) -> np.ndarray:

@@ -41,6 +41,8 @@ _SUM_TOLERANCE = 1e-9
 #: 1e-6 just below 0.2 and reaches 2.2e-4 at 0.1 and ~6e3 at 0.01.
 _THETA_MIN = 0.2
 
+_WEIGHT_NAMES = ("alpha", "beta", "gamma", "delta")
+
 #: y-side of the interior stencil: 120 times the binomial weights of the
 #: seventh forward difference over knots i-7..i.
 INTERIOR_Y_WEIGHTS = tuple(120 * (-1) ** (7 - j) * math.comb(7, j) for j in range(8))
@@ -60,20 +62,30 @@ class SplineParams:
         return self.alpha + self.beta + self.gamma + self.delta
 
     def as_floats(self) -> tuple[float, float, float, float]:
+        """The weights as floats; ValueError names one beyond float range."""
         return self._floats
 
     # The instance is frozen, so its floats and its validation verdict are
     # worked out once and kept on it.
     @cached_property
     def _floats(self) -> tuple[float, float, float, float]:
-        return (float(self.alpha), float(self.beta), float(self.gamma), float(self.delta))
+        floats = []
+        for name in _WEIGHT_NAMES:
+            try:
+                floats.append(float(getattr(self, name)))
+            except OverflowError:       # an exact rational that no float holds
+                raise ValueError(f"{name} is beyond float range") from None
+        return tuple(floats)
 
     @cached_property
     def _violation(self) -> Optional[str]:
         """Why :func:`validate` rejects these weights, or None."""
-        for name in ("alpha", "beta", "gamma", "delta"):
-            value = getattr(self, name)
-            if not math.isfinite(float(value)):
+        try:
+            floats = self._floats
+        except ValueError as exc:
+            return str(exc)
+        for name, value in zip(_WEIGHT_NAMES, floats):
+            if not math.isfinite(value):
                 return f"{name} is not finite: {value}"
         total = self.total
         if abs(total - 60) > _SUM_TOLERANCE:

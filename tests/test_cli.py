@@ -95,6 +95,21 @@ class TestCoeffs:
         assert main(["coeffs", "--theta", theta]) == 1
         assert "theta must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--delta", "1/0", "--delta must be a rational number"),
+        ("--params", "1/0,0,0,60", "--params value must be a rational number"),
+        ("--delta", "1e400", "alpha is beyond float range"),
+        ("--delta", "1.7e308", "gamma is beyond float range"),    # 1001/10 - 9*delta/5
+    ])
+    def test_rational_without_float_exits_one(self, flag, value, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["coeffs", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "sum-60" not in captured.err
+
 
 class TestSolve:
     def test_bundled_improved_n20_reproduces_published_error(self, tmp_path, capsys):
@@ -268,6 +283,22 @@ csv_path = {}
             warnings.simplefilter("error")
             assert main(["solve", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,message", [
+        ("delta_opt = 1/0", "[method] delta_opt must be a rational number"),
+        ("alpha = 1/0\nbeta = 0\ngamma_ = 0\ndelta = 60", "[method] alpha must be a rational"),
+        ("delta_opt = 1e400", "alpha is beyond float range"),
+        ("delta_opt = 1.7e308", "gamma is beyond float range"),
+    ])
+    def test_rational_without_float_exits_one(self, tmp_path, capsys, method, message):
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        cfg.write_text(cfg.read_text().replace("delta_opt = 30", method))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "run.csv").exists()
 
     def test_theta_method_exits_one(self, tmp_path, capsys):
         # This theta passes the sum-60 check, but configs no longer accept theta.

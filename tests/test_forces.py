@@ -83,11 +83,21 @@ class TestSharedFactors:
     @example(expr=parse("t^2*sin(3*t + 1) - cos(3*t + 1) + 2*t^2*exp(t)*cos(3*t + 1)"),
              t=[0.0, -0.0, 0.5, 1.0])
     @example(expr=parse("exp(3*t) - t*exp(3*t)"), t=[300.0, 400.0])    # inf - inf = nan
+    # an exp rate equal in value to a power
+    @example(expr=parse("t^2 + exp(2*t) + t^2*exp(2*t)"), t=[0.5, 1.5, -2.0])
+    # a rate equal to a trig frequency, and sin and cos of one argument
+    @example(expr=parse("exp(3*t)*sin(3*t) + t^3*cos(3*t) + exp(3*t)"), t=[0.5, 1.5, -2.0])
     def test_evaluate_is_the_per_term_fold_bit_for_bit(self, expr, t):
         with np.errstate(all="ignore"):
             got, want = expr.evaluate(t), reference_evaluate(expr, t)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_evaluate_keeps_nothing_on_the_expression(self):
+        expr = parse("t^2*sin(3*t + 1) + exp(2*t)*cos(3*t + 1)")
+        expr.evaluate(np.linspace(0, 1, 5))
+        expr.evaluate(0.5)
+        assert list(vars(expr)) == ["terms"]
 
     def test_tabulate_names_the_force_and_first_bad_t_with_shared_factors(self):
         with warnings.catch_warnings():

@@ -252,6 +252,15 @@ class TestMaxAbsError:
         via_exact = max_abs_error(grid, EXPONENTIAL.exact)
         assert via_rk == pytest.approx(via_exact, rel=1e-3, abs=1e-12)
 
+    @pytest.mark.parametrize("text", ["exp(800*t) - t*exp(800*t)", "exp(800*t)"])
+    def test_closed_form_beyond_float_range_on_knots_rejected(self, text):
+        grid = lu_solve(build(EXPONENTIAL.problem, optimal_family(30),
+                              EndConditionMode.IMPROVED, 20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^force exact\(t\) = "):
+                max_abs_error(grid, parse(text))
+
 
 class TestConvergenceStudy:
     def test_oscillating_standard_toward_published_errors(self):

@@ -65,6 +65,17 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(SplineParams(math.nan, 0, 0, 60))
 
+    @pytest.mark.parametrize("params,name", [
+        (optimal_family(F("1e400")), "alpha"),
+        (optimal_family(F("1.7e308")), "gamma"),        # 1001/10 - 9*delta/5
+        (SplineParams(10**400, -10**400, 30, 30), "alpha"),     # sums to 60 exactly
+    ])
+    def test_weight_beyond_float_range_rejected(self, params, name):
+        with pytest.raises(ValueError, match=f"^{name} is beyond float range$"):
+            validate(params)
+        with pytest.raises(ValueError, match=f"^{name} is beyond float range$"):
+            params.as_floats()
+
     def test_invalid_instance_raises_on_every_call(self):
         p = SplineParams(1, 1, 1, 1)
         for _ in range(3):
