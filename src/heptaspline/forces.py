@@ -60,13 +60,14 @@ class ForceTerm:
                 self.trig_freq, self.trig_phase)
 
     def evaluate(self, t):
+        t = np.asarray(t, dtype=float)
         v = self.coeff * np.power(t, self.poly_power) if self.poly_power else self.coeff
         if self.exp_rate:
-            v = v * np.exp(self.exp_rate * np.asarray(t, dtype=float))
+            v = v * np.exp(self.exp_rate * t)
         if self.trig == "sin":
-            v = v * np.sin(self.trig_freq * np.asarray(t, dtype=float) + self.trig_phase)
+            v = v * np.sin(self.trig_freq * t + self.trig_phase)
         elif self.trig == "cos":
-            v = v * np.cos(self.trig_freq * np.asarray(t, dtype=float) + self.trig_phase)
+            v = v * np.cos(self.trig_freq * t + self.trig_phase)
         return v
 
     def derivative_terms(self) -> list["ForceTerm"]:
@@ -153,21 +154,12 @@ class ForceExpr:
     def evaluate(self, t):
         """Value at ``t`` (scalar or ndarray); scalars come back as floats.
 
-        Bit for bit the sum from zero, in term order, of each term's
-        ``ForceTerm.evaluate``; each distinct factor is computed once per call.
+        The sum from zero, in term order, of each term's ``ForceTerm.evaluate``.
         """
         tt = np.asarray(t, dtype=float)
-        factors: dict[tuple, np.ndarray] = {}
         total = np.zeros(tt.shape)
         for term in self.terms:
-            v = term.coeff
-            if term.poly_power:
-                v = v * _factor(factors, ("pow", term.poly_power), tt)
-            if term.exp_rate:
-                v = v * _factor(factors, ("exp", term.exp_rate), tt)
-            if term.trig != "none":
-                v = v * _factor(factors, (term.trig, term.trig_freq, term.trig_phase), tt)
-            total = total + v
+            total = total + term.evaluate(tt)
         if tt.ndim == 0:
             return float(total)
         return total
@@ -227,28 +219,6 @@ def tabulate(force: ForceExpr, t: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"force {name}(t) = {values[i]} at t = {float(t[i])!r} "
                          f"is beyond float range")
     return values
-
-
-def _factor(factors: dict, key: tuple, t: np.ndarray):
-    """The factor ``key`` on ``t``, one of ("pow", p), ("exp", r), ("arg", w,
-    phi) for w t + phi and ("sin" | "cos", w, phi), kept in ``factors`` from
-    its first use.  Each is the ufunc call ``ForceTerm.evaluate`` makes, so
-    that products of them in term order are bit for bit ``ForceTerm.evaluate``.
-    """
-    value = factors.get(key)
-    if value is None:
-        kind = key[0]
-        if kind == "pow":
-            value = np.power(t, key[1])
-        elif kind == "exp":
-            value = np.exp(key[1] * t)
-        elif kind == "arg":
-            value = key[1] * t + key[2]
-        else:
-            arg = _factor(factors, ("arg", *key[1:]), t)
-            value = np.sin(arg) if kind == "sin" else np.cos(arg)
-        factors[key] = value
-    return value
 
 
 def tabulate_grid(forces, names, start: float, step: float, count: int) -> np.ndarray:

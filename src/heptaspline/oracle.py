@@ -55,7 +55,7 @@ class RkTrajectory:
         pos = (t - self.t[0]) / (self.t[1] - self.t[0])
         off = ~((pos > -0.5) & (pos < len(self.t) - 0.5))     # also catches NaN
         idx = np.rint(np.where(off, 0.0, pos)).astype(np.intp)
-        off |= np.abs(self.t[idx] - t) > 1e-9 * np.maximum(1.0, np.abs(t))
+        off |= np.abs(pos - idx) > 1e-3                       # more than h/1000 off
         if np.any(off):
             raise ValueError(f"t={t[off].flat[0]} is not a step point of this trajectory")
         return idx

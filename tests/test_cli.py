@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import astuple, is_dataclass
 from pathlib import Path
 
 import pytest
 
-from heptaspline import cli
-from heptaspline.cli import main
+from heptaspline import cli, oracle
+from heptaspline.cli import load_config, main
 from heptaspline.linsolve import LinearSolveError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -445,3 +446,34 @@ class TestCascade:
         cfg.write_text(text)
         assert main(["cascade", "--config", str(cfg)]) == 1
         assert "odd" in capsys.readouterr().err
+
+
+#: The bundled configs and the subcommand each is written for.
+BUNDLED = sorted((path.name, "cascade" if path.name.startswith("cascade")
+                  else "converge" if "n_list" in path.read_text() else "solve")
+                 for path in CONFIG_DIR.glob("*.ini"))
+
+
+def exact_bits(value):
+    """``dataclasses.astuple(value)`` with every float as its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(exact_bits, value))
+    return exact_bits(astuple(value)) if is_dataclass(value) else value
+
+
+class TestBundledConfigs:
+    @pytest.mark.parametrize("name,subcommand",
+                             [b for b in BUNDLED if b[0].startswith("example")])
+    def test_example_loads_its_benchmark_fixture_bit_for_bit(self, name, subcommand):
+        bench = oracle.BENCHMARKS[int(name[len("example")]) - 1]
+        cfg = load_config(CONFIG_DIR / name, subcommand)
+        assert exact_bits(cfg.problem) == exact_bits(bench.problem)
+        assert exact_bits(cfg.exact) == exact_bits(bench.exact)
+
+    @pytest.mark.parametrize("name,subcommand", BUNDLED)
+    def test_runs_through_main(self, name, subcommand, tmp_path):
+        cfg = rewrite_output(CONFIG_DIR / name, tmp_path, "run")
+        assert main([subcommand, "--config", str(cfg)]) == 0
+        assert (tmp_path / "run.csv").is_file()

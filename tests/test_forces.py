@@ -47,6 +47,12 @@ class TestEvaluate:
         for t, v in zip(ts, vals):
             assert expr.evaluate(float(t)) == pytest.approx(v, rel=1e-15)
 
+    def test_term_on_integer_input_is_evaluated_in_float(self):
+        # np.power(10, 30) in int64 wraps around to 5.077e18
+        assert ForceTerm(1.0, 30).evaluate(10) == 1e30
+        got = ForceTerm(2.0, 3).evaluate(np.arange(3))
+        assert got.dtype == np.float64 and got.tolist() == [0.0, 2.0, 16.0]
+
 
 def reference_evaluate(expr: ForceExpr, t):
     """``ForceExpr.evaluate`` as the per-term fold: 0 + the terms' own values."""

@@ -82,6 +82,15 @@ class TestRkSolve:
         with pytest.raises(ValueError, match="step point"):
             trajectory.value_at(0.123456)
 
+    @pytest.mark.parametrize("a,b,steps,t", [
+        (1e6, 1e6 + 1, 10_000, 1e6 + 0.50034),   # 0.4 step off step 5003
+        (0.0, 1e-9, 30, 0.5e-10),                # halfway between steps 1 and 2
+    ])
+    def test_value_at_tolerance_scales_with_the_step(self, a, b, steps, t):
+        problem = IvpProblem(a, b, ForceExpr.constant(1.0), ForceExpr.zero(), (0.0,) * 7)
+        with pytest.raises(ValueError, match="not a step point"):
+            rk_solve(problem, steps).value_at(t)
+
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
             rk_solve(EXPONENTIAL.problem, 0)
