@@ -52,10 +52,11 @@ class RkTrajectory:
     def _step_indices(self, t) -> np.ndarray:
         """Step index of each time in ``t``; raises if one is not a step point."""
         t = np.asarray(t, dtype=float)
-        pos = (t - self.t[0]) / (self.t[1] - self.t[0])
+        h = (self.t[-1] - self.t[0]) / (len(self.t) - 1)     # not t[1] - t[0]: rounded at a
+        pos = (t - self.t[0]) / h
         off = ~((pos > -0.5) & (pos < len(self.t) - 0.5))     # also catches NaN
         idx = np.rint(np.where(off, 0.0, pos)).astype(np.intp)
-        off |= np.abs(pos - idx) > 1e-3                       # more than h/1000 off
+        off |= np.abs(self.t[idx] - t) > 1e-3 * h             # more than h/1000 off
         if np.any(off):
             raise ValueError(f"t={t[off].flat[0]} is not a step point of this trajectory")
         return idx

@@ -91,6 +91,13 @@ class TestRkSolve:
         with pytest.raises(ValueError, match="not a step point"):
             rk_solve(problem, steps).value_at(t)
 
+    def test_step_points_far_from_zero_accepted(self):
+        # t[1] - t[0] is rounded at 1e6; its error times 10 000 steps exceeds h/1000.
+        problem = IvpProblem(1e6, 1e6 + 1, ForceExpr.zero(), ForceExpr.constant(1.0), (0.0,) * 7)
+        trajectory = rk_solve(problem, 10_000)
+        assert trajectory.value_at(1e6 + 1.0) == trajectory.y[-1]
+        assert trajectory.value_at(1e6 + 0.5) == trajectory.y[5000]
+
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
             rk_solve(EXPONENTIAL.problem, 0)
@@ -307,6 +314,16 @@ class TestConvergenceStudy:
                                    reference=EXPONENTIAL.exact)
         for (n1, e1), (n2, e2) in zip(report.entries, direct.entries):
             assert e1 == pytest.approx(e2, rel=1e-2, abs=1e-12)
+
+    def test_rk_fallback_reference_on_a_shifted_interval(self):
+        # y^(7) + y = 0 is autonomous: moving [0, 1] to [1e6, 1e6 + 1] keeps every error.
+        u = (1.0,) + (0.0,) * 6
+        reports = [convergence_study(IvpProblem(a, a + 1, ForceExpr.constant(1.0),
+                                                ForceExpr.zero(), u),
+                                     optimal_family(30), EndConditionMode.STANDARD, [25, 50, 100])
+                   for a in (0.0, 1e6)]
+        for (n1, e1), (n2, e2) in zip(*(report.entries for report in reports)):
+            assert n1 == n2 and e2 == pytest.approx(e1, rel=1e-6)
 
     def test_orders_only_for_exact_doublings(self):
         report = convergence_study(EXPONENTIAL.problem, optimal_family(30),
