@@ -10,8 +10,10 @@ Subcommands:
   weights and their truncation coefficients
 
 Configs are INI files with sections [problem] or [cascade], [method] and
-[output]; see the bundled files under configs/.  Exit status: 0 on success,
-1 on configuration or validation errors, 2 on numerical failure.
+[output]; see the bundled files under configs/.  A [cascade] section loads
+as its reduced seventh-order IVP, so ``solve`` and ``cascade`` run one path.
+Exit status: 0 on success, 1 on configuration or validation errors, 2 on
+numerical failure.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ __all__ = ["main", "RunConfig", "load_config"]
 
 @dataclass
 class RunConfig:
-    """Parsed and validated configuration for one run."""
+    """Parsed and validated configuration for one run; ``problem`` is the IVP it solves."""
 
-    problem: Optional[IvpProblem]
-    model: Optional[CascadeModel]
+    problem: IvpProblem
     exact: Optional[ForceExpr]
     mode: EndConditionMode
     params: SplineParams
@@ -114,21 +115,11 @@ def load_config(path: Path, subcommand: str) -> RunConfig:
         raise ValueError(f"config file not found: {path}")
     cp.read(path)
 
-    problem = None
-    model = None
-    exact = None
-    if subcommand == "cascade":
-        if not cp.has_section("cascade"):
-            raise ValueError("cascade subcommand needs a [cascade] section")
-        model = _parse_cascade(cp["cascade"])
-        if "exact" in cp["cascade"]:
-            exact = parse(cp["cascade"]["exact"])
-    else:
-        if not cp.has_section("problem"):
-            raise ValueError(f"{subcommand} subcommand needs a [problem] section")
-        problem = _parse_problem(cp["problem"])
-        if "exact" in cp["problem"]:
-            exact = parse(cp["problem"]["exact"])
+    name = "cascade" if subcommand == "cascade" else "problem"
+    if not cp.has_section(name):
+        raise ValueError(f"{subcommand} subcommand needs a [{name}] section")
+    inputs = (_parse_cascade if name == "cascade" else _parse_problem)(cp[name])
+    exact = parse(cp[name]["exact"]) if "exact" in cp[name] else None
 
     if not cp.has_section("method"):
         raise ValueError("missing [method] section")
@@ -148,40 +139,39 @@ def load_config(path: Path, subcommand: str) -> RunConfig:
         raise ValueError("missing [output] section")
     csv_path = Path(_require(cp["output"], "csv_path"))
 
-    return RunConfig(problem=problem, model=model, exact=exact, mode=mode,
+    # Reduced last, so a missing section is reported before a reduction error.
+    problem = reduce(inputs) if name == "cascade" else inputs
+    return RunConfig(problem=problem, exact=exact, mode=mode,
                      params=params, n=n, n_list=n_list, csv_path=csv_path)
 
 
-def _write_solution_csv(path: Path, grid, exact: Optional[ForceExpr]) -> None:
-    lines = ["t,y_numeric,y_exact,abs_error"]
-    if exact is None:
-        lines += [f"{_fmt(t)},{_fmt(y)},," for t, y in zip(grid.t, grid.y)]
-    else:
-        refs = tabulate(exact, grid.t, "exact")     # ValueError where it leaves float range
-        lines += [f"{_fmt(t)},{_fmt(y)},{_fmt(ref)},{_fmt(abs(y - ref))}"
-                  for t, y, ref in zip(grid.t, grid.y, refs)]
+def _write_csv(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_solve(cfg: RunConfig) -> int:
+def _run_solution(cfg: RunConfig, subcommand: str) -> int:
+    """``solve`` and ``cascade``: build, solve, write the knot CSV, report."""
+    # Named before the solve, so a csv_path without a file name (".") fails first.
+    g_path = cfg.csv_path.with_suffix(".g.txt") if subcommand == "cascade" else None
     grid = lu_solve(build(cfg.problem, cfg.params, cfg.mode, cfg.n))
-    _write_solution_csv(cfg.csv_path, grid, cfg.exact)
+    lines = ["t,y_numeric,y_exact,abs_error"]
+    if cfg.exact is None:
+        lines += [f"{_fmt(t)},{_fmt(y)},," for t, y in zip(grid.t, grid.y)]
+    else:
+        refs = tabulate(cfg.exact, grid.t, "exact")     # ValueError where it leaves float range
+        lines += [f"{_fmt(t)},{_fmt(y)},{_fmt(ref)},{_fmt(abs(y - ref))}"
+                  for t, y, ref in zip(grid.t, grid.y, refs)]
+    _write_csv(cfg.csv_path, lines)
+    if g_path is not None:
+        g_path.write_text(str(cfg.problem.g) + "\n")
+        print(f"composed g(t) = {cfg.problem.g}")
+        print(f"wrote {cfg.csv_path} and {g_path}")
+        return 0
     print(f"wrote {cfg.csv_path} (n={cfg.n}, mode={cfg.mode.value}, "
           f"residual_inf={grid.residual_inf:.3e})")
     if cfg.exact is not None:
         print(f"max_abs_error = {_fmt(max_abs_error(grid, cfg.exact))}")
-    return 0
-
-
-def _run_cascade(cfg: RunConfig) -> int:
-    problem = reduce(cfg.model)
-    g_path = cfg.csv_path.with_suffix(".g.txt")
-    grid = lu_solve(build(problem, cfg.params, cfg.mode, cfg.n))
-    _write_solution_csv(cfg.csv_path, grid, cfg.exact)
-    g_path.write_text(str(problem.g) + "\n")
-    print(f"composed g(t) = {problem.g}")
-    print(f"wrote {cfg.csv_path} and {g_path}")
     return 0
 
 
@@ -191,8 +181,7 @@ def _run_converge(cfg: RunConfig) -> int:
     lines = ["n,max_abs_error,observed_order"]
     for (n, err), order in zip(report.entries, (None, *report.orders)):
         lines.append(f"{n},{_fmt(err)},{'' if order is None else _fmt(order)}")
-    cfg.csv_path.parent.mkdir(parents=True, exist_ok=True)
-    cfg.csv_path.write_text("\n".join(lines) + "\n")
+    _write_csv(cfg.csv_path, lines)
     for line in lines:
         print(line)
     return 0
@@ -246,11 +235,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.subcommand == "coeffs":
             return _run_coeffs(args)
         cfg = load_config(args.config, args.subcommand)
-        if args.subcommand == "solve":
-            return _run_solve(cfg)
-        if args.subcommand == "cascade":
-            return _run_cascade(cfg)
-        return _run_converge(cfg)
+        if args.subcommand == "converge":
+            return _run_converge(cfg)
+        return _run_solution(cfg, args.subcommand)
     except LinearSolveError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -61,6 +61,8 @@ class ForceTerm:
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
+        if not (self.poly_power or self.exp_rate or self.trig != "none"):
+            return np.full(t.shape, self.coeff)[()]     # t's shape; a float64 for 0-d t
         v = self.coeff * np.power(t, self.poly_power) if self.poly_power else self.coeff
         if self.exp_rate:
             v = v * np.exp(self.exp_rate * t)

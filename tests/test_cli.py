@@ -1,3 +1,4 @@
+import configparser
 import csv
 import os
 import subprocess
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from heptaspline import cli, oracle
+from heptaspline.cascade import CascadeModel, reduce, simulate_direct
 from heptaspline.cli import load_config, main
+from heptaspline.forces import parse
 from heptaspline.linsolve import LinearSolveError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -34,6 +37,20 @@ def rewrite_output(src: Path, tmp_path: Path, name: str) -> Path:
 def read_csv(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def read_cascade_model(path: Path) -> CascadeModel:
+    """The [cascade] section of ``path`` as a model, read independently of the CLI."""
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read(path)
+    sec = cp["cascade"]
+    n_scales = int(sec["N"])
+    return CascadeModel(
+        n_scales=n_scales, gamma=float(sec["gamma"]),
+        forces=tuple(parse(sec[f"L{k}"]) for k in range(1, n_scales + 1)),
+        init_velocities=tuple(float(sec[f"v{k}"]) for k in range(1, n_scales + 1)),
+        interval=(float(sec["a"]), float(sec["b"])))
 
 
 class TestCoeffs:
@@ -370,7 +387,6 @@ class TestCascade:
         out = capsys.readouterr().out
         assert "composed g(t) =" in out
         g_text = (tmp_path / "casc.g.txt").read_text().strip()
-        from heptaspline.forces import parse
         parse(g_text)                      # round-trips through the grammar
         rows = read_csv(tmp_path / "casc.csv")
         assert len(rows) == 21
@@ -380,20 +396,7 @@ class TestCascade:
         cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
         assert main(["cascade", "--config", str(cfg)]) == 0
         rows = read_csv(tmp_path / "casc.csv")
-
-        import configparser
-        from heptaspline.cascade import CascadeModel, simulate_direct
-        from heptaspline.forces import parse
-        cp = configparser.ConfigParser()
-        cp.optionxform = str
-        cp.read(cfg)
-        sec = cp["cascade"]
-        model = CascadeModel(
-            n_scales=int(sec["N"]), gamma=float(sec["gamma"]),
-            forces=tuple(parse(sec[f"L{k}"]) for k in range(1, 8)),
-            init_velocities=tuple(float(sec[f"v{k}"]) for k in range(1, 8)),
-            interval=(float(sec["a"]), float(sec["b"])))
-        t, traj = simulate_direct(model, 20_000)
+        t, traj = simulate_direct(read_cascade_model(cfg), 20_000)
         for row in rows:
             tk = float(row["t"])
             idx = round((tk - t[0]) / (t[1] - t[0]))
@@ -438,6 +441,29 @@ class TestCascade:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["cascade", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
+
+    def test_loads_as_its_reduced_problem_bit_for_bit(self):
+        path = CONFIG_DIR / "cascade_demo.ini"
+        cfg = load_config(path, "cascade")
+        assert exact_bits(cfg.problem) == exact_bits(reduce(read_cascade_model(path)))
+        assert not hasattr(cfg, "model")
+
+    def test_missing_section_reported_before_reduction_error(self, tmp_path):
+        # Gamma^7 = 1e350 fails in reduce, but the missing [output] is named first.
+        text = (CONFIG_DIR / "cascade_demo.ini").read_text().replace("gamma = 1", "gamma = 1e50")
+        cfg = tmp_path / "casc.ini"
+        cfg.write_text(text.split("[output]")[0])
+        with pytest.raises(ValueError, match=r"^missing \[output\] section$"):
+            load_config(cfg, "cascade")
+
+    def test_csv_path_without_file_name_exits_one_before_solving(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
+        cfg.write_text(cfg.read_text().replace(f"csv_path = {tmp_path / 'casc.csv'}",
+                                               "csv_path = ."))
+        monkeypatch.setattr(cli, "build", lambda *args: pytest.fail("solved"))
+        assert main(["cascade", "--config", str(cfg)]) == 1
+        assert "has an empty name" in capsys.readouterr().err
 
     def test_even_scale_count_exits_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")

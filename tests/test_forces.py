@@ -53,6 +53,15 @@ class TestEvaluate:
         got = ForceTerm(2.0, 3).evaluate(np.arange(3))
         assert got.dtype == np.float64 and got.tolist() == [0.0, 2.0, 16.0]
 
+    def test_constant_term_takes_the_shape_of_t(self):
+        got = ForceTerm(2.0).evaluate(np.arange(3))
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.tolist() == [2.0, 2.0, 2.0]
+        assert ForceTerm(2.0).evaluate(np.zeros((2, 0))).shape == (2, 0)
+        scalar = ForceTerm(-3.5).evaluate(0.25)
+        assert type(scalar) is np.float64 and scalar == -3.5
+        assert type(scalar) is type(ForceTerm(-3.5, 1).evaluate(0.25))
+
 
 def reference_evaluate(expr: ForceExpr, t):
     """``ForceExpr.evaluate`` as the per-term fold: 0 + the terms' own values."""
@@ -81,6 +90,22 @@ def shared_factor_exprs(draw):
 
 
 POINTS = st.floats(-400, 400)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def printable_exprs(draw):
+    """0-5 terms with finite data and powers 0-12.  Coefficients stay below
+    1e307 in magnitude, so that like terms merge to a finite sum."""
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        trig = draw(st.sampled_from(_TRIG_KINDS))
+        wave = (0.0, 0.0) if trig == "none" else (draw(FINITE), draw(FINITE))
+        terms.append(ForceTerm(draw(st.floats(-1e307, 1e307)), draw(st.integers(0, 12)),
+                               draw(FINITE), trig, *wave))
+    return ForceExpr(tuple(terms))
 
 
 class TestSharedFactors:
@@ -385,3 +410,10 @@ class TestParse:
             again = parse(str(expr))
             t = rng.uniform(-1, 1)
             assert again.evaluate(t) == pytest.approx(expr.evaluate(t), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(expr=printable_exprs())
+    def test_round_trip_is_exact(self, expr):
+        text = str(expr)
+        assert parse(text) == expr
+        assert str(parse(text)) == text
