@@ -48,8 +48,11 @@ class ForceTerm:
     trig_phase: float = 0.0
 
     def __post_init__(self):
-        if self.poly_power < 0 or int(self.poly_power) != self.poly_power:
-            raise ValueError(f"poly_power must be a nonnegative integer, got {self.poly_power}")
+        power = self.poly_power
+        if not (0 <= power < math.inf and int(power) == power):
+            raise ValueError(f"poly_power must be a nonnegative integer, got {power}")
+        if type(power) is not int:
+            object.__setattr__(self, "poly_power", int(power))   # prints t^2, not t^2.0
         if self.trig not in _TRIG_KINDS:
             raise ValueError(f"trig must be one of {_TRIG_KINDS}, got {self.trig!r}")
         if self.trig == "none" and (self.trig_freq != 0.0 or self.trig_phase != 0.0):

@@ -36,30 +36,27 @@ __all__ = [
 
 @dataclass
 class RkTrajectory:
-    """States at the integrator's own step points; no interpolation."""
+    """States at the integrator's own step points on [a, b]; no interpolation.
 
-    t: np.ndarray
+    Step k is at ``t[k] = a + (b - a) / steps * k``.  A spline grid is
+    compared with it by step index, not by time (see ``max_abs_error``).
+    """
+
+    a: float
+    b: float
     states: np.ndarray      # shape (steps+1, order); column 0 is y
+
+    @property
+    def steps(self) -> int:
+        return len(self.states) - 1
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.a + (self.b - self.a) / self.steps * np.arange(self.steps + 1)
 
     @property
     def y(self) -> np.ndarray:
         return self.states[:, 0]
-
-    def value_at(self, t: float) -> float:
-        """y at a step point; raises if ``t`` is not on the step grid."""
-        return float(self.y[self._step_indices(t)])
-
-    def _step_indices(self, t) -> np.ndarray:
-        """Step index of each time in ``t``; raises if one is not a step point."""
-        t = np.asarray(t, dtype=float)
-        h = (self.t[-1] - self.t[0]) / (len(self.t) - 1)     # not t[1] - t[0]: rounded at a
-        pos = (t - self.t[0]) / h
-        off = ~((pos > -0.5) & (pos < len(self.t) - 0.5))     # also catches NaN
-        idx = np.rint(np.where(off, 0.0, pos)).astype(np.intp)
-        off |= np.abs(self.t[idx] - t) > 1e-3 * h             # more than h/1000 off
-        if np.any(off):
-            raise ValueError(f"t={t[off].flat[0]} is not a step point of this trajectory")
-        return idx
 
 
 def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
@@ -96,7 +93,7 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     forcing[-1] = 1.0
     states = _rk4_linear(companion if np.all(ftab == ftab[0]) else window, forcing,
                          gtab, np.array(problem.u, dtype=float), h)
-    return RkTrajectory(t=a + h * np.arange(steps + 1), states=states)
+    return RkTrajectory(a, b, states)
 
 
 Reference = Union[ForceExpr, RkTrajectory]
@@ -105,12 +102,21 @@ Reference = Union[ForceExpr, RkTrajectory]
 def max_abs_error(grid: SolutionGrid, reference: Reference) -> float:
     """max over knots of |y_i - y_ref(t_i)|.
 
-    ``reference`` is either a closed-form solution or an RK trajectory whose
-    step points contain every knot.  ValueError where a closed form is not
-    finite on the knots.
+    ``reference`` is either a closed-form solution or an RK trajectory.  An
+    RK trajectory is sampled by index, every (steps / n)-th step: n must
+    divide its step count, and the n + 1 knots must be ``build``'s knots on
+    the trajectory's own interval [a, b], else ValueError.  ValueError where
+    a closed form is not finite on the knots.
     """
     if isinstance(reference, RkTrajectory):
-        ref = reference.y[reference._step_indices(grid.t)]
+        n, steps, a, b = len(grid.t) - 1, reference.steps, reference.a, reference.b
+        if n < 1 or steps % n:
+            raise ValueError(f"n={n} does not divide the {steps} steps of the RK reference, "
+                             f"so not every knot is a step point")
+        if not np.array_equal(grid.t, a + (b - a) / n * np.arange(n + 1)):
+            raise ValueError(f"the knots are not the {n + 1} uniform knots on the RK "
+                             f"reference's interval [{a!r}, {b!r}]")
+        ref = reference.y[::steps // n]
     else:
         ref = tabulate(reference, grid.t, "exact")
     return float(np.maximum.reduce(np.abs(grid.y - ref)))
@@ -134,11 +140,11 @@ def convergence_study(problem: IvpProblem, params: SplineParams,
                       reference: Optional[ForceExpr] = None) -> ConvergenceReport:
     """Solve for each n and report max-abs errors against a reference.
 
-    When no closed-form ``reference`` is given, a fine RK run with
-    100 * max(n_list) steps stands in; every n must then divide that step
-    count so the knots land on RK step points.  ValueError where a
-    closed-form reference is not finite on the knots or the RK run leaves
-    float range.
+    When no closed-form ``reference`` is given, a fine RK run on the
+    problem's interval with 100 * max(n_list) steps stands in; every n must
+    then divide that step count, and each grid is sampled by step index
+    (see ``max_abs_error``).  ValueError where a closed-form reference is
+    not finite on the knots or the RK run leaves float range.
     """
     ns = list(n_list)
     if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
@@ -170,45 +176,29 @@ class Benchmark:
     exact: ForceExpr
 
 
-def _oscillating() -> Benchmark:
-    """Trig forcing on [-1, 1] with unit feedback; solution (t^2 - 1) sin t."""
-    s1, c1 = math.sin(1.0), math.cos(1.0)
-    problem = IvpProblem(
-        a=-1.0, b=1.0,
-        f=ForceExpr.constant(1.0),
-        g=parse("-t^2*cos(t) + 43*cos(t) + t^2*sin(t) - 14*t*sin(t) - sin(t)"),
-        u=(0.0,
-           2 * s1,
-           -4 * c1 - 2 * s1,
-           6 * c1 - 6 * s1,
-           8 * c1 + 12 * s1,
-           -20 * c1 + 10 * s1,
-           -12 * c1 - 30 * s1),
-    )
-    return Benchmark("oscillating", problem, parse("t^2*sin(t) - sin(t)"))
+def _benchmark(name: str, a: float, b: float, c: float, exact: str,
+               u: tuple[float, ...]) -> Benchmark:
+    """y^(7) + c y = g on [a, b] solved by ``exact``; g = exact^(7) + c exact.
+
+    g is derived; u stays transcribed, since ``exact.derivative(m)`` at a
+    rounds three of the oscillating entries (m = 2, 5, 6) one ulp away.
+    """
+    y = parse(exact)
+    problem = IvpProblem(a, b, ForceExpr.constant(c), y.derivative(7) + c * y, u)
+    return Benchmark(name, problem, y)
 
 
-def _exponential() -> Benchmark:
-    """Exponential forcing on [0, 1] with f = -1; solution t (1 - t) e^t."""
-    problem = IvpProblem(
-        a=0.0, b=1.0,
-        f=ForceExpr.constant(-1.0),
-        g=parse("-35*exp(t) - 14*t*exp(t)"),
-        u=(0.0, 1.0, 0.0, -3.0, -8.0, -15.0, -24.0),
-    )
-    return Benchmark("exponential", problem, parse("t*exp(t) - t^2*exp(t)"))
-
-
-def _pure_forcing() -> Benchmark:
-    """Same solution as ``exponential`` but with f = 0 (no feedback term)."""
-    problem = IvpProblem(
-        a=0.0, b=1.0,
-        f=ForceExpr.zero(),
-        g=parse("-35*exp(t) - 13*t*exp(t) - t^2*exp(t)"),
-        u=(0.0, 1.0, 0.0, -3.0, -8.0, -15.0, -24.0),
-    )
-    return Benchmark("pure-forcing", problem, parse("t*exp(t) - t^2*exp(t)"))
-
+_s1, _c1 = math.sin(1.0), math.cos(1.0)
+_U_EXP = (0.0, 1.0, 0.0, -3.0, -8.0, -15.0, -24.0)      # t (1 - t) e^t and its derivatives at 0
 
 #: The three analytically solvable problems behind the bundled configs.
-BENCHMARKS: tuple[Benchmark, ...] = (_oscillating(), _exponential(), _pure_forcing())
+BENCHMARKS: tuple[Benchmark, ...] = (
+    # trig forcing with unit feedback; solution (t^2 - 1) sin t
+    _benchmark("oscillating", -1.0, 1.0, 1.0, "t^2*sin(t) - sin(t)",
+               (0.0, 2 * _s1, -4 * _c1 - 2 * _s1, 6 * _c1 - 6 * _s1, 8 * _c1 + 12 * _s1,
+                -20 * _c1 + 10 * _s1, -12 * _c1 - 30 * _s1)),
+    # exponential forcing with f = -1; solution t (1 - t) e^t
+    _benchmark("exponential", 0.0, 1.0, -1.0, "t*exp(t) - t^2*exp(t)", _U_EXP),
+    # the same solution with f = 0 (no feedback term)
+    _benchmark("pure-forcing", 0.0, 1.0, 0.0, "t*exp(t) - t^2*exp(t)", _U_EXP),
+)

@@ -97,13 +97,16 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def printable_exprs(draw):
-    """0-5 terms with finite data and powers 0-12.  Coefficients stay below
-    1e307 in magnitude, so that like terms merge to a finite sum."""
+    """0-5 terms with finite data and powers 0-12, given as int or float.
+    Coefficients stay below 1e307 in magnitude, so that like terms merge to
+    a finite sum."""
     terms = []
+    powers = st.integers(0, 12)
     for _ in range(draw(st.integers(0, 5))):
         trig = draw(st.sampled_from(_TRIG_KINDS))
         wave = (0.0, 0.0) if trig == "none" else (draw(FINITE), draw(FINITE))
-        terms.append(ForceTerm(draw(st.floats(-1e307, 1e307)), draw(st.integers(0, 12)),
+        terms.append(ForceTerm(draw(st.floats(-1e307, 1e307)),
+                               draw(powers | powers.map(float)),
                                draw(FINITE), trig, *wave))
     return ForceExpr(tuple(terms))
 
@@ -335,6 +338,11 @@ class TestForceTermInvariants:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             ForceTerm(1.0, -1)
+
+    @pytest.mark.parametrize("power", [1.5, math.nan, math.inf])
+    def test_non_integer_power_rejected(self, power):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            ForceTerm(1.0, power)
 
     def test_trig_none_with_frequency_rejected(self):
         with pytest.raises(ValueError):

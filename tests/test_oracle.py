@@ -57,7 +57,7 @@ class TestRkSolve:
 
     def test_exponential_solution_vanishes_at_right_endpoint(self):
         trajectory = rk_solve(EXPONENTIAL.problem, 100_000)
-        assert abs(trajectory.value_at(1.0)) <= 1e-9
+        assert abs(trajectory.y[-1]) <= 1e-9
 
     def test_fourth_order_self_convergence(self):
         errors = []
@@ -76,27 +76,6 @@ class TestRkSolve:
             errors.append(np.max(np.abs(trajectory.y - np.exp(trajectory.t))))
         for e1, e2 in zip(errors, errors[1:]):
             assert math.log2(e1 / e2) == pytest.approx(4.0, abs=0.4)
-
-    def test_value_at_rejects_off_grid_points(self):
-        trajectory = rk_solve(EXPONENTIAL.problem, 10)
-        with pytest.raises(ValueError, match="step point"):
-            trajectory.value_at(0.123456)
-
-    @pytest.mark.parametrize("a,b,steps,t", [
-        (1e6, 1e6 + 1, 10_000, 1e6 + 0.50034),   # 0.4 step off step 5003
-        (0.0, 1e-9, 30, 0.5e-10),                # halfway between steps 1 and 2
-    ])
-    def test_value_at_tolerance_scales_with_the_step(self, a, b, steps, t):
-        problem = IvpProblem(a, b, ForceExpr.constant(1.0), ForceExpr.zero(), (0.0,) * 7)
-        with pytest.raises(ValueError, match="not a step point"):
-            rk_solve(problem, steps).value_at(t)
-
-    def test_step_points_far_from_zero_accepted(self):
-        # t[1] - t[0] is rounded at 1e6; its error times 10 000 steps exceeds h/1000.
-        problem = IvpProblem(1e6, 1e6 + 1, ForceExpr.zero(), ForceExpr.constant(1.0), (0.0,) * 7)
-        trajectory = rk_solve(problem, 10_000)
-        assert trajectory.value_at(1e6 + 1.0) == trajectory.y[-1]
-        assert trajectory.value_at(1e6 + 0.5) == trajectory.y[5000]
 
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
@@ -259,14 +238,22 @@ class TestMaxAbsError:
                               EndConditionMode.IMPROVED, 10))
         with pytest.raises(ValueError, match="step point"):
             max_abs_error(grid, rk_solve(EXPONENTIAL.problem, 15))
+        # Every knot is a step point of a 1000-step run on [0, 2], but a stride
+        # of 100 steps would read that run at t = 0, 0.2, ..., 2.
+        longer = IvpProblem(0.0, 2.0, EXPONENTIAL.problem.f, EXPONENTIAL.problem.g,
+                            EXPONENTIAL.problem.u)
+        with pytest.raises(ValueError, match=r"interval \[0\.0, 2\.0\]"):
+            max_abs_error(grid, rk_solve(longer, 1000))
 
     def test_rk_trajectory_as_reference(self):
-        grid = lu_solve(build(EXPONENTIAL.problem, optimal_family(30),
-                              EndConditionMode.IMPROVED, 10))
-        reference = rk_solve(EXPONENTIAL.problem, 1000)
-        via_rk = max_abs_error(grid, reference)
-        via_exact = max_abs_error(grid, EXPONENTIAL.exact)
-        assert via_rk == pytest.approx(via_exact, rel=1e-3, abs=1e-12)
+        # n = 17 at 1700 steps: the last knot is 1.0, the last step point 0.9999999999999999.
+        for n, steps in [(10, 1000), (17, 1700)]:
+            grid = lu_solve(build(EXPONENTIAL.problem, optimal_family(30),
+                                  EndConditionMode.IMPROVED, n))
+            reference = rk_solve(EXPONENTIAL.problem, steps)
+            via_rk = max_abs_error(grid, reference)
+            via_exact = max_abs_error(grid, EXPONENTIAL.exact)
+            assert via_rk == pytest.approx(via_exact, rel=1e-3, abs=1e-12)
 
     @pytest.mark.parametrize("text", ["exp(800*t) - t*exp(800*t)", "exp(800*t)"])
     def test_closed_form_beyond_float_range_on_knots_rejected(self, text):
