@@ -77,6 +77,12 @@ class TestRkSolve:
         for e1, e2 in zip(errors, errors[1:]):
             assert math.log2(e1 / e2) == pytest.approx(4.0, abs=0.4)
 
+    def test_trajectory_keeps_its_interval(self):
+        trajectory = rk_solve(EXPONENTIAL.problem, 10)
+        assert (trajectory.a, trajectory.b, trajectory.steps) == (0.0, 1.0, 10)
+        assert trajectory.t.shape == (11,) and trajectory.t[0] == 0.0
+        assert trajectory.t[5] == 0.5 and trajectory.t[-1] == 1.0
+
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
             rk_solve(EXPONENTIAL.problem, 0)
@@ -238,6 +244,10 @@ class TestMaxAbsError:
                               EndConditionMode.IMPROVED, 10))
         with pytest.raises(ValueError, match="step point"):
             max_abs_error(grid, rk_solve(EXPONENTIAL.problem, 15))
+
+    def test_rk_reference_on_another_interval_rejected(self):
+        grid = lu_solve(build(EXPONENTIAL.problem, optimal_family(30),
+                              EndConditionMode.IMPROVED, 10))
         # Every knot is a step point of a 1000-step run on [0, 2], but a stride
         # of 100 steps would read that run at t = 0, 0.2, ..., 2.
         longer = IvpProblem(0.0, 2.0, EXPONENTIAL.problem.f, EXPONENTIAL.problem.g,
