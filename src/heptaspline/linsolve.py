@@ -2,16 +2,27 @@
 
 The end-condition rows carry 1/h^7 factors while interior rows are O(1), so
 row magnitudes differ wildly at small h; partial pivoting is mandatory.
-LAPACK's getrf/getrs (called directly through scipy.linalg.lapack) do the
-work; this module adds the non-finite check, the singularity guard and the
-backward-residual acceptance check.  scipy is imported at the first
-factorisation, so importing the package (as ``coeffs`` does) does not load it.
+LAPACK's getrf/getrs do the work; this module adds the non-finite check, the
+singularity guard and the backward-residual acceptance check.
+
+The routines come from scipy's ``_flapack`` extension, loaded from its file at
+the first factorisation: importing the package (as ``coeffs`` does) loads no
+scipy, and a solve does not run ``scipy.linalg``'s ``__init__``, which costs
+about half of a short CLI process.  The module is registered under its own
+name, so a later ``import scipy.linalg`` reuses it.  If the file is missing or
+fails to load, the public ``scipy.linalg.lapack``, which re-exports the same
+routines, is imported instead.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
 
@@ -28,6 +39,43 @@ _RESIDUAL_RTOL = 1e-8
 
 #: Floor of ||y||_inf in that bound: the smallest positive normal float.
 _TINY = float(np.finfo(float).tiny)
+
+
+#: Name under which scipy registers its LAPACK extension module.
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_spec() -> importlib.machinery.ModuleSpec:
+    """Spec of scipy's LAPACK extension file, found without running scipy's code."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("scipy is not installed as a package")
+    linalg = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg, "_flapack" + suffix)
+        if os.path.isfile(path):
+            return importlib.util.spec_from_file_location(_FLAPACK, path)
+    raise ImportError(f"no _flapack extension in {linalg}")
+
+
+def _lapack() -> ModuleType:
+    """The module whose ``dgetrf``/``dgetrs`` the solve calls.
+
+    ``sys.modules`` caches it: the extension once loaded here, or imported by
+    ``scipy.linalg``, is returned as it is.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    try:
+        spec = _flapack_spec()
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        from scipy.linalg import lapack
+        return lapack
+    sys.modules[_FLAPACK] = module
+    return module
 
 
 class LinearSolveError(RuntimeError):
@@ -60,9 +108,7 @@ def _factor(system: LinearSystem) -> tuple[np.ndarray, np.ndarray, float]:
                                f"so the backward residual cannot be bounded")
     if not np.isfinite(system.rhs).all():
         raise LinearSolveError("system contains non-finite entries")
-    from scipy.linalg.lapack import dgetrf
-
-    lu, piv, _ = dgetrf(A)   # an exactly zero pivot (info > 0) fails the guard below
+    lu, piv, _ = _lapack().dgetrf(A)   # an exactly zero pivot (info > 0) fails the guard below
     # Row magnitudes legitimately span many orders (1/h^7 end rows vs O(1)
     # interior rows), so each pivot is judged against its own row of U.  A
     # row of U that is all zero fails too, since its pivot 0 <= 0.  One
@@ -90,10 +136,8 @@ def lu_solve(system: LinearSystem) -> SolutionGrid:
     satisfy residual <= 1e-8 * ||A||_inf * ||y||_inf, else the solve is
     rejected as unreliable.
     """
-    from scipy.linalg.lapack import dgetrs
-
     lu, piv, anorm = _factor(system)
-    y, _ = dgetrs(lu, piv, system.rhs)
+    y, _ = _lapack().dgetrs(lu, piv, system.rhs)
     residual = float(np.maximum.reduce(np.abs(system.matrix @ y - system.rhs), initial=0.0))
     ynorm = float(np.maximum.reduce(np.abs(y), initial=0.0))
     bound = _RESIDUAL_RTOL * anorm * max(ynorm, _TINY)

@@ -503,3 +503,19 @@ class TestBundledConfigs:
         cfg = rewrite_output(CONFIG_DIR / name, tmp_path, "run")
         assert main([subcommand, "--config", str(cfg)]) == 0
         assert (tmp_path / "run.csv").is_file()
+
+    @pytest.mark.parametrize("name,subcommand", [("example1_improved_n20.ini", "solve"),
+                                                 ("example1_standard_col1.ini", "converge"),
+                                                 ("cascade_demo.ini", "cascade")])
+    def test_solve_loads_lapack_without_scipy_linalg(self, name, subcommand, tmp_path):
+        # Importing scipy.linalg costs about half of a short CLI run; a solve
+        # loads only scipy's LAPACK extension.
+        cfg = rewrite_output(CONFIG_DIR / name, tmp_path, "run")
+        code = ("import sys\n"
+                "from heptaspline.cli import main\n"
+                f"assert main([{subcommand!r}, '--config', {str(cfg)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+        path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+        assert done.stdout.splitlines()[-1] == "['scipy.linalg._flapack']"

@@ -1,9 +1,13 @@
+import subprocess
+import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from heptaspline import linsolve
 from heptaspline.assembly import EndConditionMode, LinearSystem, build
 from heptaspline.linsolve import LinearSolveError, lu_solve
 from heptaspline.oracle import BENCHMARKS
@@ -91,15 +95,16 @@ class TestLuSolve:
                                       [1e308, 1.0, 2.0]))
 
     def test_nan_residual_rejected(self, monkeypatch):
-        import scipy.linalg.lapack
-        exact_dgetrs = scipy.linalg.lapack.dgetrs
+        lapack = linsolve._lapack()
+        exact_dgetrs = lapack.dgetrs
 
         def poisoned(*args):
             y, info = exact_dgetrs(*args)
             y[0] = np.nan
             return y, info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgetrs", poisoned)
+        monkeypatch.setattr(linsolve, "_lapack",
+                            lambda: SimpleNamespace(dgetrf=lapack.dgetrf, dgetrs=poisoned))
         with pytest.raises(LinearSolveError, match=r"^backward residual nan exceeds bound"):
             lu_solve(small_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]))
 
@@ -114,14 +119,15 @@ class TestLuSolve:
     def test_backward_residual_beyond_bound_rejected(self, monkeypatch):
         # A solve perturbed by a relative 1e-3 leaves a residual far above
         # the 1e-8 * ||A|| * ||y|| acceptance bound.
-        import scipy.linalg.lapack
-        exact_dgetrs = scipy.linalg.lapack.dgetrs
+        lapack = linsolve._lapack()
+        exact_dgetrs = lapack.dgetrs
 
         def perturbed(*args):
             y, info = exact_dgetrs(*args)
             return y * (1 + 1e-3), info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgetrs", perturbed)
+        monkeypatch.setattr(linsolve, "_lapack",
+                            lambda: SimpleNamespace(dgetrf=lapack.dgetrf, dgetrs=perturbed))
         system = build(BENCHMARKS[1].problem, optimal_family(30), EndConditionMode.IMPROVED, 20)
         with pytest.raises(LinearSolveError,
                            match=r"backward residual 8\.502e\+09 exceeds bound 2\.928e\+07"):
@@ -147,3 +153,48 @@ class TestLuSolve:
                                 grid=system.grid, y0=system.y0)
         permuted = lu_solve(shuffled).y
         assert np.max(np.abs(permuted - baseline)) <= 1e-10 * np.max(np.abs(baseline))
+
+
+#: Solves the three benchmarks in both modes at n = 20 in a fresh process,
+#: after running ``{setup}``; prints float.hex of y and residual_inf per solve,
+#: then whether scipy.linalg was imported and whether scipy.linalg.lapack then
+#: shares the loader's extension module.
+_ROUTE_PROBE = """\
+import importlib.util, sys
+from heptaspline import EndConditionMode, build, linsolve, lu_solve, optimal_family
+from heptaspline.oracle import BENCHMARKS
+{setup}
+for bench in BENCHMARKS:
+    for mode in EndConditionMode:
+        grid = lu_solve(build(bench.problem, optimal_family(30), mode, 20))
+        print(*(v.hex() for v in grid.y), grid.residual_inf.hex())
+print("scipy.linalg" in sys.modules, end=" ")
+import scipy.linalg.lapack
+print(scipy.linalg.lapack._flapack is linsolve._lapack())
+"""
+
+
+def _solve_benchmarks(setup: str = "") -> list[str]:
+    done = subprocess.run([sys.executable, "-c", _ROUTE_PROBE.format(setup=setup)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout.splitlines()
+
+
+class TestLapackLoader:
+    def test_reuses_the_extension_scipy_linalg_imported(self):
+        assert linsolve._lapack() is scipy.linalg.lapack._flapack
+
+    @pytest.mark.parametrize("content", [None, b""], ids=["missing", "unloadable"])
+    def test_fallback_to_public_import_gives_the_same_bits(self, tmp_path, content):
+        # The direct route loads the extension file alone; when that file is
+        # missing or fails to load, scipy.linalg.lapack is imported instead.
+        path = tmp_path / "_flapack.so"
+        if content is not None:
+            path.write_bytes(content)
+        direct = _solve_benchmarks()
+        fallback = _solve_benchmarks("linsolve._flapack_spec = lambda: importlib.util."
+                                     f"spec_from_file_location(linsolve._FLAPACK, {str(path)!r})")
+        assert len(direct) == 7
+        assert direct[-1] == "False True"
+        assert fallback[-1] == "True True"
+        assert fallback[:-1] == direct[:-1]
