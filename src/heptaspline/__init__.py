@@ -10,59 +10,15 @@ Quick tour:
 True
 """
 
-from .assembly import EndConditionMode, LinearSystem, build, min_knots, row_residual
-from .cascade import CascadeModel, IvpProblem, reduce, simulate_direct
-from .forces import ForceExpr, ForceTerm, ParseError, parse
-from .linsolve import LinearSolveError, SolutionGrid, lu_solve
-from .oracle import (
-    BENCHMARKS,
-    Benchmark,
-    ConvergenceReport,
-    RkTrajectory,
-    convergence_study,
-    max_abs_error,
-    rk_solve,
-)
-from .spline_params import (
-    SplineParams,
-    TruncationCoeffs,
-    from_theta,
-    optimal_family,
-    truncation_coeffs,
-    validate,
-)
+from . import assembly, cascade, forces, linsolve, oracle, spline_params
+from .assembly import *  # noqa: F403 -- each module's __all__ is the one list of its public names
+from .cascade import *  # noqa: F403
+from .forces import *  # noqa: F403
+from .linsolve import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .spline_params import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BENCHMARKS",
-    "Benchmark",
-    "CascadeModel",
-    "ConvergenceReport",
-    "EndConditionMode",
-    "ForceExpr",
-    "ForceTerm",
-    "IvpProblem",
-    "LinearSolveError",
-    "LinearSystem",
-    "ParseError",
-    "RkTrajectory",
-    "SolutionGrid",
-    "SplineParams",
-    "TruncationCoeffs",
-    "build",
-    "convergence_study",
-    "from_theta",
-    "lu_solve",
-    "max_abs_error",
-    "min_knots",
-    "optimal_family",
-    "parse",
-    "reduce",
-    "rk_solve",
-    "row_residual",
-    "simulate_direct",
-    "truncation_coeffs",
-    "validate",
-    "__version__",
-]
+__all__ = [name for module in (assembly, cascade, forces, linsolve, oracle, spline_params)
+           for name in module.__all__] + ["__version__"]

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cascade import IvpProblem
+from .cascade import IvpProblem, _knot_grid
 from .forces import tabulate
 from .spline_params import INTERIOR_Y_WEIGHTS, SplineParams, _residual, validate
 
@@ -70,6 +70,9 @@ class EndRow(NamedTuple):
 
 
 _INTERIOR_Y_WEIGHTS = np.array(INTERIOR_Y_WEIGHTS, dtype=float)
+
+#: Row sum of the interior stencil's |knot weights|, 120 * 2^7.
+_INTERIOR_Y_SUM = float(sum(map(abs, INTERIOR_Y_WEIGHTS)))
 
 
 class _RowSpec(NamedTuple):
@@ -181,6 +184,13 @@ def min_knots(mode: EndConditionMode) -> int:
     return max(max(spec.u[-1], spec.y[-1]) for spec in _END_ROW_SPECS[mode][1])
 
 
+def _check_knots(mode: EndConditionMode, n: int) -> None:
+    """ValueError unless ``n >= min_knots(mode)``, the smallest n ``build`` accepts."""
+    least = min_knots(mode)
+    if n < least:
+        raise ValueError(f"{mode.value} end conditions need n >= {least}, got n={n}")
+
+
 @functools.lru_cache(maxsize=128)
 def _knot_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only index tables of an n-subinterval ``build``.
@@ -221,9 +231,7 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     if problem.order != 7:
         raise ValueError(f"spline assembly requires a 7th order problem, got order {problem.order}")
     validate(params)
-    least = min_knots(mode)
-    if n < least:
-        raise ValueError(f"{mode.value} end conditions need n >= {least}, got n={n}")
+    _check_knots(mode, n)
 
     a, b = problem.a, problem.b
     h = (b - a) / n
@@ -238,7 +246,7 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
         raise ValueError(f"grid step h = {h} is out of float range: h^7 = {h7} must be "
                          f"finite and nonzero, and the row weights q/h^7 and w*h^7 finite")
     knots, cells = _knot_index(n)
-    grid = a + h * np.arange(n + 1)
+    grid = _knot_grid(a, b, n)
     fv = tabulate(problem.f, grid, "f")
     gv = tabulate(problem.g, grid, "g")
     u = problem.u
@@ -251,7 +259,7 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     # While these bounds are finite no product or sum below overflows; floats overflow unwarned.
     fmax = float(np.maximum.reduce(np.abs(fv)))
     gmax = float(np.maximum.reduce(np.abs(gv)))
-    row_bound = fmax * u_sum + max(y_sum / h7, 15360.0)     # 15360 = sum |Y_j|
+    row_bound = fmax * u_sum + max(y_sum / h7, _INTERIOR_Y_SUM)
     if not math.isfinite(row_bound):
         raise ValueError(f"f reaches {fmax!r} in magnitude on the grid: the matrix would overflow")
     if not math.isfinite(gmax * u_sum):

@@ -70,6 +70,15 @@ class IvpProblem:
         return len(self.u)
 
 
+def _knot_grid(a: float, b: float, n: int) -> np.ndarray:
+    """The n + 1 uniform points a + (b - a)/n * i of [a, b].
+
+    The one formula for the spline's knots and the RK step points, so a grid
+    and a trajectory on the same interval compare by index bit for bit.
+    """
+    return a + (b - a) / n * np.arange(n + 1)
+
+
 @dataclass(frozen=True)
 class CascadeModel:
     """Cyclically coupled scales with friction ``gamma`` and per-scale forces."""
@@ -158,8 +167,7 @@ def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.nda
     coupling = -model.gamma * np.roll(np.eye(n), 1, axis=1)    # row k picks y[k+1]
     out = _rk4_linear(coupling[None], np.eye(n), ftab,
                       np.array(model.init_velocities, dtype=float), h)
-    times = a + h * np.arange(steps + 1)
-    return times, out
+    return _knot_grid(a, b, steps), out
 
 
 # --- blocked affine RK4 for linear systems --------------------------------

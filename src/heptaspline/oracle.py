@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .assembly import EndConditionMode, build, min_knots
-from .cascade import IvpProblem, _rk4_linear
+from .assembly import EndConditionMode, _check_knots, build
+from .cascade import IvpProblem, _knot_grid, _rk4_linear
 from .forces import ForceExpr, parse, tabulate, tabulate_grid
 from .linsolve import SolutionGrid, lu_solve
 from .spline_params import SplineParams
@@ -38,8 +38,9 @@ __all__ = [
 class RkTrajectory:
     """States at the integrator's own step points on [a, b]; no interpolation.
 
-    Step k is at ``t[k] = a + (b - a) / steps * k``.  A spline grid is
-    compared with it by step index, not by time (see ``max_abs_error``).
+    Step k is at ``t[k] = a + (b - a) / steps * k``, the knot formula of
+    ``build`` (``cascade._knot_grid``).  A spline grid is compared with it by
+    step index, not by time (see ``max_abs_error``).
     """
 
     a: float
@@ -52,7 +53,7 @@ class RkTrajectory:
 
     @property
     def t(self) -> np.ndarray:
-        return self.a + (self.b - self.a) / self.steps * np.arange(self.steps + 1)
+        return _knot_grid(self.a, self.b, self.steps)
 
     @property
     def y(self) -> np.ndarray:
@@ -99,24 +100,31 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
 Reference = Union[ForceExpr, RkTrajectory]
 
 
+def _stride(n: int, steps: int) -> int:
+    """Steps of an RK reference per knot interval; ValueError unless n divides steps."""
+    if n < 1 or steps % n:
+        raise ValueError(f"n={n} does not divide the {steps} steps of the RK reference, "
+                         f"so not every knot is a step point")
+    return steps // n
+
+
 def max_abs_error(grid: SolutionGrid, reference: Reference) -> float:
     """max over knots of |y_i - y_ref(t_i)|.
 
     ``reference`` is either a closed-form solution or an RK trajectory.  An
     RK trajectory is sampled by index, every (steps / n)-th step: n must
-    divide its step count, and the n + 1 knots must be ``build``'s knots on
-    the trajectory's own interval [a, b], else ValueError.  ValueError where
-    a closed form is not finite on the knots.
+    divide its step count (``_stride``), and the n + 1 knots must be
+    ``cascade._knot_grid`` of the trajectory's own interval [a, b], the
+    knots ``build`` makes, else ValueError.  ValueError where a closed form
+    is not finite on the knots.
     """
     if isinstance(reference, RkTrajectory):
-        n, steps, a, b = len(grid.t) - 1, reference.steps, reference.a, reference.b
-        if n < 1 or steps % n:
-            raise ValueError(f"n={n} does not divide the {steps} steps of the RK reference, "
-                             f"so not every knot is a step point")
-        if not np.array_equal(grid.t, a + (b - a) / n * np.arange(n + 1)):
+        n, a, b = len(grid.t) - 1, reference.a, reference.b
+        stride = _stride(n, reference.steps)
+        if not np.array_equal(grid.t, _knot_grid(a, b, n)):
             raise ValueError(f"the knots are not the {n + 1} uniform knots on the RK "
                              f"reference's interval [{a!r}, {b!r}]")
-        ref = reference.y[::steps // n]
+        ref = reference.y[::stride]
     else:
         ref = tabulate(reference, grid.t, "exact")
     return float(np.maximum.reduce(np.abs(grid.y - ref)))
@@ -142,21 +150,20 @@ def convergence_study(problem: IvpProblem, params: SplineParams,
 
     When no closed-form ``reference`` is given, a fine RK run on the
     problem's interval with 100 * max(n_list) steps stands in; every n must
-    then divide that step count, and each grid is sampled by step index
-    (see ``max_abs_error``).  ValueError where a closed-form reference is
-    not finite on the knots or the RK run leaves float range.
+    then divide that step count (``_stride``), and each grid is sampled by
+    step index (see ``max_abs_error``).  The smallest n and the stride rule
+    are checked before the RK run.  ValueError where a closed-form reference
+    is not finite on the knots or the RK run leaves float range.
     """
     ns = list(n_list)
     if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
         raise ValueError(f"n_list must be strictly increasing, got {ns}")
-    least = min_knots(mode)
-    if ns and ns[0] < least:
-        raise ValueError(f"{mode.value} end conditions need n >= {least}, got n={ns[0]}")
+    if ns:
+        _check_knots(mode, ns[0])
     if reference is None:
         steps = 100 * max(ns)
         for n in ns:
-            if steps % n:
-                raise ValueError(f"n={n} does not divide the {steps} steps of the RK reference")
+            _stride(n, steps)
         reference = rk_solve(problem, steps=steps)
     entries = []
     for n in ns:

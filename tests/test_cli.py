@@ -1,18 +1,20 @@
 import configparser
 import csv
 import os
+import re
 import subprocess
 import sys
 import warnings
 from dataclasses import astuple, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heptaspline import cli, oracle
 from heptaspline.cascade import CascadeModel, reduce, simulate_direct
 from heptaspline.cli import load_config, main
-from heptaspline.forces import parse
+from heptaspline.forces import ForceExpr, parse
 from heptaspline.linsolve import LinearSolveError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -324,6 +326,25 @@ csv_path = {}
         cfg.write_text(cfg.read_text().replace("delta_opt = 30", "theta = 8.986711480679856"))
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "exactly one of" in capsys.readouterr().err
+
+    def test_exact_evaluated_once_per_solve(self, tmp_path, capsys, monkeypatch):
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        exact = load_config(cfg, "solve").exact
+        calls = []
+        evaluate = ForceExpr.evaluate
+
+        def counting(self, t):
+            if self == exact:
+                calls.append(np.size(t))
+            return evaluate(self, t)
+
+        monkeypatch.setattr(ForceExpr, "evaluate", counting)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert calls == [21]
+        # The printed maximum is the CSV column's, character for character.
+        printed = re.search(r"^max_abs_error = (\S+)$", capsys.readouterr().out, flags=re.M)
+        column = [r["abs_error"] for r in read_csv(tmp_path / "run.csv")]
+        assert printed[1] == max(column, key=float)
 
 
 class TestConverge:

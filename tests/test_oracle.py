@@ -6,10 +6,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heptaspline import oracle
-from heptaspline.assembly import EndConditionMode, build
-from heptaspline.cascade import _BLOCK, CascadeModel, IvpProblem, simulate_direct
+from heptaspline.assembly import EndConditionMode, build, min_knots
+from heptaspline.cascade import _BLOCK, CascadeModel, IvpProblem, _knot_grid, simulate_direct
 from heptaspline.forces import ForceExpr, ForceTerm, parse
 from heptaspline.linsolve import SolutionGrid, lu_solve
 from heptaspline.oracle import (
@@ -273,6 +275,23 @@ class TestMaxAbsError:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^force exact\(t\) = "):
                 max_abs_error(grid, parse(text))
+
+
+class TestOneKnotGrid:
+    """``build``, ``RkTrajectory`` and ``max_abs_error`` share ``_knot_grid``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.one_of(st.sampled_from([-1e6, 1e6]), st.floats(-1e6, 1e6)),
+           width=st.floats(1e-3, 4.0), mode=st.sampled_from(EndConditionMode),
+           k=st.sampled_from([1, 2, 3]), data=st.data())
+    def test_build_grid_is_the_knot_grid_and_accepted_against_rk(self, a, width, mode, k, data):
+        n = data.draw(st.integers(min_knots(mode), 40), label="n")
+        problem = IvpProblem(a, a + width, ForceExpr.constant(1.0), ForceExpr.zero(),
+                             (1.0,) + (0.0,) * 6)
+        system = build(problem, optimal_family(30), mode, n)
+        assert system.grid.tobytes() == _knot_grid(problem.a, problem.b, n).tobytes()
+        err = max_abs_error(lu_solve(system), rk_solve(problem, k * n))
+        assert math.isfinite(err)
 
 
 class TestConvergenceStudy:
