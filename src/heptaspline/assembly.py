@@ -191,22 +191,6 @@ def _check_knots(mode: EndConditionMode, n: int) -> None:
         raise ValueError(f"{mode.value} end conditions need n >= {least}, got n={n}")
 
 
-@functools.lru_cache(maxsize=128)
-def _knot_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index tables of an n-subinterval ``build``.
-
-    ``knots[k, j] = k + j`` is the knot that weight j of interior row 6 + k
-    multiplies, and ``cells`` the flat position of that entry in ``build``'s
-    (n, n + 1) work array.  Kept for the 128 latest n, which covers every n
-    of a sweep up to n = 96 (about 0.5 MB).
-    """
-    knots = np.arange(n - 6)[:, None] + np.arange(8)
-    cells = (6 + knots[:, :1]) * (n + 1) + knots
-    for table in (knots, cells):
-        table.flags.writeable = False
-    return knots, cells
-
-
 @dataclass
 class LinearSystem:
     """Dense n x n system A y = b for the knot values y_1..y_n on ``grid``; y0 = y(t_0)."""
@@ -245,7 +229,6 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     if not (0 < h7 < math.inf and math.isfinite(y_sum / h7 + u_sum)):
         raise ValueError(f"grid step h = {h} is out of float range: h^7 = {h7} must be "
                          f"finite and nonzero, and the row weights q/h^7 and w*h^7 finite")
-    knots, cells = _knot_index(n)
     grid = _knot_grid(a, b, n)
     fv = tabulate(problem.f, grid, "f")
     gv = tabulate(problem.g, grid, "g")
@@ -270,8 +253,11 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
 
     # Row k of ``work`` is equation k over the knot values y_0..y_n; column 0
     # (y_0 = u_0 is data) moves to the right-hand side at the end, and the
-    # matrix is the view of columns 1..n.
-    work = np.zeros((n, n + 1))
+    # matrix is the view of columns 1..n.  ``flat`` runs n - 6 entries past
+    # ``work``, so that read from row 6 with row stride n + 2 its entry [k, j]
+    # is work[6 + k, k + j]: the eight interior diagonals as one (n - 6, 8) view.
+    flat = np.zeros(n * (n + 2) - 6)
+    work = flat[:n * (n + 1)].reshape(n, n + 1)
     rhs = np.zeros(n)
 
     width = end_u.shape[1]
@@ -286,7 +272,8 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     # weight j on knot k + j; the right-hand side folds the eight g terms in
     # the order j = 0..7.
     weights = np.array(half + half[::-1]) * h7
-    work.reshape(-1)[cells] = fv[knots] * -weights - _INTERIOR_Y_WEIGHTS
+    knots = np.arange(n - 6)[:, None] + np.arange(8)
+    flat[6 * (n + 1):].reshape(n - 6, n + 2)[:, :8] = fv[knots] * -weights - _INTERIOR_Y_WEIGHTS
     rhs[6:] = np.subtract.reduce(gv[knots] * weights, axis=1, initial=0.0)
     rhs[:7] -= work[:7, 0] * u[0]     # rows past 6 do not reach knot 0
 

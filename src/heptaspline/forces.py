@@ -234,10 +234,11 @@ def tabulate_grid(forces, names, start: float, step: float, count: int) -> np.nd
     terms' magnitudes.  Each distinct term shape t^p exp(r t) trig(w t + phi)
     over all the forces gets one basis row, and the table is one product of
     the basis with the forces' coefficients.  t^p and exp(r t) are computed
-    once per distinct p and r, sin and cos once per distinct (w, phi) by
-    angle addition (``_sin_cos``).  Where the table is not finite, the forces
-    go through ``tabulate`` one by one, which names the first one not finite
-    (the basis product alone can also turn a finite column into inf * 0).
+    once per distinct p and r, and the rows filled in one pass in ``(freq,
+    phase)`` order, so sin and cos once per distinct (w, phi) by angle
+    addition (``_sin_cos``).  Where the table is not finite, the forces go through
+    ``tabulate`` one by one, which names the first one not finite (the
+    basis product alone can also turn a finite column into inf * 0).
     """
     t = start + step * np.arange(count)
     shapes: dict[tuple, int] = {}
@@ -252,18 +253,15 @@ def tabulate_grid(forces, names, start: float, step: float, count: int) -> np.nd
     with np.errstate(over="ignore", invalid="ignore"):
         powers = {p: np.power(t, p) for p, *_ in shapes if p}
         exps = {r: np.exp(r * t) for _, r, *_ in shapes if r}
-        waves: dict[tuple, list] = {}
-        for (p, r, trig, freq, phase), row in shapes.items():
+        wave = None
+        for (p, r, trig, *key), row in sorted(shapes.items(), key=lambda item: item[0][3:]):
             factors = [x for x in (powers.get(p), exps.get(r)) if x is not None]
             if trig:
-                waves.setdefault((freq, phase), []).append((row, trig, factors))
-            else:
-                _product(basis[row], factors)
-        for (freq, phase), rows in waves.items():
-            sin, cos = _sin_cos(freq, phase, start, step, count)
-            for row, trig, factors in rows:
-                _product(basis[row], [sin if _TRIG_KINDS[trig] == "sin" else cos, *factors])
-            del sin, cos
+                if key != wave:
+                    sin, cos = _sin_cos(*key, start, step, count)
+                    wave = key
+                factors.insert(0, sin if _TRIG_KINDS[trig] == "sin" else cos)
+            _product(basis[row], factors)
         table = basis.T @ weights
     if not np.isfinite(table).all():
         return np.stack([tabulate(force, t, name) for force, name in zip(forces, names)], axis=1)
@@ -367,13 +365,14 @@ class _Parser:
                 break
             else:
                 raise ParseError(f"expected '+', '-' or end of input, got {val!r}", pos)
-        expr = ForceExpr.zero()
+        # like-term sums, folded as ForceExpr folds them, can overflow where no term does
+        sums: dict[tuple, float] = {}
         for start, t in terms:
-            expr = expr + ForceExpr((t,))
-            # merging like terms can overflow where no single term does
-            if not all(math.isfinite(merged.coeff) for merged in expr.terms):
+            key = t._key()
+            sums[key] = sums.get(key, 0.0) + t.coeff
+            if not math.isfinite(sums[key]):
                 raise ParseError("sum of like terms is out of float range", start)
-        return expr
+        return ForceExpr(tuple(t for _, t in terms))
 
     def parse_term(self, sign: float) -> ForceTerm:
         coeff = sign

@@ -151,15 +151,17 @@ def convergence_study(problem: IvpProblem, params: SplineParams,
     When no closed-form ``reference`` is given, a fine RK run on the
     problem's interval with 100 * max(n_list) steps stands in; every n must
     then divide that step count (``_stride``), and each grid is sampled by
-    step index (see ``max_abs_error``).  The smallest n and the stride rule
-    are checked before the RK run.  ValueError where a closed-form reference
-    is not finite on the knots or the RK run leaves float range.
+    step index (see ``max_abs_error``).  An empty ``n_list``, the smallest
+    n and the stride rule are checked before the RK run.  ValueError where a
+    closed-form reference is not finite on the knots or the RK run leaves
+    float range.
     """
     ns = list(n_list)
+    if not ns:
+        raise ValueError("n_list is empty")
     if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
         raise ValueError(f"n_list must be strictly increasing, got {ns}")
-    if ns:
-        _check_knots(mode, ns[0])
+    _check_knots(mode, ns[0])
     if reference is None:
         steps = 100 * max(ns)
         for n in ns:

@@ -269,21 +269,6 @@ class TestAssemblyMatchesRowAtATime:
             "577016d097d8b860ff7dd8bbc882878bc1d5ec43bbb3de8f9b456d9320dab5ec"
 
 
-class TestKnotIndexTables:
-    def test_read_only_shared_and_bounded(self):
-        system = build(BENCHMARKS[1].problem, optimal_family(30), EndConditionMode.IMPROVED, 20)
-        knots, cells = assembly._knot_index(20)
-        assert assembly._knot_index(20)[1] is cells
-        assert system.grid.tobytes() == (0.0 + 0.05 * np.arange(21)).tobytes()
-        for table in (knots, cells):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                table[(0,) * table.ndim] = 1
-        for n in range(10, 300):
-            assembly._knot_index(n)
-        assert assembly._knot_index.cache_info().currsize == 128
-
-
 class TestPolynomialExactness:
     """Exact-rational residuals pin every row coefficient."""
 

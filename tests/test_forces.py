@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, parse, tabulate,
-                                tabulate_grid)
+from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, _sin_cos, parse,
+                                tabulate, tabulate_grid)
 
 
 def random_expr(rng: random.Random, max_terms: int = 4) -> ForceExpr:
@@ -151,6 +151,19 @@ class TestParseLikeTerms:
             parse(text)
         assert err.value.position == text.rindex(" ") + 1
 
+    def test_one_force_expr_is_built(self, monkeypatch):
+        calls = []
+        post_init = ForceExpr.__post_init__
+
+        def counting(self):
+            calls.append(len(self.terms))
+            post_init(self)
+
+        monkeypatch.setattr(ForceExpr, "__post_init__", counting)
+        expr = parse("t + 2*sin(t) - 3*t + t^2")
+        assert calls == [4]
+        assert str(expr) == "2.0*sin(t) - 2.0*t + t^2"
+
 
 class TestTabulate:
     def test_finite_table_is_evaluate(self):
@@ -238,6 +251,23 @@ class TestTabulateGrid:
         table = tabulate_grid([parse("sin(3*t) + t^2"), ForceExpr.constant(-0.1)],
                               ["g", "f"], 0.0, 0.5e-4, 20_001)
         assert np.all(table[:, 1] == -0.1)
+
+    def test_one_sin_cos_pair_per_wave(self, monkeypatch):
+        # sin and cos shapes share waves across forces, and the non-trig t
+        # sorts between the two shapes of the (0, 0) wave.
+        calls = []
+
+        def counting(freq, phase, *grid):
+            calls.append((freq, phase))
+            return _sin_cos(freq, phase, *grid)
+
+        monkeypatch.setattr("heptaspline.forces._sin_cos", counting)
+        table = tabulate_grid([parse("sin(2*t + 1) + t*cos(2*t + 1) + 3*t^2"),
+                               parse("exp(t)*cos(2*t + 1) - sin(3*t) + cos(-t)"),
+                               parse("t*sin(3*t) + cos(0*t) + t + 2*t*sin(0*t) + 4")],
+                              ["L1", "L2", "L3"], -1.0, 0.01, 201)
+        assert sorted(calls) == [(-1.0, 0.0), (0.0, 0.0), (2.0, 1.0), (3.0, 0.0)]
+        assert table.shape == (201, 3)
 
     def test_first_force_not_finite_is_named(self):
         # L1's column would read t*1 + inf*0 = NaN in the basis product, so the

@@ -378,6 +378,13 @@ class TestConvergenceStudy:
         assert calls == [11, 21, 41]
         assert [n for n, _ in report.entries] == [10, 20, 40]
 
+    @pytest.mark.parametrize("reference", [None, EXPONENTIAL.exact])
+    def test_empty_n_list_rejected_before_the_rk_run(self, monkeypatch, reference):
+        monkeypatch.setattr(oracle, "rk_solve", lambda *args, **kw: pytest.fail("RK run started"))
+        with pytest.raises(ValueError, match="^n_list is empty$"):
+            convergence_study(EXPONENTIAL.problem, optimal_family(30),
+                              EndConditionMode.IMPROVED, [], reference=reference)
+
     def test_non_increasing_n_list_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             convergence_study(EXPONENTIAL.problem, optimal_family(30),
