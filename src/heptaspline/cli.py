@@ -113,7 +113,7 @@ def load_config(path: Path, subcommand: str) -> RunConfig:
     cp.optionxform = str  # keys like N and L1 are case-sensitive
     if not path.is_file():
         raise ValueError(f"config file not found: {path}")
-    cp.read(path)
+    cp.read(path, encoding="utf-8")
 
     name = "cascade" if subcommand == "cascade" else "problem"
     if not cp.has_section(name):
@@ -147,7 +147,7 @@ def load_config(path: Path, subcommand: str) -> RunConfig:
 
 def _write_csv(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _run_solution(cfg: RunConfig, subcommand: str) -> int:
@@ -165,7 +165,7 @@ def _run_solution(cfg: RunConfig, subcommand: str) -> int:
                   for t, y, ref, err in zip(grid.t, grid.y, refs, errors)]
     _write_csv(cfg.csv_path, lines)
     if g_path is not None:
-        g_path.write_text(str(cfg.problem.g) + "\n")
+        g_path.write_text(str(cfg.problem.g) + "\n", encoding="utf-8")
         print(f"composed g(t) = {cfg.problem.g}")
         print(f"wrote {cfg.csv_path} and {g_path}")
         return 0

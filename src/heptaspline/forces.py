@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,8 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class ForceTerm:
-    """One product term ``coeff * t^poly_power * exp(exp_rate*t) * trig``."""
+    """One product term ``coeff * t^poly_power * exp(exp_rate*t) * trig``,
+    its power stored as an int and its other numbers as Python floats."""
 
     coeff: float
     poly_power: int = 0
@@ -53,6 +54,8 @@ class ForceTerm:
             raise ValueError(f"poly_power must be a nonnegative integer, got {power}")
         if type(power) is not int:
             object.__setattr__(self, "poly_power", int(power))   # prints t^2, not t^2.0
+        for name in ("coeff", "exp_rate", "trig_freq", "trig_phase"):
+            object.__setattr__(self, name, float(getattr(self, name)))  # 2.0, not np.float64(2.0)
         if self.trig not in _TRIG_KINDS:
             raise ValueError(f"trig must be one of {_TRIG_KINDS}, got {self.trig!r}")
         if self.trig == "none" and (self.trig_freq != 0.0 or self.trig_phase != 0.0):
@@ -128,21 +131,19 @@ class ForceExpr:
 
     Construction merges like terms (same powers, rate and trig data), drops
     exact-zero coefficients and sorts terms, so printing is deterministic.
+    A term with no like term is kept as the same object.
     """
 
     terms: tuple[ForceTerm, ...] = ()
 
     def __post_init__(self):
-        merged: dict[tuple, float] = {}
+        merged: dict[tuple, ForceTerm] = {}
         for term in self.terms:
             key = term._key()
-            merged[key] = merged.get(key, 0.0) + term.coeff
-        normal = tuple(
-            ForceTerm(c, k[0], k[1], _TRIG_KINDS[k[2]], k[3], k[4])
-            for k, c in sorted(merged.items())
-            if c != 0.0
-        )
-        object.__setattr__(self, "terms", normal)
+            first = merged.get(key)
+            merged[key] = term if first is None else replace(first, coeff=first.coeff + term.coeff)
+        object.__setattr__(self, "terms", tuple(
+            merged[key] for key in sorted(merged) if merged[key].coeff != 0.0))
 
     @classmethod
     def zero(cls) -> "ForceExpr":
@@ -150,7 +151,7 @@ class ForceExpr:
 
     @classmethod
     def constant(cls, value: float) -> "ForceExpr":
-        return cls((ForceTerm(float(value)),))
+        return cls((ForceTerm(value),))
 
     @property
     def is_zero(self) -> bool:
@@ -193,10 +194,7 @@ class ForceExpr:
         return self + (-other)
 
     def __mul__(self, scalar: float) -> "ForceExpr":
-        return ForceExpr(tuple(
-            ForceTerm(scalar * t.coeff, t.poly_power, t.exp_rate,
-                      t.trig, t.trig_freq, t.trig_phase)
-            for t in self.terms))
+        return ForceExpr(tuple(replace(t, coeff=scalar * t.coeff) for t in self.terms))
 
     __rmul__ = __mul__
 
@@ -233,26 +231,25 @@ def tabulate_grid(forces, names, start: float, step: float, count: int) -> np.nd
     ``forces[k]``, equal to ``tabulate`` on that grid up to a few ulps of the
     terms' magnitudes.  Each distinct term shape t^p exp(r t) trig(w t + phi)
     over all the forces gets one basis row, and the table is one product of
-    the basis with the forces' coefficients.  t^p and exp(r t) are computed
-    once per distinct p and r, and the rows filled in one pass in ``(freq,
-    phase)`` order, so sin and cos once per distinct (w, phi) by angle
-    addition (``_sin_cos``).  Where the table is not finite, the forces go through
-    ``tabulate`` one by one, which names the first one not finite (the
-    basis product alone can also turn a finite column into inf * 0).
+    the basis with the forces' coefficients, each written once (a force has at
+    most one term per shape).  t^p and exp(r t) are computed once per distinct
+    p and r, and the rows filled in one pass in ``(freq, phase)`` order, so
+    sin and cos once per distinct (w, phi) by angle addition (``_sin_cos``).
+    Where the table is not finite, the forces go through ``tabulate`` one by
+    one, which names the first one not finite (the basis product alone can
+    also turn a finite column into inf * 0).
     """
     t = start + step * np.arange(count)
     shapes: dict[tuple, int] = {}
-    entries = []
+    weights = np.zeros((sum(len(force.terms) for force in forces), len(forces)))
     for k, force in enumerate(forces):
         for term in force.terms:
-            entries.append((shapes.setdefault(term._key(), len(shapes)), k, term.coeff))
-    weights = np.zeros((len(shapes), len(forces)))
-    for row, k, coeff in entries:
-        weights[row, k] = coeff
+            weights[shapes.setdefault(term._key(), len(shapes)), k] = term.coeff
+    weights = weights[:len(shapes)]
     basis = np.empty((len(shapes), count))
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = {p: np.power(t, p) for p, *_ in shapes if p}
-        exps = {r: np.exp(r * t) for _, r, *_ in shapes if r}
+        powers = {p: np.power(t, p) for p in {key[0] for key in shapes} if p}
+        exps = {r: np.exp(r * t) for r in {key[1] for key in shapes} if r}
         wave = None
         for (p, r, trig, *key), row in sorted(shapes.items(), key=lambda item: item[0][3:]):
             factors = [x for x in (powers.get(p), exps.get(r)) if x is not None]

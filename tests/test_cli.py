@@ -510,6 +510,29 @@ def exact_bits(value):
     return exact_bits(astuple(value)) if is_dataclass(value) else value
 
 
+class TestLocaleEncoding:
+    @pytest.mark.parametrize("name,subcommand", [("example1_improved_n20.ini", "solve"),
+                                                 ("example1_standard_col1.ini", "converge"),
+                                                 ("cascade_demo.ini", "cascade")])
+    def test_runs_without_the_locale_encoding(self, name, subcommand, tmp_path):
+        # Configs are read and CSVs written as UTF-8 whatever the locale, so a
+        # run that turns each use of the locale's encoding into an error
+        # writes what a plain run writes.
+        cfg = rewrite_output(CONFIG_DIR / name, tmp_path, "run")
+        path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+        runs = []
+        for flags in ([], ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]):
+            done = subprocess.run([sys.executable, *flags, "-m", "heptaspline.cli", subcommand,
+                                   "--config", str(cfg)], capture_output=True,
+                                  env={**os.environ, "PYTHONPATH": path}, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs = sorted(p for p in tmp_path.glob("run.*") if p != cfg)
+            runs.append((done.stdout, done.stderr, [(p.name, p.read_bytes()) for p in outputs]))
+            for p in outputs:
+                p.unlink()
+        assert runs[0] == runs[1] and runs[0][2]
+
+
 class TestBundledConfigs:
     @pytest.mark.parametrize("name,subcommand",
                              [b for b in BUNDLED if b[0].startswith("example")])

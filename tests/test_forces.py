@@ -95,19 +95,24 @@ POINTS = st.floats(-400, 400)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def numbers(floats):
+    """``floats`` drawn as float, as np.float64, or as int where integral."""
+    return floats | floats.map(np.float64) | floats.map(lambda x: int(x) if x.is_integer() else x)
+
+
 @st.composite
 def printable_exprs(draw):
-    """0-5 terms with finite data and powers 0-12, given as int or float.
-    Coefficients stay below 1e307 in magnitude, so that like terms merge to
-    a finite sum."""
+    """0-5 terms with finite data and powers 0-12, each number given as int,
+    float or np.float64.  Coefficients stay below 1e307 in magnitude, so that
+    like terms merge to a finite sum."""
     terms = []
     powers = st.integers(0, 12)
     for _ in range(draw(st.integers(0, 5))):
         trig = draw(st.sampled_from(_TRIG_KINDS))
-        wave = (0.0, 0.0) if trig == "none" else (draw(FINITE), draw(FINITE))
-        terms.append(ForceTerm(draw(st.floats(-1e307, 1e307)),
+        wave = (0.0, 0.0) if trig == "none" else (draw(numbers(FINITE)), draw(numbers(FINITE)))
+        terms.append(ForceTerm(draw(numbers(st.floats(-1e307, 1e307))),
                                draw(powers | powers.map(float)),
-                               draw(FINITE), trig, *wave))
+                               draw(numbers(FINITE)), trig, *wave))
     return ForceExpr(tuple(terms))
 
 
@@ -269,6 +274,27 @@ class TestTabulateGrid:
         assert sorted(calls) == [(-1.0, 0.0), (0.0, 0.0), (2.0, 1.0), (3.0, 0.0)]
         assert table.shape == (201, 3)
 
+    def test_one_power_and_exp_per_distinct_p_and_r(self, monkeypatch):
+        # Shapes share p = 2 and r = 3 within and across forces.
+        powers, exps = [], []
+        power, exp = np.power, np.exp
+
+        def counting_power(t, p):
+            powers.append(p)
+            return power(t, p)
+
+        def counting_exp(x):
+            exps.append(x)
+            return exp(x)
+
+        forces = [parse("t^2*sin(t) + t^2*cos(2*t) + exp(3*t)*sin(t) + t"),
+                  parse("t^2 + t^2*exp(3*t) + exp(3*t)*cos(t) + 5")]
+        monkeypatch.setattr(np, "power", counting_power)
+        monkeypatch.setattr(np, "exp", counting_exp)
+        table = tabulate_grid(forces, ["L1", "L2"], -1.0, 0.01, 201)
+        assert sorted(powers) == [1, 2] and len(exps) == 1
+        assert table.shape == (201, 2)
+
     def test_first_force_not_finite_is_named(self):
         # L1's column would read t*1 + inf*0 = NaN in the basis product, so the
         # forces are checked one by one, in order.
@@ -348,6 +374,17 @@ class TestAlgebra:
     def test_like_terms_merge(self):
         expr = ForceExpr((ForceTerm(2.0, 1, 1.0), ForceTerm(3.0, 1, 1.0)))
         assert expr.terms == (ForceTerm(5.0, 1, 1.0),)
+
+    def test_self_sum_doubles_every_term(self):
+        e = parse("t + sin(t)")
+        assert e + e == 2.0 * e
+        assert str(e + e) == "2.0*sin(t) + 2.0*t"
+
+    def test_unmerged_terms_are_kept_as_they_are(self):
+        e = parse("t + sin(t)")
+        total = e + parse("cos(t)")
+        assert str(total) == "sin(t) + cos(t) + t"
+        assert total.terms[0] is e.terms[0] and total.terms[2] is e.terms[1]
 
     def test_exact_cancellation_yields_zero(self):
         expr = parse("sin(t)") - parse("sin(t)")

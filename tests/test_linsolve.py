@@ -60,7 +60,9 @@ class TestLuSolve:
             assert np.all(np.isfinite(lu_solve(system).y))
 
     @pytest.mark.parametrize("mode", EndConditionMode)
-    @pytest.mark.parametrize("n", [20, 96])
+    # n = 384 is large enough for multithreaded BLAS to change the bits of a
+    # one-call dgesv against dgetrf + dgetrs.
+    @pytest.mark.parametrize("n", [20, 96, 384])
     def test_bit_identical_to_scipy_lu(self, mode, n):
         system = build(BENCHMARKS[1].problem, optimal_family(30), mode, n)
         expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.matrix), system.rhs)
