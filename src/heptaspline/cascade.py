@@ -165,7 +165,7 @@ def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.nda
     h = (b - a) / steps
     ftab = tabulate_grid(model.forces, [f"L{k + 1}" for k in range(n)], a, 0.5 * h, 2 * steps + 1)
     coupling = -model.gamma * np.roll(np.eye(n), 1, axis=1)    # row k picks y[k+1]
-    out = _rk4_linear(coupling[None], np.eye(n), ftab,
+    out = _rk4_linear(coupling, np.eye(n), ftab,
                       np.array(model.init_velocities, dtype=float), h)
     return _knot_grid(a, b, steps), out
 
@@ -189,8 +189,8 @@ def _rk4_increment(a0, a1, a2, e, h):
     so the result ``Delta`` with ``z_next = z + Delta @ [z, u0, u1, u2]`` has
     shape (..., d, d + 3m); its first d columns are ``S - I`` for the step
     matrix S, kept apart from the identity so that small increments keep
-    their digits.  The stage products are batched ``@`` (matmul), which
-    broadcasts a single A over the stack of steps.
+    their digits.  One (d, d) A gives one (d, d + 3m) map; stacks of A give
+    a stack of maps, one per step, from batched ``@`` (matmul).
     """
     d, m = e.shape
     z = np.zeros((d, d + 3 * m))
@@ -221,14 +221,14 @@ def _forcing(delta, utab, sums):
 
     c_i is Delta's three (d, m) stage blocks applied to u at the start,
     middle and end of step i; ``utab`` holds u on the half-step grid, and
-    ``sums`` takes step i's row at [i % width, i // width] (``_sums`` of a
-    ``_scan_work``).  Each in-block offset is one product of its
+    ``sums`` takes step i's row at [i % width, i // width] (the partial sums
+    of a ``_scan_work``).  Each in-block offset is one product of its
     ``_stage_values`` rows with the C-ordered (3m, d) stage matrix.  The
     overlapping view is no BLAS operand; split into BLAS products, the
     product measured no faster for m > 1 and ten times slower for m = 1.
     """
     width, values = len(sums), _stage_values(utab)
-    w = np.ascontiguousarray(delta[0, :, sums.shape[-1]:].T)     # rows j*m..(j+1)*m: stage j
+    w = np.ascontiguousarray(delta[:, sums.shape[-1]:].T)     # rows j*m..(j+1)*m: stage j
     for k in range(min(width, len(values))):
         np.matmul(values[k::width], w, out=sums[k, :len(values[k::width])])
 
@@ -238,37 +238,23 @@ def _scan_length(n):
     return n if n <= _BLOCK else -(-n // _BLOCK) * _BLOCK
 
 
-def _scan_work(n, d, per_step):
+def _scan_work(n, d):
     """Zeroed work array of ``_scan`` for an n-row scan.
 
-    Its shape is (width, nb, r, d) with width = min(n, ``_BLOCK``) steps per
-    block: entry [k, b] holds the row vectors at in-block offset k, first the
-    partial sums, then the d rows of that step's transposed map D^T.  With
-    ``per_step`` every block has its own maps: nb = n // width entries of
-    one partial sum each.  Otherwise all blocks share one map per offset and
-    one entry (nb = 1) holds all their partial sums.
+    Its shape is (width, blocks + d, d) with width = min(n, ``_BLOCK``) steps
+    per block and blocks = n // width: entry k holds the row vectors at
+    in-block offset k, first the partial sums of all blocks, then the d rows
+    of the transposed step map D^T that every block shares.
     """
     width = min(n, _BLOCK)
-    blocks = n // width
-    return np.zeros((width, blocks, 1 + d, d) if per_step else (width, 1, blocks + d, d))
-
-
-def _sums(work):
-    """The (width, blocks, d) partial-sum rows of a ``_scan_work`` array."""
-    return work[:, 0, :-work.shape[-1]] if work.shape[1] == 1 else work[:, :, 0]
-
-
-def _scatter(view, lo, values):
-    """Store the rows or maps ``values`` of steps lo, lo + 1, ... at [i % width, i // width]."""
-    i = np.arange(lo, lo + len(values))
-    view[i % len(view), i // len(view)] = values
+    return np.zeros((width, n // width + d, d))
 
 
 def _scan(work, c):
-    """Solve ``x_{i+1} = x_i + D_i x_i + c_i`` from ``x_0 = 0`` into ``c``.
+    """Solve ``x_{i+1} = x_i + D x_i + c_i`` from ``x_0 = 0`` into ``c``.
 
     ``work`` (from ``_scan_work``, overwritten) holds the forcing c_i in its
-    partial-sum rows and the transposed D_i in its map rows.  ``c`` is
+    partial-sum rows and the transposed D in its map rows.  ``c`` is
     C-contiguous and ``len(c)`` is at most ``_BLOCK`` or a multiple of it;
     on return ``c[i]`` holds x_{i+1} (what ``c`` held before is not read).
     States are rows, so every product is ``rows @ map`` with a C-ordered
@@ -276,45 +262,40 @@ def _scan(work, c):
 
     The steps are cut into blocks.  One pass over the in-block offsets forms,
     for all blocks together, the partial sums from a zero block start and the
-    in-block maps G_k = S_k...S_1 - I (kept apart from I, like the step maps).
-    The rows of G_k^T obey the same recurrence as the partial sums, with the
-    rows of D^T as their forcing, so both ride in one entry of ``work`` and
-    each offset is one product into a scratch entry and two contiguous adds.
-    A block's end map and last partial sum make the same kind of recurrence
-    over the blocks, which this function solves by calling itself.  Then
-    each block-start state s gives its block's states as partial sum + s +
-    s G_k^T: the products of all offsets go into ``c``'s buffer, and the
-    sums are copied to it in step order.
+    in-block map G_k = S^k - I (kept apart from I, like the step map).  The
+    rows of G_k^T obey the same recurrence as the partial sums, with the rows
+    of D^T as their forcing, so both ride in one entry of ``work`` and each
+    offset is one product into a scratch entry and two contiguous adds.  The
+    block end map G and the blocks' last partial sums make the same kind of
+    recurrence over the blocks, which this function solves by calling
+    itself.  Then each block-start state s gives its block's states as
+    partial sum + s + s G_k^T: one (blocks, d) @ (d, d) product per offset
+    into ``c``'s buffer, and the sums are copied to it in step order.
     """
     n, d = c.shape
-    width, nb = work.shape[:2]
+    width = len(work)
     blocks = n // width
-    sums = _sums(work)
+    sums = work[:, :-d]
     term = np.empty(work.shape[1:])
     for k in range(1, width):
-        np.matmul(work[k - 1], work[k, :, -d:], out=term)
+        np.matmul(work[k - 1], work[k, -d:], out=term)
         term += work[k - 1]
         work[k] += term
     if blocks == 1:
         c[...] = sums[:, 0]
         return
     size = _scan_length(blocks)
-    ends = _scan_work(size, d, per_step=nb > 1)     # block end maps and last partial sums
-    _scatter(_sums(ends), 0, sums[-1])
-    if nb == 1:
-        ends[:, :, -d:] = work[-1, :, -d:]
-    else:
-        _scatter(ends[:, :, -d:], 0, work[-1, :, -d:])
+    ends = _scan_work(size, d)                      # block end map and last partial sums
+    i = np.arange(blocks)
+    ends[i % len(ends), i // len(ends)] = sums[-1]
+    ends[:, -d:] = work[-1, -d:]
     starts = np.empty((size + 1, d))                # starts[b]: state at the start of block b
     starts[0] = 0.0
     _scan(ends, starts[1:])
-    # s G^T: one (blocks, d) @ (d, d) product per offset for shared maps,
-    # blocks (1, d) @ (d, d) products otherwise.
-    rows = (1, blocks, d) if nb == 1 else (blocks, 1, d)
     s = starts[:blocks]
-    products = c.reshape(width, *rows)
-    np.matmul(s.reshape(rows), work[:, :, -d:], out=products)
-    sums += products.reshape(width, blocks, d)
+    products = c.reshape(width, blocks, d)
+    np.matmul(s, work[:, -d:], out=products)
+    sums += products
     sums += s
     c.reshape(blocks, width, d)[...] = sums.swapaxes(0, 1)
 
@@ -323,47 +304,48 @@ def _rk4_linear(a, e, utab, z0, h):
     """Classical RK4 for ``z' = A(t) z + E u(t)``; returns all states.
 
     ``utab`` holds u on the half-step grid, shape (2*steps + 1, m).  ``a`` is
-    either one (1, d, d) matrix for constant A or a function ``a(lo, hi)``
+    either one (d, d) matrix for constant A or a function ``a(lo, hi)``
     giving A on the half-step grid of steps lo..hi - 1, shape
     (2*(hi - lo) + 1, d, d).  Result: shape (steps + 1, d), row 0 is ``z0``.
 
     Each step is the affine map ``z <- z + D_i z + c_i`` with D_i = S_i - I
-    (``_rk4_increment``).  The forcing vectors c_i of all steps and the
-    transposed D_i are written straight into the work array of ``_scan``,
-    z0 is folded into c_0, and ``_scan`` solves the recurrence by a
-    recursive blocked scan into the output buffer: O(_BLOCK) vectorised
-    iterations per level, O(log steps) levels.  A constant A keeps one
-    D^T per in-block offset; a time-varying A is asked for ``_CHUNK`` steps
-    at a time and keeps d*d floats per step.
+    (``_rk4_increment``).  For a constant A, the forcing vectors c_i of all
+    steps and the one D^T are written straight into the work array of
+    ``_scan``, z0 is folded into c_0, and ``_scan`` solves the recurrence by
+    a recursive blocked scan into the output buffer: O(_BLOCK) vectorised
+    iterations per level, O(log steps) levels.  A time-varying A is asked
+    for ``_CHUNK`` steps at a time; their maps and forcing vectors are formed
+    together, and the states are then stepped one map at a time.
 
     Overflow inside the run is not warned about; ValueError names the first
-    step whose state is not finite.  That state may be finite in exact
-    arithmetic: the in-block and block-end maps are products of step maps,
-    which can leave float range (and give inf * 0 = NaN) when the rates are
-    too large for the step count, even on a zero solution.
+    step whose state is not finite.  For a constant A that state may be
+    finite in exact arithmetic: the in-block and block-end maps are powers
+    of the step map, which can leave float range (and give inf * 0 = NaN)
+    when the rates are too large for the step count, even on a zero
+    solution.
     """
     steps = (len(utab) - 1) // 2
     d = e.shape[0]
     size = _scan_length(steps)
     out = np.empty((size + 1, d))          # rows past steps + 1 are scratch of the scan
+    out[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         if callable(a):
-            work = _scan_work(size, d, per_step=True)
             u3 = _stage_values(utab)
             for lo in range(0, steps, _CHUNK):
                 hi = min(lo + _CHUNK, steps)
                 window = a(lo, hi)
                 delta = _rk4_increment(window[0:-1:2], window[1::2], window[2::2], e, h)
-                _scatter(work[:, :, -d:], lo, delta[..., :d].swapaxes(1, 2))
-                _scatter(_sums(work), lo, np.einsum("ijk,ik->ij", delta[:, :, d:], u3[lo:hi]))
+                c = np.einsum("ijk,ik->ij", delta[:, :, d:], u3[lo:hi])
+                for i in range(lo, hi):
+                    out[i + 1] = out[i] + delta[i - lo, :, :d] @ out[i] + c[i - lo]
         else:
             delta = _rk4_increment(a, a, a, e, h)
-            work = _scan_work(size, d, per_step=False)
-            work[:, :, -d:] = delta[..., :d].swapaxes(1, 2)
-            _forcing(delta, utab, _sums(work))
-        _sums(work)[0, 0] += z0 + z0 @ work[0, 0, -d:]
-        _scan(work, out[1:])
-    out[0] = z0
+            work = _scan_work(size, d)
+            work[:, -d:] = delta[:, :d].T
+            _forcing(delta, utab, work[:, :-d])
+            work[0, 0] += z0 + z0 @ work[0, -d:]
+            _scan(work, out[1:])
     states = out[:steps + 1]
     if not np.isfinite(states).all():
         i = int(np.argmin(np.isfinite(states).all(axis=1)))

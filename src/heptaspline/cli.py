@@ -68,6 +68,15 @@ def _rational(text: str, name: str) -> Fraction:
                          f"got {text!r}") from None
 
 
+def _number(text: str, name: str, kind: type = float):
+    """``text`` as an int or a float (``kind``); ValueError names ``name`` where it is none."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {text!r}") from None
+
+
 def _parse_method(section: configparser.SectionProxy) -> tuple[EndConditionMode, SplineParams]:
     mode_text = _require(section, "mode").strip().lower()
     try:
@@ -89,21 +98,20 @@ def _parse_method(section: configparser.SectionProxy) -> tuple[EndConditionMode,
 
 
 def _parse_problem(section: configparser.SectionProxy) -> IvpProblem:
-    a = float(_require(section, "a"))
-    b = float(_require(section, "b"))
+    a, b = (_number(_require(section, key), f"[problem] {key}") for key in ("a", "b"))
     f = parse(_require(section, "f"))
     g = parse(_require(section, "g"))
-    u = tuple(float(_require(section, f"u{i}")) for i in range(7))
+    u = tuple(_number(_require(section, f"u{i}"), f"[problem] u{i}") for i in range(7))
     return IvpProblem(a=a, b=b, f=f, g=g, u=u)
 
 
 def _parse_cascade(section: configparser.SectionProxy) -> CascadeModel:
-    n_scales = int(_require(section, "N"))
-    gamma = float(_require(section, "gamma"))
-    a = float(_require(section, "a"))
-    b = float(_require(section, "b"))
+    n_scales = _number(_require(section, "N"), "[cascade] N", int)
+    gamma, a, b = (_number(_require(section, key), f"[cascade] {key}")
+                   for key in ("gamma", "a", "b"))
     forces = tuple(parse(_require(section, f"L{k}")) for k in range(1, n_scales + 1))
-    velocities = tuple(float(_require(section, f"v{k}")) for k in range(1, n_scales + 1))
+    velocities = tuple(_number(_require(section, f"v{k}"), f"[cascade] v{k}")
+                       for k in range(1, n_scales + 1))
     return CascadeModel(n_scales=n_scales, gamma=gamma, forces=forces,
                         init_velocities=velocities, interval=(a, b))
 
@@ -129,11 +137,12 @@ def load_config(path: Path, subcommand: str) -> RunConfig:
     n_list = None
     if subcommand == "converge":
         text = _require(cp["method"], "n_list")
-        n_list = tuple(int(tok) for tok in text.replace(",", " ").split())
+        n_list = tuple(_number(tok, "each of [method] n_list", int)
+                       for tok in text.replace(",", " ").split())
         if not n_list:
             raise ValueError("n_list is empty")
     else:
-        n = int(_require(cp["method"], "n"))
+        n = _number(_require(cp["method"], "n"), "[method] n", int)
 
     if not cp.has_section("output"):
         raise ValueError("missing [output] section")

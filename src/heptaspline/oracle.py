@@ -80,13 +80,13 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     h = (b - a) / steps
     table = tabulate_grid((problem.g, problem.f), ("g", "f"), a, 0.5 * h, 2 * steps + 1)
     gtab, ftab = np.ascontiguousarray(table[:, :1]), table[:, 1]
-    companion = np.zeros((1, order, order))
-    companion[0, :-1, 1:] = np.eye(order - 1)
-    companion[0, -1, 0] = -ftab[0]
+    companion = np.zeros((order, order))
+    companion[:-1, 1:] = np.eye(order - 1)
+    companion[-1, 0] = -ftab[0]
 
     def window(lo, hi):
         """A on the half-step grid of steps lo..hi - 1."""
-        stack = companion.repeat(2 * (hi - lo) + 1, axis=0)
+        stack = np.tile(companion, (2 * (hi - lo) + 1, 1, 1))
         stack[:, -1, 0] = -ftab[2 * lo:2 * hi + 1]
         return stack
 

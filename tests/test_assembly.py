@@ -143,7 +143,7 @@ class TestDerivedEndRows:
         probe = ("import heptaspline; from heptaspline.assembly import _end_rows; "
                  "print(_end_rows.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                             text=True, check=True).stdout
+                             encoding="utf-8", check=True).stdout
         assert out.strip() == "0"
         assert _end_rows(EndConditionMode.IMPROVED) is _end_rows(EndConditionMode.IMPROVED)
 

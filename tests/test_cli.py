@@ -23,7 +23,7 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 def rewrite_output(src: Path, tmp_path: Path, name: str) -> Path:
     """Copy a bundled config, pointing csv_path into tmp_path."""
-    text = src.read_text()
+    text = src.read_text(encoding="utf-8")
     out_csv = tmp_path / (name + ".csv")
     lines = []
     for line in text.splitlines():
@@ -32,12 +32,12 @@ def rewrite_output(src: Path, tmp_path: Path, name: str) -> Path:
         else:
             lines.append(line)
     dst = tmp_path / (name + ".ini")
-    dst.write_text("\n".join(lines) + "\n")
+    dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return dst
 
 
 def read_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
@@ -45,7 +45,7 @@ def read_cascade_model(path: Path) -> CascadeModel:
     """The [cascade] section of ``path`` as a model, read independently of the CLI."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    cp.read(path)
+    cp.read(path, encoding="utf-8")
     sec = cp["cascade"]
     n_scales = int(sec["N"])
     return CascadeModel(
@@ -71,8 +71,9 @@ class TestCoeffs:
                 "import heptaspline\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              encoding="utf-8", env={**os.environ, "PYTHONPATH": path},
+                              timeout=60, check=True)
         assert done.stdout.splitlines()[-1] == "[]"
 
     def test_rational_delta(self, capsys):
@@ -178,7 +179,7 @@ n = 12
 
 [output]
 csv_path = {}
-""".format(tmp_path / "bad.csv"))
+""".format(tmp_path / "bad.csv"), encoding="utf-8")
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "60" in capsys.readouterr().err
 
@@ -216,7 +217,7 @@ n = 12
 
 [output]
 csv_path = {}
-""".format(f, g, tmp_path / "overflow.csv"))
+""".format(f, g, tmp_path / "overflow.csv"), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["solve", "--config", str(cfg)]) == code
@@ -240,12 +241,12 @@ csv_path = {}
     def test_force_beyond_float_range_on_grid_exits_one(self, tmp_path, capsys, edits, message):
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
         lines = []
-        for line in cfg.read_text().splitlines():
+        for line in cfg.read_text(encoding="utf-8").splitlines():
             for key, value in edits.items():
                 if line.startswith(key):
                     line = key + value
             lines.append(line)
-        cfg.write_text("\n".join(lines) + "\n")
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["solve", "--config", str(cfg)]) == 1
@@ -253,7 +254,9 @@ csv_path = {}
 
     def test_exact_beyond_float_range_on_knots_exits_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
-        cfg.write_text(cfg.read_text().replace("exact = t^2*sin(t) - sin(t)", "exact = exp(800*t)"))
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace("exact = t^2*sin(t) - sin(t)", "exact = exp(800*t)"),
+                       encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["solve", "--config", str(cfg)]) == 1
@@ -272,20 +275,22 @@ csv_path = {}
 
     def test_malformed_expression_exits_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
-        broken = cfg.read_text().replace("f = 1", "f = oops(t)")
-        cfg.write_text(broken)
+        broken = cfg.read_text(encoding="utf-8").replace("f = 1", "f = oops(t)")
+        cfg.write_text(broken, encoding="utf-8")
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "unknown function" in capsys.readouterr().err
 
     def test_literal_beyond_float_range_exits_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
-        cfg.write_text(cfg.read_text().replace("f = 1", "f = 1e400"))
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace("f = 1", "f = 1e400"), encoding="utf-8")
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "out of float range at position 0" in capsys.readouterr().err
 
     def test_like_terms_summing_beyond_float_range_exit_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
-        cfg.write_text(cfg.read_text().replace("f = 1", "f = 1e308*t + 1e308*t"))
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace("f = 1", "f = 1e308*t + 1e308*t"), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["solve", "--config", str(cfg)]) == 1
@@ -298,7 +303,9 @@ csv_path = {}
     ])
     def test_degenerate_grid_step_exits_one(self, tmp_path, capsys, a, b, message):
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
-        cfg.write_text(cfg.read_text().replace("a = -1", f"a = {a}").replace("b = 1", f"b = {b}"))
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace("a = -1", f"a = {a}").replace("b = 1", f"b = {b}"),
+                       encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["solve", "--config", str(cfg)]) == 1
@@ -312,7 +319,8 @@ csv_path = {}
     ])
     def test_rational_without_float_exits_one(self, tmp_path, capsys, method, message):
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
-        cfg.write_text(cfg.read_text().replace("delta_opt = 30", method))
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace("delta_opt = 30", method), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["solve", "--config", str(cfg)]) == 1
@@ -323,7 +331,9 @@ csv_path = {}
     def test_theta_method_exits_one(self, tmp_path, capsys):
         # This theta passes the sum-60 check, but configs no longer accept theta.
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
-        cfg.write_text(cfg.read_text().replace("delta_opt = 30", "theta = 8.986711480679856"))
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace("delta_opt = 30", "theta = 8.986711480679856"),
+                       encoding="utf-8")
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "exactly one of" in capsys.readouterr().err
 
@@ -365,8 +375,9 @@ class TestConverge:
         # tabulates g on its own half-step grid before any solve.
         cfg = rewrite_output(CONFIG_DIR / "example1_standard_col1.ini", tmp_path, "conv")
         lines = [("g = exp(800*t)" if line.startswith("g = ") else line)
-                 for line in cfg.read_text().splitlines() if not line.startswith("exact")]
-        cfg.write_text("\n".join(lines) + "\n")
+                 for line in cfg.read_text(encoding="utf-8").splitlines()
+                 if not line.startswith("exact")]
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["converge", "--config", str(cfg)]) == 1
@@ -377,14 +388,14 @@ class TestConverge:
         cfg = rewrite_output(CONFIG_DIR / "example1_standard_col1.ini", tmp_path, "conv")
         edits = {"a = ": "0", "f = ": "-1e30", "g = ": "1", "n_list = ": "12, 24"}
         lines = []
-        for line in cfg.read_text().splitlines():
+        for line in cfg.read_text(encoding="utf-8").splitlines():
             if line.startswith("exact"):
                 continue
             for key, value in edits.items():
                 if line.startswith(key):
                     line = key + value
             lines.append(line)
-        cfg.write_text("\n".join(lines) + "\n")
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["converge", "--config", str(cfg)]) == 1
@@ -394,7 +405,9 @@ class TestConverge:
 
     def test_exact_beyond_float_range_on_knots_exits_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "example1_standard_col1.ini", tmp_path, "conv")
-        cfg.write_text(cfg.read_text().replace("exact = t^2*sin(t) - sin(t)", "exact = exp(800*t)"))
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace("exact = t^2*sin(t) - sin(t)", "exact = exp(800*t)"),
+                       encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["converge", "--config", str(cfg)]) == 1
@@ -407,7 +420,7 @@ class TestCascade:
         assert main(["cascade", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "composed g(t) =" in out
-        g_text = (tmp_path / "casc.g.txt").read_text().strip()
+        g_text = (tmp_path / "casc.g.txt").read_text(encoding="utf-8").strip()
         parse(g_text)                      # round-trips through the grammar
         rows = read_csv(tmp_path / "casc.csv")
         assert len(rows) == 21
@@ -429,7 +442,8 @@ class TestCascade:
     ])
     def test_gamma_beyond_float_range_exits_one(self, tmp_path, capsys, gamma, message):
         cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
-        cfg.write_text(cfg.read_text().replace("gamma = 1", f"gamma = {gamma}"))
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace("gamma = 1", f"gamma = {gamma}"), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["cascade", "--config", str(cfg)]) == 1
@@ -439,12 +453,12 @@ class TestCascade:
         # Gamma^7 = 1e280 is finite, but Gamma^6 times L7's coefficient is not.
         cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
         lines = []
-        for line in cfg.read_text().splitlines():
+        for line in cfg.read_text(encoding="utf-8").splitlines():
             key = line.split(" = ")[0]
             if key.startswith(("L", "v")):
                 line = f"{key} = {'1e100*t' if key == 'L7' else 0}"
             lines.append(line.replace("gamma = 1", "gamma = 1e40"))
-        cfg.write_text("\n".join(lines) + "\n")
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["cascade", "--config", str(cfg)]) == 1
@@ -456,8 +470,9 @@ class TestCascade:
     ])
     def test_force_beyond_float_range_exits_one(self, tmp_path, capsys, interval, message):
         cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
-        text = cfg.read_text().replace("L1 = sin(2*t)", "L1 = exp(800*t)")
-        cfg.write_text(text.replace("a = 0\nb = 1", "a = {}\nb = {}".format(*interval)))
+        text = cfg.read_text(encoding="utf-8").replace("L1 = sin(2*t)", "L1 = exp(800*t)")
+        cfg.write_text(text.replace("a = 0\nb = 1", "a = {}\nb = {}".format(*interval)),
+                       encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["cascade", "--config", str(cfg)]) == 1
@@ -471,33 +486,62 @@ class TestCascade:
 
     def test_missing_section_reported_before_reduction_error(self, tmp_path):
         # Gamma^7 = 1e350 fails in reduce, but the missing [output] is named first.
-        text = (CONFIG_DIR / "cascade_demo.ini").read_text().replace("gamma = 1", "gamma = 1e50")
+        text = (CONFIG_DIR / "cascade_demo.ini").read_text(encoding="utf-8")
+        text = text.replace("gamma = 1", "gamma = 1e50")
         cfg = tmp_path / "casc.ini"
-        cfg.write_text(text.split("[output]")[0])
+        cfg.write_text(text.split("[output]")[0], encoding="utf-8")
         with pytest.raises(ValueError, match=r"^missing \[output\] section$"):
             load_config(cfg, "cascade")
 
     def test_csv_path_without_file_name_exits_one_before_solving(self, tmp_path, capsys,
                                                                   monkeypatch):
         cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
-        cfg.write_text(cfg.read_text().replace(f"csv_path = {tmp_path / 'casc.csv'}",
-                                               "csv_path = ."))
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(text.replace(f"csv_path = {tmp_path / 'casc.csv'}", "csv_path = ."),
+                       encoding="utf-8")
         monkeypatch.setattr(cli, "build", lambda *args: pytest.fail("solved"))
         assert main(["cascade", "--config", str(cfg)]) == 1
         assert "has an empty name" in capsys.readouterr().err
 
     def test_even_scale_count_exits_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
-        text = cfg.read_text().replace("N = 7", "N = 6").replace("L7 = 1\n", "")
+        text = cfg.read_text(encoding="utf-8").replace("N = 7", "N = 6").replace("L7 = 1\n", "")
         text = text.replace("v7 = 0\n", "")
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="utf-8")
         assert main(["cascade", "--config", str(cfg)]) == 1
         assert "odd" in capsys.readouterr().err
 
 
+class TestNumberKeys:
+    @pytest.mark.parametrize("name,subcommand,key,value,message", [
+        ("example1_improved_n20.ini", "solve", "n", "20.5",
+         "[method] n must be an integer, got '20.5'"),
+        ("example1_improved_n20.ini", "solve", "a", "zero", "[problem] a must be a number"),
+        ("example1_improved_n20.ini", "solve", "b", "1/2", "[problem] b must be a number"),
+        ("example1_improved_n20.ini", "solve", "u0", "", "[problem] u0 must be a number, got ''"),
+        ("example1_improved_n20.ini", "solve", "u6", "1,5", "[problem] u6 must be a number"),
+        ("example1_improved.ini", "converge", "n_list", "10, 2e1",
+         "each of [method] n_list must be an integer, got '2e1'"),
+        ("cascade_demo.ini", "cascade", "N", "7.0", "[cascade] N must be an integer"),
+        ("cascade_demo.ini", "cascade", "gamma", "one", "[cascade] gamma must be a number"),
+        ("cascade_demo.ini", "cascade", "a", "0 1", "[cascade] a must be a number"),
+        ("cascade_demo.ini", "cascade", "v7", "x", "[cascade] v7 must be a number, got 'x'"),
+    ])
+    def test_unparsable_number_names_its_key(self, name, subcommand, key, value, message,
+                                              tmp_path, capsys):
+        cfg = rewrite_output(CONFIG_DIR / name, tmp_path, "run")
+        lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+                 for line in cfg.read_text(encoding="utf-8").splitlines()]
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([subcommand, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert not (tmp_path / "run.csv").exists()
+
+
 #: The bundled configs and the subcommand each is written for.
 BUNDLED = sorted((path.name, "cascade" if path.name.startswith("cascade")
-                  else "converge" if "n_list" in path.read_text() else "solve")
+                  else "converge" if "n_list" in path.read_text(encoding="utf-8") else "solve")
                  for path in CONFIG_DIR.glob("*.ini"))
 
 
@@ -560,6 +604,7 @@ class TestBundledConfigs:
                 f"assert main([{subcommand!r}, '--config', {str(cfg)!r}]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
         path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              encoding="utf-8", env={**os.environ, "PYTHONPATH": path},
+                              timeout=60, check=True)
         assert done.stdout.splitlines()[-1] == "['scipy.linalg._flapack']"

@@ -178,7 +178,7 @@ print(scipy.linalg.lapack._flapack is linsolve._lapack())
 
 def _solve_benchmarks(setup: str = "") -> list[str]:
     done = subprocess.run([sys.executable, "-c", _ROUTE_PROBE.format(setup=setup)],
-                          capture_output=True, text=True, timeout=60, check=True)
+                          capture_output=True, encoding="utf-8", timeout=60, check=True)
     return done.stdout.splitlines()
 
 

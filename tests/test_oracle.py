@@ -100,7 +100,7 @@ class TestRkSolve:
             with pytest.raises(ValueError, match=message):
                 rk_solve(problem, 40)
 
-    @pytest.mark.parametrize("f", ["-1e30", "-1e30 - t"], ids=["constant-f", "time-varying-f"])
+    @pytest.mark.parametrize("f", ["-1e30", "-1e30 - 1e30*t"], ids=["constant-f", "time-varying-f"])
     def test_states_beyond_float_range_rejected(self, f):
         # f and g are finite everywhere, but y grows like exp(1e30^(1/7) t).
         problem = IvpProblem(0.0, 1.0, parse(f), ForceExpr.constant(1.0), (0.0,) * 7)
@@ -118,6 +118,15 @@ class TestRkSolve:
                                                  r"range, or the products of the kernel's step "
                                                  r"maps left float range .*\|f\|\*h\^7"):
                 rk_solve(problem, 2400)
+
+    def test_time_varying_f_on_zero_solution_gives_zeros(self):
+        # The rates are those of the overflow tests above, but a time-varying f
+        # is stepped one map at a time, so a zero solution stays exactly zero.
+        problem = IvpProblem(0.0, 1.0, parse("-1e30 - 1e30*t"), ForceExpr.zero(), (0.0,) * 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = rk_solve(problem, 2400).states
+        assert states.shape == (2401, 7) and not states.any()
 
     def test_time_varying_f_keeps_no_companion_stack(self):
         # A (2*steps + 1, 7, 7) stack of companion matrices would alone take 7.8 MB.

@@ -35,6 +35,7 @@ def test_import_loads_neither_cli_nor_scipy():
             "print(sorted(m for m in sys.modules\n"
             "             if m == 'heptaspline.cli' or m.split('.')[0] == 'scipy'))\n")
     path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          encoding="utf-8", env={**os.environ, "PYTHONPATH": path},
+                          timeout=60, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
