@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .assembly import EndConditionMode, build
 from .cascade import CascadeModel, IvpProblem, reduce
@@ -53,65 +53,55 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _require(section: configparser.SectionProxy, key: str) -> str:
-    if key not in section:
-        raise ValueError(f"missing key {key!r} in section [{section.name}]")
-    return section[key]
+#: What a value of each checked kind must be, as the error message says it.
+_KINDS = {int: "an integer", float: "a number",
+          Fraction: "a rational number such as 30, 51/2 or 2.5e1",
+          EndConditionMode: "'standard' or 'improved'"}
 
 
-def _rational(text: str, name: str) -> Fraction:
-    """``text`` as an exact rational; ValueError names ``name`` where it is none."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{name} must be a rational number such as 30, 51/2 or 2.5e1, "
-                         f"got {text!r}") from None
-
-
-def _number(text: str, name: str, kind: type = float):
-    """``text`` as an int or a float (``kind``); ValueError names ``name`` where it is none."""
+def _convert(text: str, name: str, kind: Callable = str):
+    """``text`` as ``kind``: a key of ``_KINDS``, ``parse``, ``str`` or ``Path``.
+    A ValueError names ``name``; for ``parse`` it keeps the parser's positioned message."""
     try:
         return kind(text)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} must be {what}, got {text!r}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        if kind is parse:
+            raise ValueError(f"{name}: {exc}") from None
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {text!r}") from None
+
+
+def _get(section: configparser.SectionProxy, key: str, kind: Callable = str):
+    """``section[key]`` converted to ``kind``; ValueError where the key is missing."""
+    if key not in section:
+        raise ValueError(f"missing key {key!r} in section [{section.name}]")
+    return _convert(section[key], f"[{section.name}] {key}", kind)
 
 
 def _parse_method(section: configparser.SectionProxy) -> tuple[EndConditionMode, SplineParams]:
-    mode_text = _require(section, "mode").strip().lower()
-    try:
-        mode = EndConditionMode(mode_text)
-    except ValueError:
-        raise ValueError(f"mode must be 'standard' or 'improved', got {mode_text!r}") from None
-
-    explicit = [k for k in ("alpha", "beta", "gamma_", "delta") if k in section]
-    if bool(explicit) + ("delta_opt" in section) != 1:
+    mode = _convert(_get(section, "mode").strip().lower(), "[method] mode", EndConditionMode)
+    weights = ("alpha", "beta", "gamma_", "delta")
+    explicit = any(key in section for key in weights)
+    if explicit == ("delta_opt" in section):
         raise ValueError("[method] must carry exactly one of: alpha/beta/gamma_/delta, delta_opt")
     if explicit:
-        if len(explicit) != 4:
-            raise ValueError(f"all four of alpha/beta/gamma_/delta are required, got {explicit}")
-        params = SplineParams(*(_rational(section[key], f"[method] {key}")
-                                for key in ("alpha", "beta", "gamma_", "delta")))
+        params = SplineParams(*(_get(section, key, Fraction) for key in weights))
     else:
-        params = optimal_family(_rational(section["delta_opt"], "[method] delta_opt"))
+        params = optimal_family(_get(section, "delta_opt", Fraction))
     return mode, validate(params)
 
 
 def _parse_problem(section: configparser.SectionProxy) -> IvpProblem:
-    a, b = (_number(_require(section, key), f"[problem] {key}") for key in ("a", "b"))
-    f = parse(_require(section, "f"))
-    g = parse(_require(section, "g"))
-    u = tuple(_number(_require(section, f"u{i}"), f"[problem] u{i}") for i in range(7))
-    return IvpProblem(a=a, b=b, f=f, g=g, u=u)
+    return IvpProblem(a=_get(section, "a", float), b=_get(section, "b", float),
+                      f=_get(section, "f", parse), g=_get(section, "g", parse),
+                      u=tuple(_get(section, f"u{i}", float) for i in range(7)))
 
 
 def _parse_cascade(section: configparser.SectionProxy) -> CascadeModel:
-    n_scales = _number(_require(section, "N"), "[cascade] N", int)
-    gamma, a, b = (_number(_require(section, key), f"[cascade] {key}")
-                   for key in ("gamma", "a", "b"))
-    forces = tuple(parse(_require(section, f"L{k}")) for k in range(1, n_scales + 1))
-    velocities = tuple(_number(_require(section, f"v{k}"), f"[cascade] v{k}")
-                       for k in range(1, n_scales + 1))
+    n_scales = _get(section, "N", int)
+    gamma, a, b = (_get(section, key, float) for key in ("gamma", "a", "b"))
+    scales = range(1, n_scales + 1)
+    forces = tuple(_get(section, f"L{k}", parse) for k in scales)
+    velocities = tuple(_get(section, f"v{k}", float) for k in scales)
     return CascadeModel(n_scales=n_scales, gamma=gamma, forces=forces,
                         init_velocities=velocities, interval=(a, b))
 
@@ -127,7 +117,7 @@ def load_config(path: Path, subcommand: str) -> RunConfig:
     if not cp.has_section(name):
         raise ValueError(f"{subcommand} subcommand needs a [{name}] section")
     inputs = (_parse_cascade if name == "cascade" else _parse_problem)(cp[name])
-    exact = parse(cp[name]["exact"]) if "exact" in cp[name] else None
+    exact = _get(cp[name], "exact", parse) if "exact" in cp[name] else None
 
     if not cp.has_section("method"):
         raise ValueError("missing [method] section")
@@ -136,17 +126,16 @@ def load_config(path: Path, subcommand: str) -> RunConfig:
     n = None
     n_list = None
     if subcommand == "converge":
-        text = _require(cp["method"], "n_list")
-        n_list = tuple(_number(tok, "each of [method] n_list", int)
-                       for tok in text.replace(",", " ").split())
+        n_list = tuple(_convert(tok, "each of [method] n_list", int)
+                       for tok in _get(cp["method"], "n_list").replace(",", " ").split())
         if not n_list:
             raise ValueError("n_list is empty")
     else:
-        n = _number(_require(cp["method"], "n"), "[method] n", int)
+        n = _get(cp["method"], "n", int)
 
     if not cp.has_section("output"):
         raise ValueError("missing [output] section")
-    csv_path = Path(_require(cp["output"], "csv_path"))
+    csv_path = _get(cp["output"], "csv_path", Path)
 
     # Reduced last, so a missing section is reported before a reduction error.
     problem = reduce(inputs) if name == "cascade" else inputs
@@ -202,14 +191,14 @@ def _run_coeffs(args: argparse.Namespace) -> int:
     if len(chosen) != 1:
         raise ValueError("coeffs needs exactly one of --delta, --theta, --params")
     if args.delta is not None:
-        params = optimal_family(_rational(args.delta, "--delta"))
+        params = optimal_family(_convert(args.delta, "--delta", Fraction))
     elif args.theta is not None:
-        params = from_theta(float(args.theta))
+        params = from_theta(_convert(args.theta, "--theta", float))
     else:
         parts = args.params.split(",")
         if len(parts) != 4:
             raise ValueError(f"--params needs four comma-separated values, got {args.params!r}")
-        params = SplineParams(*(_rational(p, "--params value") for p in parts))
+        params = SplineParams(*(_convert(p, "--params value", Fraction) for p in parts))
     params.as_floats()      # ValueError where a weight is beyond float range
     coeffs = truncation_coeffs(params)
     for name in ("alpha", "beta", "gamma", "delta"):

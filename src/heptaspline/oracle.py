@@ -2,8 +2,9 @@
 
 The reference integrator rewrites y^(N) = g - f*y as the companion
 first-order system for (y, y', ..., y^(N-1)) and runs classical fixed-step
-fourth-order Runge-Kutta.  It shares no code with the spline path, so
-agreement between the two is a genuine cross-check.
+fourth-order Runge-Kutta.  It shares the problem type, the knot grid and the
+force algebra with the spline path but no numerical method, so agreement
+between the two is a genuine cross-check.
 
 Also bundled here: the three analytically solvable benchmark problems used
 by the error tables and the CLI example configs.

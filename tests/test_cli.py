@@ -1,15 +1,21 @@
 import configparser
 import csv
+import io
 import os
 import re
+import string
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr
 from dataclasses import astuple, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heptaspline import cli, oracle
 from heptaspline.cascade import CascadeModel, reduce, simulate_direct
@@ -34,6 +40,14 @@ def rewrite_output(src: Path, tmp_path: Path, name: str) -> Path:
     dst = tmp_path / (name + ".ini")
     dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return dst
+
+
+def with_value(cfg: Path, key: str, value: str) -> Path:
+    """Set ``key`` of the config at ``cfg`` to ``value`` in place."""
+    lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+             for line in cfg.read_text(encoding="utf-8").splitlines()]
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cfg
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -608,3 +622,62 @@ class TestBundledConfigs:
                               encoding="utf-8", env={**os.environ, "PYTHONPATH": path},
                               timeout=60, check=True)
         assert done.stdout.splitlines()[-1] == "['scipy.linalg._flapack']"
+
+
+def read_keys(name: str, subcommand: str) -> list[tuple[str, str, str, str]]:
+    """(config, subcommand, section, key) for each key outside [output] that the run reads."""
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read(CONFIG_DIR / name, encoding="utf-8")
+    inputs = "cascade" if subcommand == "cascade" else "problem"
+    return [(name, subcommand, section, key) for section in (inputs, "method")
+            for key in cp[section]]
+
+
+#: Every key that a bundled config's subcommand reads, [output] aside.
+READ_KEYS = [case for name, subcommand in BUNDLED for case in read_keys(name, subcommand)]
+#: Text that a config line carries as it is: printable ASCII without '%',
+#: which configparser interpolates, and without line breaks.
+LINE_TEXT = st.text(alphabet=[c for c in string.printable if c not in "%\t\n\r\x0b\x0c"],
+                    max_size=8)
+
+
+class TestNamedInputs:
+    @pytest.mark.parametrize("name,subcommand,key,value,message", [
+        ("example1_improved_n20.ini", "solve", "f", "2*x",
+         "[problem] f: unknown function 'x' at position 2"),
+        ("example1_improved_n20.ini", "solve", "exact", "2*x",
+         "[problem] exact: unknown function 'x' at position 2"),
+        ("cascade_demo.ini", "cascade", "L3", "2*x",
+         "[cascade] L3: unknown function 'x' at position 2"),
+        ("example1_improved_n20.ini", "solve", "mode", "Cubic",
+         "[method] mode must be 'standard' or 'improved', got 'cubic'"),
+    ])
+    def test_unreadable_value_names_its_key(self, name, subcommand, key, value, message,
+                                            tmp_path, capsys):
+        cfg = with_value(rewrite_output(CONFIG_DIR / name, tmp_path, "run"), key, value)
+        assert main([subcommand, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_missing_explicit_weight_is_named(self, tmp_path, capsys):
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        text = cfg.read_text(encoding="utf-8").replace("delta_opt = 30", "alpha = 1/2")
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: missing key 'beta' in section [method]\n"
+
+    def test_unparsable_theta_is_named(self, capsys):
+        assert main(["coeffs", "--theta", "abc"]) == 1
+        assert capsys.readouterr().err == "error: --theta must be a number, got 'abc'\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.sampled_from(READ_KEYS), head=LINE_TEXT, tail=LINE_TEXT)
+    def test_value_no_reader_accepts_names_its_key(self, case, head, tail):
+        # No number, mode or force expression contains '@'.
+        name, subcommand, section, key = case
+        with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
+            cfg = rewrite_output(CONFIG_DIR / name, Path(tmp), "run")
+            assert main([subcommand, "--config", str(with_value(cfg, key, f"{head}@{tail}"))]) == 1
+            assert not (Path(tmp) / "run.csv").exists()
+        label = "each of [method] n_list" if key == "n_list" else f"[{section}] {key}"
+        assert err.getvalue().startswith(f"error: {label}")
