@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forces import ForceExpr, tabulate, tabulate_grid
+from .forces import ForceExpr, tabulate_at, tabulate_grid
 
 __all__ = [
     "CascadeModel",
@@ -119,10 +119,11 @@ def reduce(model: CascadeModel) -> IvpProblem:
 
         u_m = (-Gamma)^m v_(1+m) + F_m(a),   F_{m+1} = F_m' + (-Gamma)^m L^(1+m),
 
-    with one symbolic derivative per step, and returns g = F_N.  Only odd N
-    closes to ``y^(N) + Gamma^N y = g`` (even N would flip the sign of the
-    feedback term and is not supported).  Raises ValueError when Gamma^N,
-    a coefficient of some F_m or its value F_m(a) is beyond float range.
+    with one symbolic derivative per step, then all F_m(a) in one pass, and
+    returns g = F_N.  Only odd N closes to ``y^(N) + Gamma^N y = g`` (even N
+    would flip the sign of the feedback term and is not supported).  Raises
+    ValueError, first in loop order, when Gamma^N, a coefficient of some F_m
+    or its value F_m(a) is beyond float range.
     For odd N other than 7 the result can be integrated by the oracle but is
     rejected by the spline assembler.
     """
@@ -134,15 +135,18 @@ def reduce(model: CascadeModel) -> IvpProblem:
     except OverflowError:
         raise ValueError(f"Gamma^N = {model.gamma}^{n} is beyond float range") from None
     a, b = model.interval
-    u, g = [], ForceExpr.zero()        # g holds F_m until the loop ends
-    for m in range(n):
-        weight = (-model.gamma) ** m
-        u.append(weight * model.init_velocities[m] + tabulate(g, np.array([a]), f"F_{m}")[0])
-        g = g.derivative() + weight * model.forces[m]
+    names, fs, g = [f"F_{m}" for m in range(n)], [], ForceExpr.zero()    # g holds F_m till the end
+    for m in range(n):                  # F_{m+1} = F_m' + (-Gamma)^m L^(1+m), built as one sum
+        fs.append(g)
+        g = ForceExpr(g.derivative().terms + tuple(
+            t._derived((-model.gamma) ** m * t.coeff) for t in model.forces[m].terms))
         if not all(math.isfinite(term.coeff) for term in g.terms):
+            tabulate_at(fs, names, a)       # a non-finite F_j(a), j <= m, comes first
             name = "g" if m + 1 == n else f"F_{m + 1}"
             raise ValueError(f"composed force {name}(t) = {g} has a coefficient beyond float "
                              f"range (Gamma^k times a force coefficient)")
+    values = tabulate_at(fs, names, a)
+    u = [(-model.gamma) ** m * v + f for m, (v, f) in enumerate(zip(model.init_velocities, values))]
     return IvpProblem(a=a, b=b, f=ForceExpr.constant(feedback), g=g, u=tuple(u))
 
 
@@ -172,7 +176,7 @@ def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.nda
 
 # --- blocked affine RK4 for linear systems --------------------------------
 
-#: Steps per block of the recursive scan in ``_rk4_linear``.
+#: Steps per block of the blocked scan in ``_rk4_linear``.
 _BLOCK = 16
 
 #: Steps whose increment maps a time-varying A forms at once: the
@@ -221,8 +225,8 @@ def _forcing(delta, utab, sums):
 
     c_i is Delta's three (d, m) stage blocks applied to u at the start,
     middle and end of step i; ``utab`` holds u on the half-step grid, and
-    ``sums`` takes step i's row at [i % width, i // width] (the partial sums
-    of a ``_scan_work``).  Each in-block offset is one product of its
+    ``sums`` takes step i's row at [i % width, i // width] (the forcing rows
+    of ``_scan``'s work array).  Each in-block offset is one product of its
     ``_stage_values`` rows with the C-ordered (3m, d) stage matrix.  The
     overlapping view is no BLAS operand; split into BLAS products, the
     product measured no faster for m > 1 and ten times slower for m = 1.
@@ -233,44 +237,28 @@ def _forcing(delta, utab, sums):
         np.matmul(values[k::width], w, out=sums[k, :len(values[k::width])])
 
 
-def _scan_length(n):
-    """Rows ``_scan`` needs for an n-step recurrence: n padded to whole blocks."""
-    return n if n <= _BLOCK else -(-n // _BLOCK) * _BLOCK
-
-
-def _scan_work(n, d):
-    """Zeroed work array of ``_scan`` for an n-row scan.
-
-    Its shape is (width, blocks + d, d) with width = min(n, ``_BLOCK``) steps
-    per block and blocks = n // width: entry k holds the row vectors at
-    in-block offset k, first the partial sums of all blocks, then the d rows
-    of the transposed step map D^T that every block shares.
-    """
-    width = min(n, _BLOCK)
-    return np.zeros((width, n // width + d, d))
-
-
 def _scan(work, c):
     """Solve ``x_{i+1} = x_i + D x_i + c_i`` from ``x_0 = 0`` into ``c``.
 
-    ``work`` (from ``_scan_work``, overwritten) holds the forcing c_i in its
-    partial-sum rows and the transposed D in its map rows.  ``c`` is
-    C-contiguous and ``len(c)`` is at most ``_BLOCK`` or a multiple of it;
-    on return ``c[i]`` holds x_{i+1} (what ``c`` held before is not read).
-    States are rows, so every product is ``rows @ map`` with a C-ordered
-    right operand.
+    ``work`` (overwritten) has shape (width, blocks + d, d): entry k holds
+    the row vectors at in-block offset k, first the forcing c_i of all blocks
+    (step i at [i % width, i // width]), then the rows of D^T.  ``c`` is
+    C-contiguous with blocks * width rows; on return ``c[i]`` holds x_{i+1}
+    (what ``c`` held before is not read).  States are rows, so every product
+    is ``rows @ map`` with a C-ordered right operand.
 
-    The steps are cut into blocks.  One pass over the in-block offsets forms,
-    for all blocks together, the partial sums from a zero block start and the
-    in-block map G_k = S^k - I (kept apart from I, like the step map).  The
-    rows of G_k^T obey the same recurrence as the partial sums, with the rows
-    of D^T as their forcing, so both ride in one entry of ``work`` and each
-    offset is one product into a scratch entry and two contiguous adds.  The
-    block end map G and the blocks' last partial sums make the same kind of
-    recurrence over the blocks, which this function solves by calling
-    itself.  Then each block-start state s gives its block's states as
-    partial sum + s + s G_k^T: one (blocks, d) @ (d, d) product per offset
-    into ``c``'s buffer, and the sums are copied to it in step order.
+    One pass over the in-block offsets forms, for all blocks together, the
+    partial sums from a zero block start and the in-block map G_k = S^k - I
+    (kept apart from I, like the step map).  The rows of G_k^T obey the same
+    recurrence as the partial sums, with the rows of D^T as their forcing, so
+    both ride in one entry of ``work`` and each offset is one product into a
+    scratch entry and two contiguous adds.  The block starts obey
+    ``s_{b+1} = s_b + s_b G^T + e_b`` (G the block map, e_b the block's last
+    partial sum), which doubling solves: ``s[k:] += s[:-k] + s[:-k] @ G_k^T``
+    with G_2k = 2 G_k + G_k^2, for k = 1, 2, 4, ....  Then each block start
+    s gives its block's states as partial sum + s + s G_k^T: one
+    (blocks, d) @ (d, d) product per offset into ``c``'s buffer, and the sums
+    are copied to it in step order.
     """
     n, d = c.shape
     width = len(work)
@@ -284,19 +272,18 @@ def _scan(work, c):
     if blocks == 1:
         c[...] = sums[:, 0]
         return
-    size = _scan_length(blocks)
-    ends = _scan_work(size, d)                      # block end map and last partial sums
-    i = np.arange(blocks)
-    ends[i % len(ends), i // len(ends)] = sums[-1]
-    ends[:, -d:] = work[-1, -d:]
-    starts = np.empty((size + 1, d))                # starts[b]: state at the start of block b
-    starts[0] = 0.0
-    _scan(ends, starts[1:])
-    s = starts[:blocks]
+    starts = np.vstack((np.zeros(d), sums[-1, :-1]))    # starts[b]: state at block b's start
+    ends = starts[1:]                   # block b's end, from a zero start until the doubling
+    k, g = 1, work[-1, -d:]            # g: G_k^T over k blocks
+    while k < len(ends):
+        ends[k:] += ends[:-k] + ends[:-k] @ g
+        k *= 2
+        if k < len(ends):
+            g = 2.0 * g + g @ g
     products = c.reshape(width, blocks, d)
-    np.matmul(s, work[:, -d:], out=products)
+    np.matmul(starts, work[:, -d:], out=products)
     sums += products
-    sums += s
+    sums += starts
     c.reshape(blocks, width, d)[...] = sums.swapaxes(0, 1)
 
 
@@ -311,23 +298,24 @@ def _rk4_linear(a, e, utab, z0, h):
     Each step is the affine map ``z <- z + D_i z + c_i`` with D_i = S_i - I
     (``_rk4_increment``).  For a constant A, the forcing vectors c_i of all
     steps and the one D^T are written straight into the work array of
-    ``_scan``, z0 is folded into c_0, and ``_scan`` solves the recurrence by
-    a recursive blocked scan into the output buffer: O(_BLOCK) vectorised
-    iterations per level, O(log steps) levels.  A time-varying A is asked
+    ``_scan``, z0 is folded into c_0, and ``_scan`` solves the recurrence
+    into the output buffer: _BLOCK - 1 vectorised iterations within the
+    blocks, then log2(blocks) doubling rounds over the block ends (about 135
+    numpy calls for 10 000 steps).  A time-varying A is asked
     for ``_CHUNK`` steps at a time; their maps and forcing vectors are formed
     together, and the states are then stepped one map at a time.
 
     Overflow inside the run is not warned about; ValueError names the first
     step whose state is not finite.  For a constant A that state may be
-    finite in exact arithmetic: the in-block and block-end maps are powers
-    of the step map, which can leave float range (and give inf * 0 = NaN)
-    when the rates are too large for the step count, even on a zero
-    solution.
+    finite in exact arithmetic: the in-block and doubled block maps are
+    powers of the step map, which can leave float range (and give
+    inf * 0 = NaN) when the rates are too large for the step count, even on
+    a zero solution.
     """
     steps = (len(utab) - 1) // 2
     d = e.shape[0]
-    size = _scan_length(steps)
-    out = np.empty((size + 1, d))          # rows past steps + 1 are scratch of the scan
+    width, blocks = min(steps, _BLOCK), -(-steps // _BLOCK)
+    out = np.empty((blocks * width + 1, d))     # rows past steps + 1 are scratch of the scan
     out[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         if callable(a):
@@ -341,7 +329,7 @@ def _rk4_linear(a, e, utab, z0, h):
                     out[i + 1] = out[i] + delta[i - lo, :, :d] @ out[i] + c[i - lo]
         else:
             delta = _rk4_increment(a, a, a, e, h)
-            work = _scan_work(size, d)
+            work = np.zeros((width, blocks + d, d))
             work[:, -d:] = delta[:, :d].T
             _forcing(delta, utab, work[:, :-d])
             work[0, 0] += z0 + z0 @ work[0, -d:]

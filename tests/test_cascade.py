@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heptaspline.cascade import CascadeModel, IvpProblem, reduce, simulate_direct
 from heptaspline.forces import ForceExpr, ForceTerm, parse
@@ -150,6 +152,44 @@ class TestReducedInitialData:
             a = 0.0
             expected = v[2] - forces[1].evaluate(a) + forces[0].derivative().evaluate(a)
             assert u[2] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def force_terms(draw):
+    rate = draw(st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0))
+    trig = draw(st.sampled_from(["none", "sin", "cos"]))
+    wave = (0.0, 0.0)
+    if trig != "none":
+        wave = (draw(st.floats(-3.0, 3.0)), draw(st.floats(-1.0, 1.0)))
+    return ForceTerm(draw(st.floats(-5.0, 5.0)), draw(st.integers(0, 3)), rate, trig, *wave)
+
+
+@st.composite
+def cascade_models(draw):
+    n = draw(st.sampled_from([1, 3, 5, 7]))
+    a = draw(st.floats(0.01, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return CascadeModel(
+        n_scales=n,
+        gamma=draw(st.floats(0.2, 3.0)),
+        forces=tuple(ForceExpr(tuple(draw(st.lists(force_terms(), max_size=3))))
+                     for _ in range(n)),
+        init_velocities=tuple(draw(st.floats(-1.0, 1.0)) for _ in range(n)),
+        interval=(a, a + 1.0))
+
+
+class TestOnePassStartValues:
+    @settings(max_examples=200, deadline=None)
+    @given(model=cascade_models())
+    def test_bit_identical_to_per_force_evaluation(self, model):
+        # u_m as each F_m's own ForceExpr.evaluate gives it, with F_m folded here
+        f, u = ForceExpr.zero(), []
+        for m in range(model.n_scales):
+            weight = (-model.gamma) ** m
+            u.append(weight * model.init_velocities[m] + f.evaluate(model.interval[0]))
+            f = f.derivative() + weight * model.forces[m]
+        problem = reduce(model)
+        assert problem.u == tuple(u)
+        assert problem.g == f
 
 
 class TestRecurrenceMatchesClosedForm:

@@ -471,6 +471,11 @@ class TestParse:
             parse(text)
         assert err.value.position == position
 
+    def test_exponent_beyond_int_digit_limit_rejected(self):
+        with pytest.raises(ParseError, match="too many digits") as err:
+            parse("3*t^" + "9" * 5000)
+        assert err.value.position == 4
+
     def test_like_terms_cancelling_from_float_max(self):
         assert parse("1e308*t - 1e308*t").is_zero
 

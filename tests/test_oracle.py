@@ -179,11 +179,14 @@ def companion_rate(problem, h, steps):
     return rate
 
 
-#: Step counts on both sides of the scan's block boundaries at every level of
-#: its recursion, counts whose block-carry recursion pads at two levels, a
-#: prime, and the oracles' usual 10 000.
-STEP_COUNTS = [1, 63, 64, 65, 130, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK**2, _BLOCK**2 + 1,
-               _BLOCK**3 + 1, _BLOCK * (_BLOCK + 1), _BLOCK**2 * (_BLOCK + 1) + 1, 1009, 10_000]
+#: Step counts that give the scan one block (of _BLOCK steps or fewer), 2 and
+#: 3 blocks (the doubling over the block ends runs no round, then one), 2^k,
+#: 2^k + 1 and 2^k + 2 blocks (on both sides of one more round), counts that
+#: are no multiple of _BLOCK and so end in a part block, a prime, and the
+#: oracles' usual 10 000.
+STEP_COUNTS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK - 5, 3 * _BLOCK,
+               8 * _BLOCK, 9 * _BLOCK, 9 * _BLOCK + 1, 64 * _BLOCK, 65 * _BLOCK, 65 * _BLOCK + 1,
+               1009, 10_000]
 
 
 class TestClassicalRk4:
