@@ -184,13 +184,6 @@ def min_knots(mode: EndConditionMode) -> int:
     return max(max(spec.u[-1], spec.y[-1]) for spec in _END_ROW_SPECS[mode][1])
 
 
-def _check_knots(mode: EndConditionMode, n: int) -> None:
-    """ValueError unless ``n >= min_knots(mode)``, the smallest n ``build`` accepts."""
-    least = min_knots(mode)
-    if n < least:
-        raise ValueError(f"{mode.value} end conditions need n >= {least}, got n={n}")
-
-
 @dataclass
 class LinearSystem:
     """Dense n x n system A y = b for the knot values y_1..y_n on ``grid``; y0 = y(t_0)."""
@@ -215,7 +208,9 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     if problem.order != 7:
         raise ValueError(f"spline assembly requires a 7th order problem, got order {problem.order}")
     validate(params)
-    _check_knots(mode, n)
+    least = min_knots(mode)
+    if n < least:
+        raise ValueError(f"{mode.value} end conditions need n >= {least}, got n={n}")
 
     a, b = problem.a, problem.b
     h = (b - a) / n
@@ -230,8 +225,7 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
         raise ValueError(f"grid step h = {h} is out of float range: h^7 = {h7} must be "
                          f"finite and nonzero, and the row weights q/h^7 and w*h^7 finite")
     grid = _knot_grid(a, b, n)
-    fv = tabulate(problem.f, grid, "f")
-    gv = tabulate(problem.g, grid, "g")
+    fv, gv = tabulate((problem.f, problem.g), ("f", "g"), grid)
     u = problem.u
     u7 = float(gv[0]) - float(fv[0]) * u[0]              # y^(7)(a); floats overflow unwarned
     if not math.isfinite(u7):

@@ -269,9 +269,6 @@ def _scan(work, c):
         np.matmul(work[k - 1], work[k, -d:], out=term)
         term += work[k - 1]
         work[k] += term
-    if blocks == 1:
-        c[...] = sums[:, 0]
-        return
     starts = np.vstack((np.zeros(d), sums[-1, :-1]))    # starts[b]: state at block b's start
     ends = starts[1:]                   # block b's end, from a zero start until the doubling
     k, g = 1, work[-1, -d:]            # g: G_k^T over k blocks

@@ -157,7 +157,7 @@ def _run_solution(cfg: RunConfig, subcommand: str) -> int:
     if cfg.exact is None:
         lines += [f"{_fmt(t)},{_fmt(y)},," for t, y in zip(grid.t, grid.y)]
     else:
-        refs = tabulate(cfg.exact, grid.t, "exact")     # ValueError where it leaves float range
+        refs = tabulate((cfg.exact,), ("exact",), grid.t)[0]   # ValueError where not finite
         errors = [abs(y - ref) for y, ref in zip(grid.y, refs)]
         lines += [f"{_fmt(t)},{_fmt(y)},{_fmt(ref)},{_fmt(err)}"
                   for t, y, ref, err in zip(grid.t, grid.y, refs, errors)]

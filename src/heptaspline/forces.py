@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -211,25 +212,28 @@ class ForceExpr:
         return "".join(parts)
 
 
-def tabulate(force: ForceExpr, t: np.ndarray, name: str) -> np.ndarray:
-    """``force`` on the grid ``t``, which must be finite everywhere on it.
+def tabulate(forces, names, t: np.ndarray) -> list[np.ndarray]:
+    """Each of ``forces`` on the grid ``t``, which must be finite everywhere on it.
 
     Overflow to inf (or inf * 0 = NaN) is not warned about but rejected:
-    ValueError names the force by ``name`` and gives the first bad t.
+    ValueError names the first force not finite by its entry in ``names``
+    and gives its first bad t.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        values = force.evaluate(t)
-    if not np.isfinite(values).all():
-        i = int(np.argmin(np.isfinite(values)))
-        raise ValueError(f"force {name}(t) = {values[i]} at t = {float(t[i])!r} "
-                         f"is beyond float range")
-    return values
+        tables = [force.evaluate(t) for force in forces]
+    for values, name in zip(tables, names):
+        if not np.isfinite(values).all():
+            i = int(np.argmin(np.isfinite(values)))
+            raise ValueError(f"force {name}(t) = {values[i]} at t = {float(t[i])!r} "
+                             f"is beyond float range")
+    return tables
 
 
 def tabulate_at(forces, names, t: float) -> list[float]:
-    """Each ``tabulate(force, np.array([t]), name)[0]`` bit for bit, from one pass over all terms:
-    ``ForceTerm.evaluate``'s ufuncs in its order (an absent factor is an exact 1.0), each force's
-    terms added from 0.0 in term order (``sum`` compensates on 3.12, ``np.add.reduce`` is pairwise).
+    """Each force at ``t``, ``tabulate(forces, names, np.array([t]))`` bit for bit, from one
+    pass over all terms: ``ForceTerm.evaluate``'s ufuncs in its order (an absent factor is an
+    exact 1.0), each force's terms added from 0.0 in term order (``sum`` compensates on 3.12,
+    ``np.add.reduce`` is pairwise).
     """
     t = float(t)
     terms = [term for force in forces for term in force.terms]
@@ -263,9 +267,9 @@ def tabulate_grid(forces, names, start: float, step: float, count: int) -> np.nd
     most one term per shape).  t^p and exp(r t) are computed once per distinct
     p and r, and the rows filled in one pass in ``(freq, phase)`` order, so
     sin and cos once per distinct (w, phi) by angle addition (``_sin_cos``).
-    Where the table is not finite, the forces go through ``tabulate`` one by
-    one, which names the first one not finite (the basis product alone can
-    also turn a finite column into inf * 0).
+    Where the table is not finite, the forces go through ``tabulate``, which
+    names the first one not finite (the basis product alone can also turn a
+    finite column into inf * 0).
     """
     t = start + step * np.arange(count)
     shapes: dict[tuple, int] = {}
@@ -289,7 +293,7 @@ def tabulate_grid(forces, names, start: float, step: float, count: int) -> np.nd
             _product(basis[row], factors)
         table = basis.T @ weights
     if not np.isfinite(table).all():
-        return np.stack([tabulate(force, t, name) for force, name in zip(forces, names)], axis=1)
+        return np.stack(tabulate(forces, names, t), axis=1)
     return table
 
 
@@ -328,157 +332,124 @@ _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, position)`` tokens, kind one of "op", "name", "num", "end"."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(("num", m.group(0), pos))
-            pos = m.end()
-            continue
-        if text[pos].isalpha():
-            end = pos
-            while end < len(text) and text[end].isalpha():
-                end += 1
-            tokens.append(("name", text[pos:end], pos))
+    pos, size = 0, len(text)
+    while pos < size:
+        char, end = text[pos], pos + 1
+        if char.isspace():
             pos = end
             continue
-        if text[pos] in "+-*^()":
-            tokens.append(("op", text[pos], pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    tokens.append(("end", "", len(text)))
+        if char in "+-*^()":
+            kind = "op"
+        elif char.isalpha():
+            kind = "name"
+            while end < size and text[end].isalpha():
+                end += 1
+        elif m := _NUMBER_RE.match(text, pos):
+            kind, end = "num", m.end()
+        else:
+            raise ParseError(f"unexpected character {char!r}", pos)
+        tokens.append((kind, text[pos:end], pos))
+        pos = end
+    tokens.append(("end", "", size))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens; ``take`` is the one way to consume one."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    @property
+    def pos(self) -> int:
+        """Position of the current token."""
+        return self.tokens[self.i][2]
 
-    def advance(self):
-        tok = self.tokens[self.i]
+    def take(self, kind: str, values=None):
+        """Consume the current token and return its text if it is a ``kind``
+        (with one of the texts ``values``); else None.  Only "end" has text ""."""
+        token_kind, text, _ = self.tokens[self.i]
+        if token_kind != kind or (values is not None and text not in values):
+            return None
         self.i += 1
-        return tok
+        return text
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
+    def fail(self, message: str, pos=None) -> NoReturn:
+        """Raise ParseError at ``pos``, by default the current token's."""
+        raise ParseError(message, self.pos if pos is None else pos)
 
     def parse_expr(self) -> ForceExpr:
-        sign = 1.0
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.advance()
-            sign = -1.0 if val == "-" else 1.0
-        terms = [(self.peek()[2], self.parse_term(sign))]
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                terms.append((self.peek()[2], self.parse_term(-1.0 if val == "-" else 1.0)))
-            elif kind == "end":
-                break
-            else:
-                raise ParseError(f"expected '+', '-' or end of input, got {val!r}", pos)
+        # the optional leading sign and each sign between terms, read by one loop
+        terms, sign = [], self.take("op", "+-")
+        while sign or not terms:
+            terms.append((self.pos, self.parse_term(-1.0 if sign == "-" else 1.0)))
+            sign = self.take("op", "+-")
+        if self.take("end") is None:
+            self.fail(f"expected '+', '-' or end of input, got {self.tokens[self.i][1]!r}")
         # like-term sums, folded as ForceExpr folds them, can overflow where no term does
         sums: dict[tuple, float] = {}
         for start, t in terms:
             key = t._key()
             sums[key] = sums.get(key, 0.0) + t.coeff
             if not math.isfinite(sums[key]):
-                raise ParseError("sum of like terms is out of float range", start)
+                self.fail("sum of like terms is out of float range", start)
         return ForceExpr(tuple(t for _, t in terms))
 
     def parse_term(self, sign: float) -> ForceTerm:
-        coeff = sign
-        power = 0
-        rate = 0.0
-        trig = "none"
-        freq = 0.0
-        phase = 0.0
-        start = self.peek()[2]
+        coeff, power, rate, trig, freq, phase = sign, 0, 0.0, "none", 0.0, 0.0
+        start = self.pos
         while True:
-            kind, val, pos = self.peek()
-            if kind == "num":
-                self.advance()
-                coeff *= float(val)
-            elif kind == "name" and val == "t":
-                self.advance()
-                k2, v2, _ = self.peek()
-                if k2 == "op" and v2 == "^":
-                    self.advance()
-                    knum, vnum, pnum = self.peek()
-                    if knum != "num" or not vnum.isdigit():
-                        raise ParseError("expected integer exponent after '^'", pnum)
-                    self.advance()
+            pos = self.pos
+            if num := self.take("num"):
+                coeff *= float(num)
+            elif self.take("name", ("t",)):
+                if self.take("op", "^"):
+                    pos = self.pos
+                    digits = self.take("num") or ""
+                    if not digits.isdigit():
+                        self.fail("expected integer exponent after '^'", pos)
                     try:
-                        power += int(vnum)
+                        power += int(digits)
                     except ValueError:      # beyond the interpreter's int digit limit
-                        raise ParseError("exponent has too many digits", pnum) from None
+                        raise ParseError("exponent has too many digits", pos) from None
                 else:
                     power += 1
-            elif kind == "name" and val in ("exp", "sin", "cos"):
-                self.advance()
-                a, b = self.parse_func_arg(val, pos)
-                if val == "exp":
+            elif func := self.take("name", ("exp", "sin", "cos")):
+                a, b = self.parse_func_arg(func)
+                if func == "exp":
                     rate += a
+                elif trig != "none":
+                    self.fail("more than one sin/cos factor in a term", pos)
                 else:
-                    if trig != "none":
-                        raise ParseError("more than one sin/cos factor in a term", pos)
-                    trig, freq, phase = val, a, b
-            elif kind == "name":
-                raise ParseError(f"unknown function {val!r}", pos)
+                    trig, freq, phase = func, a, b
+            elif name := self.take("name"):
+                self.fail(f"unknown function {name!r}", pos)
             else:
-                raise ParseError(f"expected a factor, got {val!r}", pos)
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                continue
-            break
+                self.fail(f"expected a factor, got {self.tokens[self.i][1]!r}")
+            if not self.take("op", "*"):
+                break
         if not all(map(math.isfinite, (coeff, rate, freq, phase))):
-            raise ParseError("term is out of float range", start)
+            self.fail("term is out of float range", start)
         return ForceTerm(coeff, power, rate, trig, freq, phase)
 
-    def parse_func_arg(self, func: str, fpos: int) -> tuple[float, float]:
+    def parse_func_arg(self, func: str) -> tuple[float, float]:
         """Argument ``[-][number *] t [(+|-) number]``; returns (slope, offset)."""
-        self.expect_op("(")
-        slope = 1.0
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            slope = -1.0
-        kind, val, pos = self.peek()
-        if kind == "num":
-            self.advance()
-            slope *= float(val)
-            self.expect_op("*")
-        kind, val, pos = self.peek()
-        if kind != "name" or val != "t":
-            raise ParseError(f"expected 't' in {func}() argument", pos)
-        self.advance()
-        offset = 0.0
-        kind, val, pos = self.peek()
-        if kind == "op" and val in "+-":
+        self.take("op", "(") or self.fail("expected '('")
+        slope = -1.0 if self.take("op", "-") else 1.0
+        if num := self.take("num"):
+            slope *= float(num)
+            self.take("op", "*") or self.fail("expected '*'")
+        self.take("name", ("t",)) or self.fail(f"expected 't' in {func}() argument")
+        offset, pos = 0.0, self.pos
+        if sign := self.take("op", "+-"):
             if func == "exp":
-                raise ParseError("exp() argument cannot carry a phase offset", pos)
-            osign = -1.0 if val == "-" else 1.0
-            self.advance()
-            knum, vnum, pnum = self.peek()
-            if knum != "num":
-                raise ParseError("expected number after phase sign", pnum)
-            self.advance()
-            offset = osign * float(vnum)
-        self.expect_op(")")
+                self.fail("exp() argument cannot carry a phase offset", pos)
+            num = self.take("num") or self.fail("expected number after phase sign")
+            offset = (-1.0 if sign == "-" else 1.0) * float(num)
+        self.take("op", ")") or self.fail("expected ')'")
         return slope, offset
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .assembly import EndConditionMode, _check_knots, build
+from .assembly import EndConditionMode, build
 from .cascade import IvpProblem, _knot_grid, _rk4_linear
 from .forces import ForceExpr, parse, tabulate, tabulate_grid
 from .linsolve import SolutionGrid, lu_solve
@@ -101,33 +101,26 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
 Reference = Union[ForceExpr, RkTrajectory]
 
 
-def _stride(n: int, steps: int) -> int:
-    """Steps of an RK reference per knot interval; ValueError unless n divides steps."""
-    if n < 1 or steps % n:
-        raise ValueError(f"n={n} does not divide the {steps} steps of the RK reference, "
-                         f"so not every knot is a step point")
-    return steps // n
-
-
 def max_abs_error(grid: SolutionGrid, reference: Reference) -> float:
     """max over knots of |y_i - y_ref(t_i)|.
 
     ``reference`` is either a closed-form solution or an RK trajectory.  An
     RK trajectory is sampled by index, every (steps / n)-th step: n must
-    divide its step count (``_stride``), and the n + 1 knots must be
-    ``cascade._knot_grid`` of the trajectory's own interval [a, b], the
-    knots ``build`` makes, else ValueError.  ValueError where a closed form
-    is not finite on the knots.
+    divide its step count, and the n + 1 knots must be ``cascade._knot_grid``
+    of the trajectory's own interval [a, b], the knots ``build`` makes, else
+    ValueError.  ValueError where a closed form is not finite on the knots.
     """
     if isinstance(reference, RkTrajectory):
-        n, a, b = len(grid.t) - 1, reference.a, reference.b
-        stride = _stride(n, reference.steps)
+        n, a, b, steps = len(grid.t) - 1, reference.a, reference.b, reference.steps
+        if n < 1 or steps % n:
+            raise ValueError(f"n={n} does not divide the {steps} steps of the RK reference, "
+                             f"so not every knot is a step point")
         if not np.array_equal(grid.t, _knot_grid(a, b, n)):
             raise ValueError(f"the knots are not the {n + 1} uniform knots on the RK "
                              f"reference's interval [{a!r}, {b!r}]")
-        ref = reference.y[::stride]
+        ref = reference.y[::steps // n]
     else:
-        ref = tabulate(reference, grid.t, "exact")
+        ref = tabulate((reference,), ("exact",), grid.t)[0]
     return float(np.maximum.reduce(np.abs(grid.y - ref)))
 
 
@@ -149,12 +142,13 @@ def convergence_study(problem: IvpProblem, params: SplineParams,
                       reference: Optional[ForceExpr] = None) -> ConvergenceReport:
     """Solve for each n and report max-abs errors against a reference.
 
-    When no closed-form ``reference`` is given, a fine RK run on the
-    problem's interval with 100 * max(n_list) steps stands in; every n must
-    then divide that step count (``_stride``), and each grid is sampled by
-    step index (see ``max_abs_error``).  An empty ``n_list``, the smallest
-    n and the stride rule are checked before the RK run.  ValueError where a
-    closed-form reference is not finite on the knots or the RK run leaves
+    When no closed-form ``reference`` is given, each grid is measured against
+    its own RK run on the problem's interval, 100 * n steps (100 per knot
+    interval), sampled by step index (see ``max_abs_error``) and run right
+    after that grid's solve.  Only an empty or not strictly increasing
+    ``n_list`` is rejected before the first solve; ``build`` rejects an n
+    below ``min_knots(mode)`` before that n's RK run.  ValueError where a
+    closed-form reference is not finite on the knots or an RK run leaves
     float range.
     """
     ns = list(n_list)
@@ -162,16 +156,11 @@ def convergence_study(problem: IvpProblem, params: SplineParams,
         raise ValueError("n_list is empty")
     if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
         raise ValueError(f"n_list must be strictly increasing, got {ns}")
-    _check_knots(mode, ns[0])
-    if reference is None:
-        steps = 100 * max(ns)
-        for n in ns:
-            _stride(n, steps)
-        reference = rk_solve(problem, steps=steps)
     entries = []
     for n in ns:
         grid = lu_solve(build(problem, params, mode, n))
-        entries.append((n, max_abs_error(grid, reference)))
+        ref = rk_solve(problem, 100 * n) if reference is None else reference
+        entries.append((n, max_abs_error(grid, ref)))
     orders = tuple(math.log2(e1 / e2) if n2 == 2 * n1 and e1 > 0.0 and e2 > 0.0 else None
                    for (n1, e1), (n2, e2) in zip(entries, entries[1:]))
     return ConvergenceReport(entries=tuple(entries), orders=orders)

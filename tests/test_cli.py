@@ -384,9 +384,23 @@ class TestConverge:
         for row, expect in zip(rows, published):
             assert expect / 10 <= float(row["max_abs_error"]) <= expect * 10
 
+    def test_rk_reference_accepts_any_increasing_n_list(self, tmp_path, capsys):
+        # 30 does not divide 100 * 40: each grid gets its own RK run, 100 steps per interval.
+        cfg = rewrite_output(CONFIG_DIR / "example1_standard_col1.ini", tmp_path, "conv")
+        lines = [("n_list = 20, 30, 40" if line.startswith("n_list") else line)
+                 for line in cfg.read_text(encoding="utf-8").splitlines()
+                 if not line.startswith("exact")]
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["converge", "--config", str(cfg)]) == 0
+        rows = read_csv(tmp_path / "conv.csv")
+        assert [r["n"] for r in rows] == ["20", "30", "40"]
+        assert [r["observed_order"] for r in rows] == ["", "", ""]
+        errors = [float(r["max_abs_error"]) for r in rows]
+        assert 0.0 < errors[2] < errors[1] < errors[0]
+
     def test_force_beyond_float_range_for_rk_reference_exits_one(self, tmp_path, capsys):
-        # Without an exact solution the reference is an RK run, which
-        # tabulates g on its own half-step grid before any solve.
+        # Without an exact solution the reference is an RK run per grid, but
+        # build meets g first, on the knots of the first grid.
         cfg = rewrite_output(CONFIG_DIR / "example1_standard_col1.ini", tmp_path, "conv")
         lines = [("g = exp(800*t)" if line.startswith("g = ") else line)
                  for line in cfg.read_text(encoding="utf-8").splitlines()
@@ -395,7 +409,7 @@ class TestConverge:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["converge", "--config", str(cfg)]) == 1
-        assert "force g(t) = inf at t = 0.8872" in capsys.readouterr().err
+        assert "force g(t) = inf at t = 1.0 " in capsys.readouterr().err
 
     def test_rk_reference_beyond_float_range_exits_one(self, tmp_path, capsys):
         # f and g are finite, but the RK reference's states overflow.
@@ -414,7 +428,7 @@ class TestConverge:
             warnings.simplefilter("error")
             assert main(["converge", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: RK4 state at step ") and "of 2400 is beyond float range" in err
+        assert err.startswith("error: RK4 state at step ") and "of 1200 is beyond float range" in err
         assert not (tmp_path / "conv.csv").exists()
 
     def test_exact_beyond_float_range_on_knots_exits_one(self, tmp_path, capsys):

@@ -142,9 +142,10 @@ class TestSharedFactors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^force g\(t\) = inf at t = 0\.9 "):
-                tabulate(parse("exp(800*t) + 3*t*exp(800*t)"), np.array([0.0, 0.9, 1.0]), "g")
+                tabulate([parse("exp(800*t) + 3*t*exp(800*t)")], ["g"],
+                         np.array([0.0, 0.9, 1.0]))
             with pytest.raises(ValueError, match=r"^force F_1\(t\) = nan at t = 1\.0 "):
-                tabulate(parse("exp(800*t) - t*exp(800*t)"), np.array([0.0, 1.0]), "F_1")
+                tabulate([parse("exp(800*t) - t*exp(800*t)")], ["F_1"], np.array([0.0, 1.0]))
 
 
 class TestParseLikeTerms:
@@ -174,7 +175,18 @@ class TestTabulate:
     def test_finite_table_is_evaluate(self):
         expr = parse("2*t*exp(-t) + cos(3*t + 0.5)")
         ts = np.linspace(-1, 1, 7)
-        assert tabulate(expr, ts, "f").tobytes() == expr.evaluate(ts).tobytes()
+        assert tabulate([expr], ["f"], ts)[0].tobytes() == expr.evaluate(ts).tobytes()
+
+    def test_one_table_per_force_and_the_first_bad_one_named(self):
+        forces = [parse("t^2"), parse("exp(800*t)"), parse("t^400*exp(-800*t)")]
+        ts = np.array([0.0, 0.5, 1.0])
+        tables = tabulate(forces[:1], ["f"], ts) + tabulate(forces[2:], ["g"], ts)
+        assert [x.tobytes() for x in tables] == [forces[0].evaluate(ts).tobytes(),
+                                                 forces[2].evaluate(ts).tobytes()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^force L2\(t\) = inf at t = 1\.0 "):
+                tabulate(forces, ["L1", "L2", "L3"], np.array([0.0, 1.0, 7.0]))
 
     @pytest.mark.parametrize("text,grid,message", [
         ("exp(800*t)", (0.0, 0.5, 0.9, 1.0), "= inf at t = 0.9 "),         # overflow
@@ -184,7 +196,7 @@ class TestTabulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
-                tabulate(parse(text), np.array(grid), "L3")
+                tabulate([parse(text)], ["L3"], np.array(grid))
         assert str(info.value).startswith("force L3(t) " + message)
 
 
@@ -311,7 +323,7 @@ class TestTabulateGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = tabulate_grid([force], ["f"], 99.0, 0.5, 3)
-        assert table[:, 0].tobytes() == tabulate(force, t, "f").tobytes()
+        assert table[:, 0].tobytes() == tabulate([force], ["f"], t)[0].tobytes()
 
 
 class TestDerivative:
@@ -482,6 +494,43 @@ class TestParse:
     def test_two_trig_factors_rejected(self):
         with pytest.raises(ParseError, match="more than one"):
             parse("sin(t)*cos(t)")
+
+    @pytest.mark.parametrize("text,message,position", [
+        ("t $ 1", "unexpected character '$'", 2),
+        ("t^x", "expected integer exponent after '^'", 2),
+        ("t^2.5", "expected integer exponent after '^'", 2),
+        ("3*t^" + "9" * 5000, "exponent has too many digits", 4),
+        ("sin(t)*cos(t)", "more than one sin/cos factor in a term", 7),
+        ("tan(t)", "unknown function 'tan'", 0),
+        ("t^2 + * sin(t)", "expected a factor, got '*'", 6),
+        ("t +", "expected a factor, got ''", 3),
+        ("t t", "expected '+', '-' or end of input, got 't'", 2),
+        ("t)", "expected '+', '-' or end of input, got ')'", 1),
+        ("sin t", "expected '('", 4),
+        ("sin(t", "expected ')'", 5),
+        ("sin(2t)", "expected '*'", 5),
+        ("exp(x)", "expected 't' in exp() argument", 4),
+        ("sin(-2*)", "expected 't' in sin() argument", 7),
+        ("exp(t + 1)", "exp() argument cannot carry a phase offset", 6),
+        ("cos(-t - )", "expected number after phase sign", 9),
+        ("t + 1e400*t", "term is out of float range", 4),
+        ("1e308*t + 1e308*t", "sum of like terms is out of float range", 10),
+    ])
+    def test_every_error_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} at position {position}"
+        assert err.value.position == position
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text() | st.text(alphabet=" t^*+-()0123456789.eEsincoxpa", max_size=30))
+    def test_any_text_parses_or_raises_parse_error_within_it(self, text):
+        try:
+            expr = parse(text)
+        except ParseError as err:
+            assert 0 <= err.position <= len(text)
+        else:
+            assert isinstance(expr, ForceExpr)
 
     def test_round_trip_eval_equivalence(self):
         rng = random.Random(11)

@@ -335,13 +335,16 @@ class TestConvergenceStudy:
             assert err <= 1e-8
 
     def test_rk_fallback_reference(self):
-        report = convergence_study(EXPONENTIAL.problem, optimal_family(30),
-                                   EndConditionMode.IMPROVED, [10, 20])
-        direct = convergence_study(EXPONENTIAL.problem, optimal_family(30),
-                                   EndConditionMode.IMPROVED, [10, 20],
-                                   reference=EXPONENTIAL.exact)
-        for (n1, e1), (n2, e2) in zip(report.entries, direct.entries):
-            assert e1 == pytest.approx(e2, rel=1e-2, abs=1e-12)
+        # 12 and 24 do not divide 100 * 50: each grid has its own RK reference.
+        for n_list in ([10, 20], [12, 24, 50]):
+            report = convergence_study(EXPONENTIAL.problem, optimal_family(30),
+                                       EndConditionMode.IMPROVED, n_list)
+            direct = convergence_study(EXPONENTIAL.problem, optimal_family(30),
+                                       EndConditionMode.IMPROVED, n_list,
+                                       reference=EXPONENTIAL.exact)
+            assert [n for n, _ in report.entries] == n_list
+            for (n1, e1), (n2, e2) in zip(report.entries, direct.entries):
+                assert e1 == pytest.approx(e2, rel=1e-2, abs=1e-12)
 
     def test_rk_fallback_reference_on_a_shifted_interval(self):
         # y^(7) + y = 0 is autonomous: moving [0, 1] to [1e6, 1e6 + 1] keeps every error.
@@ -359,12 +362,6 @@ class TestConvergenceStudy:
                                    reference=EXPONENTIAL.exact)
         assert report.orders[0] is None
         assert report.orders[1] is not None
-
-    def test_rk_reference_step_count_checked_before_the_run(self, monkeypatch):
-        monkeypatch.setattr(oracle, "rk_solve", lambda *args, **kw: pytest.fail("RK run started"))
-        with pytest.raises(ValueError, match="n=12 does not divide the 5000 steps"):
-            convergence_study(EXPONENTIAL.problem, optimal_family(30),
-                              EndConditionMode.IMPROVED, [12, 24, 50])
 
     def test_exact_reference_beyond_float_range_on_knots_rejected(self):
         with warnings.catch_warnings():
