@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forces import ForceExpr, tabulate_at, tabulate_grid
+from .forces import ForceExpr, ShiftBasis, tabulate_at, tabulate_grid
 
 __all__ = [
     "CascadeModel",
@@ -155,29 +155,40 @@ def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.nda
 
     Returns ``(times, trajectories)`` where ``trajectories[i, k]`` is scale
     k+1 at ``times[i]``; shape (steps+1, n_scales).  The coupled system is
-    linear, ``y' = -Gamma*P y + L(t)`` with P the cyclic shift, so it runs
-    through the same blocked affine RK4 kernel as the companion-system
-    oracle (``_rk4_linear``).  The forces are tabulated on the half-step
-    grid up front, all in one ``tabulate_grid`` call that returns the
-    C-ordered (2*steps + 1, n_scales) table the kernel reads, and ValueError
-    names the first force L^(k) not finite there.
+    linear with a constant matrix, ``y' = -Gamma*P y + L(t)`` with P the
+    cyclic shift, so it runs through the blocked affine RK4 kernel of the
+    companion-system oracle (``_rk4_linear``), which builds the forcing from
+    shifts of the forces' basis and tabulates the forces only where that
+    basis cannot carry them; ValueError names the first force L^(k) not
+    finite on the half-step grid.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     n = model.n_scales
     a, b = model.interval
-    h = (b - a) / steps
-    ftab = tabulate_grid(model.forces, [f"L{k + 1}" for k in range(n)], a, 0.5 * h, 2 * steps + 1)
     coupling = -model.gamma * np.roll(np.eye(n), 1, axis=1)    # row k picks y[k+1]
-    out = _rk4_linear(coupling, np.eye(n), ftab,
-                      np.array(model.init_velocities, dtype=float), h)
+    out = _rk4_linear(coupling, np.eye(n), model.forces, [f"L{k + 1}" for k in range(n)],
+                      np.array(model.init_velocities, dtype=float), a, (b - a) / steps, steps)
     return _knot_grid(a, b, steps), out
 
 
 # --- blocked affine RK4 for linear systems --------------------------------
 
 #: Steps per block of the blocked scan in ``_rk4_linear``.
-_BLOCK = 16
+_BLOCK = 32
+
+#: Most entries of each (p + 1, n, n) shift array ``_shift_forcing`` forms
+#: (``ShiftBasis.lift_size``); the oracle's cascades need at most 4 096.
+_SHIFT_BUDGET = 1 << 16
+
+#: How many times the rounding of tabulating a force ``_shift_forcing`` lets
+#: the shifted forcing lose, about 6e-14 of the force's size.
+_SHIFT_LOSS = 1 << 8
+
+#: Largest m*n*k of the products ``_scan`` hands to BLAS at once.  OpenBLAS
+#: runs a GEMM up to 2^18 on one thread; larger ones it splits over threads,
+#: which made the scan about three times slower while other work held the cores.
+_GEMM_SIZE = 1 << 18
 
 #: Steps whose increment maps a time-varying A forms at once: the
 #: temporaries of ``_rk4_increment`` hold about six (d, d + 3m) arrays per step.
@@ -220,87 +231,120 @@ def _stage_values(utab):
     return sliding_window_view(utab.ravel(), 3 * m)[::2 * m]
 
 
-def _forcing(delta, utab, sums):
-    """Write the forcing vector c_i of every step into ``sums``, for one map ``delta``.
+def _shift_forcing(delta, forces, start, h, width, blocks):
+    """The forcing by ``forces`` of a blocked RK4 run with the one map ``delta``, as phi
+    at the block starts and a stack of maps Q_k; None where phi cannot carry the forces.
 
-    c_i is Delta's three (d, m) stage blocks applied to u at the start,
-    middle and end of step i; ``utab`` holds u on the half-step grid, and
-    ``sums`` takes step i's row at [i % width, i // width] (the forcing rows
-    of ``_scan``'s work array).  Each in-block offset is one product of its
-    ``_stage_values`` rows with the C-ordered (3m, d) stage matrix.  The
-    overlapping view is no BLAS operand; split into BLAS products, the
-    product measured no faster for m > 1 and ten times slower for m = 1.
+    Step i = b*width + k starts at s_b + k h, with s_b = start + b*width*h,
+    and u(s_b + tau) = phi(s_b) T_tau^T W for the forces' ``ShiftBasis`` phi,
+    its shift matrices T_tau and weights W, so the step's forcing row is
+
+        c_i = sum_j Delta_j u(s_b + (2k + j) h/2) = phi(s_b) @ Q_k,
+        Q_k = sum_j T_{(2k+j)h/2}^T W Delta_j^T,
+
+    with Delta_j the three (d, m) stage blocks of ``delta``.  Returns
+    ``(phi at the block starts, Q stacked over k)``, or None when
+
+    - the basis needs more than ``_SHIFT_BUDGET`` entries per shift array;
+    - some reach_bk = sum_i size_i(s_b) max_tau |(T_tau^T W)_ik|, a bound on
+      |u_k| over block b, is not below half the float range, where size_i is
+      the envelope |t|^q exp(r t) of phi_i plus tiny (1 + |t|^q + exp(r t)),
+      what rounding below the normal range may lose in units of eps: a force
+      may then not be finite on the grid, or phi overflows where it is;
+    - or some reach_bk exceeds ``_SHIFT_LOSS`` times force k's term size,
+      the largest sum_i size_i(s_b) |W_ik| over the block starts: eps reach
+      bounds the rounding of the expansion (the binomials of (s + tau)^q
+      cancel where s < 0, and exp(r tau) grows what phi(s_b) lost below
+      the normal range), eps times the term size that of tabulating u_k.
     """
-    width, values = len(sums), _stage_values(utab)
-    w = np.ascontiguousarray(delta[:, sums.shape[-1]:].T)     # rows j*m..(j+1)*m: stage j
-    for k in range(min(width, len(values))):
-        np.matmul(values[k::width], w, out=sums[k, :len(values[k::width])])
+    d, m, basis = delta.shape[0], len(forces), ShiftBasis(forces)
+    if basis.lift_size > _SHIFT_BUDGET:
+        return None
+    starts = start + h * (width * np.arange(blocks))
+    phi = basis.values(starts)
+    lifted = basis.shifted(0.5 * h * np.arange(2 * width + 1), basis.weights)
+    power = np.abs(starts)[:, None] ** basis.powers
+    growth = np.exp(basis.rates * starts[:, None])
+    size = power * growth + np.finfo(float).tiny * (1.0 + power + growth)
+    reach = size @ np.abs(lifted).max(axis=0)
+    terms = (size @ np.abs(basis.weights)).max(axis=0)
+    if not (reach.max() <= 0.5 * np.finfo(float).max and np.all(reach <= _SHIFT_LOSS * terms)):
+        return None
+    stages = delta[:, d:]
+    return phi, sum(lifted[j:j + 2 * width:2] @ stages[:, j * m:(j + 1) * m].T for j in range(3))
 
 
-def _scan(work, c):
-    """Solve ``x_{i+1} = x_i + D x_i + c_i`` from ``x_0 = 0`` into ``c``.
+def _scan(phi, work, z0, out):
+    """Solve ``x_{i+1} = x_i + D x_i + c_i`` from ``x_0 = z0`` into ``out``,
+    where c_i = phi[b] @ Q_k for step i = b*width + k.
 
-    ``work`` (overwritten) has shape (width, blocks + d, d): entry k holds
-    the row vectors at in-block offset k, first the forcing c_i of all blocks
-    (step i at [i % width, i // width]), then the rows of D^T.  ``c`` is
-    C-contiguous with blocks * width rows; on return ``c[i]`` holds x_{i+1}
-    (what ``c`` held before is not read).  States are rows, so every product
-    is ``rows @ map`` with a C-ordered right operand.
+    ``work`` (overwritten) has shape (width, n + d, d): entry k holds the n
+    rows of Q_k, then the rows of D^T.  ``out`` is C-contiguous with
+    len(phi) * width rows; on return ``out[i]`` holds x_{i+1} (what ``out``
+    held before is not read).  States are rows, so every product is
+    ``rows @ map`` with a C-ordered right operand.
 
-    One pass over the in-block offsets forms, for all blocks together, the
-    partial sums from a zero block start and the in-block map G_k = S^k - I
-    (kept apart from I, like the step map).  The rows of G_k^T obey the same
-    recurrence as the partial sums, with the rows of D^T as their forcing, so
-    both ride in one entry of ``work`` and each offset is one product into a
-    scratch entry and two contiguous adds.  The block starts obey
-    ``s_{b+1} = s_b + s_b G^T + e_b`` (G the block map, e_b the block's last
-    partial sum), which doubling solves: ``s[k:] += s[:-k] + s[:-k] @ G_k^T``
-    with G_2k = 2 G_k + G_k^2, for k = 1, 2, 4, ....  Then each block start
-    s gives its block's states as partial sum + s + s G_k^T: one
-    (blocks, d) @ (d, d) product per offset into ``c``'s buffer, and the sums
-    are copied to it in step order.
+    A block's partial sums from a zero block start are linear in its phi:
+    phi @ R_k at offset k, with R_0 = Q_0 and R_k = R_{k-1} + R_{k-1} D^T +
+    Q_k.  The rows of G_k^T, for the in-block map G_k = S^k - I (kept apart
+    from I, like the step map), obey the same recurrence with the rows of D^T
+    as their forcing, so both ride in one entry of ``work`` and ``_doubling``
+    forms them all on n + d rows.  The block starts obey
+    ``s_{b+1} = s_b + s_b G^T + e_b`` from s_0 = z0, with G the block map and
+    e_b = phi[b] @ R_{width-1} the block's last partial sum, which
+    ``_doubling`` solves over the blocks.  Each step's state is then its
+    partial sum + s + s G_k^T for its block's start s: the product of
+    [phi | s | s] with [R_k; G_k^T; I] over all k writes them all into
+    ``out`` in step order, a few blocks at a time (``_GEMM_SIZE``).
     """
-    n, d = c.shape
-    width = len(work)
-    blocks = n // width
-    sums = work[:, :-d]
-    term = np.empty(work.shape[1:])
-    for k in range(1, width):
-        np.matmul(work[k - 1], work[k, -d:], out=term)
-        term += work[k - 1]
-        work[k] += term
-    starts = np.vstack((np.zeros(d), sums[-1, :-1]))    # starts[b]: state at block b's start
-    ends = starts[1:]                   # block b's end, from a zero start until the doubling
-    k, g = 1, work[-1, -d:]            # g: G_k^T over k blocks
-    while k < len(ends):
-        ends[k:] += ends[:-k] + ends[:-k] @ g
+    width, rows, d = work.shape
+    _doubling(work, work[0, -d:])
+    maps = work.swapaxes(0, 1).reshape(rows, width * d)    # R_k over G_{k+1}^T, k = 0..width-1
+    starts = np.empty((len(phi), d))    # starts[b]: state at block b's start
+    starts[0] = z0
+    np.matmul(phi[:-1], maps[:-d, -d:], out=starts[1:])
+    _doubling(starts, work[-1, -d:])
+    lhs, rhs = np.hstack((phi, starts, starts)), np.vstack((maps, np.tile(np.eye(d), width)))
+    states, chunk = out.reshape(len(phi), width * d), max(1, _GEMM_SIZE // rhs.size)
+    for lo in range(0, len(phi), chunk):
+        np.matmul(lhs[lo:lo + chunk], rhs, out=states[lo:lo + chunk])
+
+
+def _doubling(x, g):
+    """Solve ``x_k = x_{k-1} + x_{k-1} @ g + f_k`` along axis 0 in place (x_{-1} = 0).
+
+    ``x`` holds f on entry and the solution on return; ``g`` is G_1^T for
+    the step map S = I + G_1.  Round s adds ``x[:-s] + x[:-s] @ G_s^T`` to
+    ``x[s:]``, with G_2s = 2 G_s + G_s^2, for s = 1, 2, 4, ...
+    (Hillis-Steele): log2(len(x)) rounds of one product each.
+    """
+    k = 1
+    while k < len(x):
+        x[k:] += x[:-k] + x[:-k] @ g
         k *= 2
-        if k < len(ends):
+        if k < len(x):
             g = 2.0 * g + g @ g
-    products = c.reshape(width, blocks, d)
-    np.matmul(starts, work[:, -d:], out=products)
-    sums += products
-    sums += starts
-    c.reshape(blocks, width, d)[...] = sums.swapaxes(0, 1)
 
 
-def _rk4_linear(a, e, utab, z0, h):
-    """Classical RK4 for ``z' = A(t) z + E u(t)``; returns all states.
+def _rk4_linear(a, e, forces, names, z0, start, h, steps):
+    """Classical RK4 for ``z' = A(t) z + E u(t)`` on [start, start + steps*h]; all states.
 
-    ``utab`` holds u on the half-step grid, shape (2*steps + 1, m).  ``a`` is
-    either one (d, d) matrix for constant A or a function ``a(lo, hi)``
-    giving A on the half-step grid of steps lo..hi - 1, shape
-    (2*(hi - lo) + 1, d, d).  Result: shape (steps + 1, d), row 0 is ``z0``.
+    u is the first m = E.shape[1] of ``forces``.  ``a`` is either one (d, d)
+    matrix for constant A or a function ``a(values)`` giving A at the points
+    where the other forces, ``forces[m:]``, take ``values`` (one row per
+    point): shape (len(values), d, d).  ``names`` name the forces in the
+    errors of ``tabulate_grid``.  Result: shape (steps + 1, d), row 0 is
+    ``z0``.
 
     Each step is the affine map ``z <- z + D_i z + c_i`` with D_i = S_i - I
-    (``_rk4_increment``).  For a constant A, the forcing vectors c_i of all
-    steps and the one D^T are written straight into the work array of
-    ``_scan``, z0 is folded into c_0, and ``_scan`` solves the recurrence
-    into the output buffer: _BLOCK - 1 vectorised iterations within the
-    blocks, then log2(blocks) doubling rounds over the block ends (about 135
-    numpy calls for 10 000 steps).  A time-varying A is asked
-    for ``_CHUNK`` steps at a time; their maps and forcing vectors are formed
-    together, and the states are then stepped one map at a time.
+    (``_rk4_increment``).  For a constant A, the forcing vectors of all
+    steps are phi(s_b) @ Q_k, from shifts of the forces' basis phi evaluated
+    at the block starts s_b only (``_shift_forcing``), and ``_scan`` solves
+    the recurrence into the output buffer by doubling within the blocks and
+    over the block starts.  A time-varying A, and a constant A whose forces
+    that basis cannot carry, read the forces' table on the half-step grid
+    instead: ``_CHUNK`` steps at a time, their maps and forcing vectors are
+    formed together, and the states are then stepped one map at a time.
 
     Overflow inside the run is not warned about; ValueError names the first
     step whose state is not finite.  For a constant A that state may be
@@ -309,28 +353,33 @@ def _rk4_linear(a, e, utab, z0, h):
     inf * 0 = NaN) when the rates are too large for the step count, even on
     a zero solution.
     """
-    steps = (len(utab) - 1) // 2
-    d = e.shape[0]
+    d, m = e.shape
     width, blocks = min(steps, _BLOCK), -(-steps // _BLOCK)
     out = np.empty((blocks * width + 1, d))     # rows past steps + 1 are scratch of the scan
     out[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
-        if callable(a):
-            u3 = _stage_values(utab)
+        forcing = None
+        if not callable(a):
+            delta = _rk4_increment(a, a, a, e, h)
+            forcing = _shift_forcing(delta, forces[:m], start, h, width, blocks)
+        if forcing is not None:
+            phi, q = forcing
+            work = np.empty((width, q.shape[1] + d, d))
+            work[:, :-d], work[:, -d:] = q, delta[:, :d].T
+            _scan(phi, work, z0, out[1:])
+        else:
+            table = tabulate_grid(forces, names, start, 0.5 * h, 2 * steps + 1)
+            u3 = _stage_values(np.ascontiguousarray(table[:, :m]))
             for lo in range(0, steps, _CHUNK):
                 hi = min(lo + _CHUNK, steps)
-                window = a(lo, hi)
-                delta = _rk4_increment(window[0:-1:2], window[1::2], window[2::2], e, h)
-                c = np.einsum("ijk,ik->ij", delta[:, :, d:], u3[lo:hi])
+                if callable(a):
+                    window = a(table[2 * lo:2 * hi + 1, m:])
+                    maps = _rk4_increment(window[0:-1:2], window[1::2], window[2::2], e, h)
+                else:
+                    maps = np.broadcast_to(delta, (hi - lo,) + delta.shape)
+                c = np.einsum("ijk,ik->ij", maps[:, :, d:], u3[lo:hi])
                 for i in range(lo, hi):
-                    out[i + 1] = out[i] + delta[i - lo, :, :d] @ out[i] + c[i - lo]
-        else:
-            delta = _rk4_increment(a, a, a, e, h)
-            work = np.zeros((width, blocks + d, d))
-            work[:, -d:] = delta[:, :d].T
-            _forcing(delta, utab, work[:, :-d])
-            work[0, 0] += z0 + z0 @ work[0, -d:]
-            _scan(work, out[1:])
+                    out[i + 1] = out[i] + maps[i - lo, :, :d] @ out[i] + c[i - lo]
     states = out[:steps + 1]
     if not np.isfinite(states).all():
         i = int(np.argmin(np.isfinite(states).all(axis=1)))

@@ -12,7 +12,9 @@ are computed symbolically instead of numerically.  A small text grammar
               | ('sin'|'cos') '(' arg ['+'|'-' number] ')'
     arg    := ['-'] [number '*'] 't'
 
-Whitespace is insignificant; numbers are decimal literals.
+Whitespace is insignificant; numbers are decimal literals in the ASCII
+digits 0-9.  The family is also closed under the shift t -> t + tau, which
+:class:`ShiftBasis` writes as one matrix per tau.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.position = position
+
+
+def _shape_key(term) -> tuple:
+    """A term's ``_key``, (power, rate, trig index, freq, phase): like terms share it."""
+    return (term.poly_power, term.exp_rate, _TRIG_KINDS.index(term.trig),
+            term.trig_freq, term.trig_phase)
 
 
 @dataclass(frozen=True)
@@ -61,15 +69,15 @@ class ForceTerm:
             raise ValueError(f"trig must be one of {_TRIG_KINDS}, got {self.trig!r}")
         if self.trig == "none" and (self.trig_freq != 0.0 or self.trig_phase != 0.0):
             raise ValueError("trig_freq and trig_phase must be 0 when trig is 'none'")
-
-    def _key(self):
-        return (self.poly_power, self.exp_rate, _TRIG_KINDS.index(self.trig),
-                self.trig_freq, self.trig_phase)
+        object.__setattr__(self, "_key", _shape_key(self))
 
     def _derived(self, coeff: float, **shape) -> "ForceTerm":
-        """This term with ``coeff`` and ``shape`` fields that keep it valid, unchecked."""
+        """This term with ``coeff`` and ``shape`` fields that keep it valid, unchecked;
+        its ``_key`` is recomputed only when ``shape`` changes a field."""
         term = object.__new__(ForceTerm)
         term.__dict__.update(self.__dict__, coeff=float(coeff), **shape)
+        if shape:
+            term.__dict__["_key"] = _shape_key(term)
         return term
 
     def evaluate(self, t):
@@ -142,7 +150,7 @@ class ForceExpr:
     def __post_init__(self):
         merged: dict[tuple, ForceTerm] = {}
         for term in self.terms:
-            key = term._key()
+            key = term._key
             first = merged.get(key)
             merged[key] = term if first is None else first._derived(first.coeff + term.coeff)
         object.__setattr__(self, "terms", tuple(
@@ -276,7 +284,7 @@ def tabulate_grid(forces, names, start: float, step: float, count: int) -> np.nd
     weights = np.zeros((sum(len(force.terms) for force in forces), len(forces)))
     for k, force in enumerate(forces):
         for term in force.terms:
-            weights[shapes.setdefault(term._key(), len(shapes)), k] = term.coeff
+            weights[shapes.setdefault(term._key, len(shapes)), k] = term.coeff
     weights = weights[:len(shapes)]
     basis = np.empty((len(shapes), count))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,9 +334,96 @@ def _sin_cos(freq: float, phase: float, start: float, step: float, count: int):
     return values[0, :count], values[1, :count]
 
 
+# --- shifts of the force basis -------------------------------------------
+
+class ShiftBasis:
+    """A basis phi of functions that holds some forces and is closed under shifts.
+
+    A term ``c t^p exp(r t) trig(w t + theta)`` lies in the span of the
+    functions t^q exp(r t) sin(w t + theta) and t^q exp(r t) cos(w t + theta),
+    q <= p (t^q exp(r t) for a term without trig), and t -> t + tau maps that
+    span to itself:
+
+        (t + tau)^q = sum_{i<=q} C(q, i) tau^(q-i) t^i,   exp(r (t + tau)) = exp(r tau) exp(r t),
+        sin(x + w tau) = cos(w tau) sin x + sin(w tau) cos x,
+        cos(x + w tau) = cos(w tau) cos x - sin(w tau) sin x,
+
+    so phi(t + tau) = T_tau phi(t) with T_tau in closed form (``shifted``).
+    Basis function i is the shape with key ``keys[i]`` (``ForceTerm._key``),
+    power ``powers[i]`` and rate ``rates[i]``, and force k is
+    ``phi(t) @ weights[:, k]``.
+    """
+
+    def __init__(self, forces):
+        top: dict[tuple, int] = {}          # (rate, has trig, freq, phase) -> highest power
+        for term in (x for force in forces for x in force.terms):
+            power, rate, trig, freq, phase = term._key
+            group = (rate, trig > 0, freq, phase)
+            top[group] = max(top.get(group, 0), power)
+        self.keys = [(q, rate, trig, freq, phase)
+                     for (rate, has_trig, freq, phase), power in top.items()
+                     for q in range(power + 1) for trig in ((1, 2) if has_trig else (0,))]
+        row = {key: i for i, key in enumerate(self.keys)}
+        self.weights = np.zeros((len(row), len(forces)))
+        for k, force in enumerate(forces):
+            for term in force.terms:
+                self.weights[row[term._key], k] = term.coeff
+        # exp(r t) and the wave are computed once per group; a group without trig has
+        # w = theta = 0, so its cos is exactly 1
+        size = [(power + 1) * (1 + has_trig) for (_, has_trig, _, _), power in top.items()]
+        self._group = np.repeat(np.arange(len(top)), size)
+        self._rate, _, self._freq, self._phase = np.array(list(top), dtype=float).reshape(-1, 4).T
+        self.powers, self._trig = np.array([key[:3:2] for key in self.keys],
+                                           dtype=int).reshape(-1, 2).T
+        self.rates = self._rate[self._group]
+        self._wave = self._group + len(top) * (self._trig != 1)     # into [sin, cos]
+        self._exponents = np.arange(max(top.values(), default=0) + 1)
+        #: Entries of each (p + 1, n, n) array that ``shifted`` forms, p the highest power.
+        self.lift_size = len(self._exponents) * len(self.keys) ** 2
+
+    def values(self, t) -> np.ndarray:
+        """phi at each point of the 1-d ``t``, shape (len(t), len(keys))."""
+        t = np.asarray(t, dtype=float)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            angle = self._freq * t + self._phase
+            waves = np.concatenate((np.sin(angle), np.cos(angle)), axis=1) * np.tile(
+                np.exp(self._rate * t), 2)
+            return np.power(t, self._exponents)[:, self.powers] * waves[:, self._wave]
+
+    def shifted(self, taus, weights) -> np.ndarray:
+        """T_tau^T @ ``weights`` for each tau of the 1-d ``taus``, shape (len(taus), n, k)
+        for n basis functions and k columns of ``weights``: the weights on phi(t) of the
+        functions whose weights on phi(t + tau) are ``weights``.  With the identity
+        for ``weights`` this is the transposed stack of the T_tau."""
+        # T_tau[i, j] = sum_e tau^e (cos_j C_e[i, j] + sin_j S_e[i, j]), with cos_j and sin_j
+        # exp(r tau) cos(w tau) and exp(r tau) sin(w tau) for j's group; C_e and S_e hold
+        # C(q_i, q_j) (S_e with the sign of the rotation) where j is in i's group, q_i - q_j = e
+        power, trig, group = self.powers, self._trig, self._group
+        pascal = np.array([[math.comb(i, j) for j in self._exponents] for i in self._exponents],
+                          dtype=float)
+        lift = ((group[:, None] == group) * pascal[power[:, None], power]
+                * (power[:, None] - power == self._exponents[:, None, None]))
+        taus = np.asarray(taus, dtype=float)[:, None]
+        n, k = weights.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            growth, angle = np.exp(self._rate * taus), self._freq * taus
+            parts = [(np.power(taus, self._exponents)
+                      @ ((lift * rotation[trig[:, None], trig]).swapaxes(1, 2) @ weights)
+                      .reshape(len(lift), n * k)).reshape(len(taus), n, k)
+                     for rotation in (_SHIFT_COS, _SHIFT_SIN)]
+            return ((growth * np.cos(angle))[:, group, None] * parts[0]
+                    + (growth * np.sin(angle))[:, group, None] * parts[1])
+
+
+#: The rotation part of T_tau by trig index (none, sin, cos) of row and column:
+#: cos(w tau) on the diagonal, +-sin(w tau) between sin and cos of one wave.
+_SHIFT_COS = np.eye(3)
+_SHIFT_SIN = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+
+
 # --- parser -------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -392,7 +487,7 @@ class _Parser:
         # like-term sums, folded as ForceExpr folds them, can overflow where no term does
         sums: dict[tuple, float] = {}
         for start, t in terms:
-            key = t._key()
+            key = t._key
             sums[key] = sums.get(key, 0.0) + t.coeff
             if not math.isfinite(sums[key]):
                 self.fail("sum of like terms is out of float range", start)

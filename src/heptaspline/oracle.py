@@ -20,7 +20,7 @@ import numpy as np
 
 from .assembly import EndConditionMode, build
 from .cascade import IvpProblem, _knot_grid, _rk4_linear
-from .forces import ForceExpr, parse, tabulate, tabulate_grid
+from .forces import ForceExpr, parse, tabulate, tabulate_at
 from .linsolve import SolutionGrid, lu_solve
 from .spline_params import SplineParams
 
@@ -67,34 +67,36 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     Works for any equation order (the state dimension is ``problem.order``).
     The companion system ``z' = A(t) z + e_N g(t)``, with ``-f`` in the last
     row of A, is linear, so it runs through the blocked affine RK4 kernel
-    shared with ``simulate_direct`` (``_rk4_linear``).  g and f are tabulated
-    together on the half-step grid by ``tabulate_grid`` (one basis product,
-    sin and cos by angle addition); ValueError names the one not finite
-    there, or says where the run leaves float range.  A is one matrix when
-    f is constant there; otherwise the kernel asks for it a chunk of steps
-    at a time.
+    shared with ``simulate_direct`` (``_rk4_linear``).  When f is constant
+    (symbolically: its derivative is zero), A is one matrix and the kernel
+    builds g's forcing from shifts of g's basis, tabulating g only where
+    that basis cannot carry it.  Otherwise g and f are tabulated together on the
+    half-step grid by ``tabulate_grid`` and the kernel asks for A a chunk of
+    steps at a time.  ValueError names the force not finite there, or says
+    where the run leaves float range.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     order = problem.order
     a, b = problem.a, problem.b
-    h = (b - a) / steps
-    table = tabulate_grid((problem.g, problem.f), ("g", "f"), a, 0.5 * h, 2 * steps + 1)
-    gtab, ftab = np.ascontiguousarray(table[:, :1]), table[:, 1]
     companion = np.zeros((order, order))
     companion[:-1, 1:] = np.eye(order - 1)
-    companion[-1, 0] = -ftab[0]
 
-    def window(lo, hi):
-        """A on the half-step grid of steps lo..hi - 1."""
-        stack = np.tile(companion, (2 * (hi - lo) + 1, 1, 1))
-        stack[:, -1, 0] = -ftab[2 * lo:2 * hi + 1]
+    def window(values):
+        """A at the points where f takes ``values[:, 0]``."""
+        stack = np.tile(companion, (len(values), 1, 1))
+        stack[:, -1, 0] = -values[:, 0]
         return stack
 
     forcing = np.zeros((order, 1))
     forcing[-1] = 1.0
-    states = _rk4_linear(companion if np.all(ftab == ftab[0]) else window, forcing,
-                         gtab, np.array(problem.u, dtype=float), h)
+    if problem.f.derivative().is_zero:
+        companion[-1, 0] = -tabulate_at((problem.f,), ("f",), a)[0]
+        matrix, forces = companion, (problem.g,)
+    else:
+        matrix, forces = window, (problem.g, problem.f)
+    states = _rk4_linear(matrix, forcing, forces, ("g", "f"), np.array(problem.u, dtype=float),
+                         a, (b - a) / steps, steps)
     return RkTrajectory(a, b, states)
 
 

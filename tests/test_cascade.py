@@ -208,7 +208,7 @@ class TestRecurrenceMatchesClosedForm:
             )
             problem = reduce(model)
             g, u, size = reference_reduce(model)
-            assert [t._key() for t in problem.g.terms] == [t._key() for t in g.terms]
+            assert [t._key for t in problem.g.terms] == [t._key for t in g.terms]
             for got, want in zip(problem.g.terms, g.terms):
                 assert got.coeff == pytest.approx(want.coeff, rel=1e-14, abs=0)
             # u_m sums terms of both signs, so it is held to 1e-14 of their size

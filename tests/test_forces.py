@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, _sin_cos, parse,
-                                tabulate, tabulate_grid)
+from heptaspline.cascade import _BLOCK
+from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, ShiftBasis, _sin_cos,
+                                parse, tabulate, tabulate_grid)
 
 
 def random_expr(rng: random.Random, max_terms: int = 4) -> ForceExpr:
@@ -326,6 +327,42 @@ class TestTabulateGrid:
         assert table[:, 0].tobytes() == tabulate([force], ["f"], t)[0].tobytes()
 
 
+class TestShiftBasis:
+    @settings(max_examples=200, deadline=None)
+    @given(terms=st.lists(st.tuples(st.integers(0, 4), st.floats(-3, 3), st.sampled_from(_TRIG_KINDS),
+                                    st.floats(-5, 5), st.floats(-1e3, 1e3)), min_size=1, max_size=3),
+           t=st.floats(0.05, 5) | st.floats(-5, -0.05), h=st.floats(1e-4, 0.1),
+           halves=st.integers(0, 2 * _BLOCK + 1))
+    def test_shift_matrix_moves_the_basis_to_the_shifted_point(self, terms, t, h, halves):
+        force = ForceExpr(tuple(ForceTerm(1.0, p, r, trig, *((w, phase) if trig != "none" else (0, 0)))
+                                for p, r, trig, w, phase in terms))
+        basis = ShiftBasis([force])
+        tau = 0.5 * h * halves
+        shift = basis.shifted([tau], np.eye(len(basis.keys)))[0]       # T_tau^T
+        here = basis.values([t])[0]
+        want = basis.values([t + tau])[0]
+        # A few ulps of the summed magnitudes, grown by the rounding of the
+        # argument t + tau through t^q, exp(r t) and the wave's angle.  The
+        # angle's rounding moves sin by up to the size of cos and back.
+        size = np.abs(here) @ np.abs(shift)
+        partner = [basis.keys.index(key[:2] + (3 - key[2],) + key[3:]) if key[2] else i
+                   for i, key in enumerate(basis.keys)]
+        reach = abs(t) + tau
+        growth = 1 + max(p + (abs(r) + abs(w)) * reach + abs(phase) for p, r, _, w, phase in terms)
+        bound = 8 * np.finfo(float).eps * np.maximum(size, size[partner]) * growth
+        assert np.all(np.abs(here @ shift - want) <= bound)
+
+    def test_forces_are_their_weights_on_the_basis(self):
+        forces = [parse("2*t^3*exp(-t)*sin(3*t + 1) - t"), parse("cos(3*t + 1) + 4"),
+                  ForceExpr.zero()]
+        basis = ShiftBasis(forces)
+        t = np.linspace(-2.0, 2.0, 9)
+        want = np.stack([force.evaluate(t) for force in forces[:2]] + [np.zeros(9)], axis=1)
+        assert np.allclose(basis.values(t) @ basis.weights, want, rtol=1e-14, atol=1e-14)
+        # t^0..t^3 times exp(-t) sin and cos of 3t + 1, sin and cos of 3t + 1, 1 and t
+        assert len(basis.keys) == 12
+
+
 class TestDerivative:
     def test_product_rule_t_exp(self):
         expr = ForceExpr((ForceTerm(1.0, 1, 1.0),))          # t e^t
@@ -414,6 +451,16 @@ class TestAlgebra:
 
 
 class TestForceTermInvariants:
+    @settings(max_examples=200, deadline=None)
+    @given(expr=shared_factor_exprs(), scale=st.floats(-10, 10))
+    def test_derived_term_key_is_that_of_a_fresh_term(self, expr, scale):
+        derived = [child for term in expr.terms for child in term.derivative_terms()]
+        derived += [*expr.derivative(2).terms, *(scale * expr).terms, *(expr + expr).terms]
+        for term in derived:
+            fresh = ForceTerm(term.coeff, term.poly_power, term.exp_rate, term.trig,
+                              term.trig_freq, term.trig_phase)
+            assert term._key == fresh._key
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             ForceTerm(1.0, -1)
@@ -515,6 +562,8 @@ class TestParse:
         ("cos(-t - )", "expected number after phase sign", 9),
         ("t + 1e400*t", "term is out of float range", 4),
         ("1e308*t + 1e308*t", "sum of like terms is out of float range", 10),
+        ("\u0663*t", "unexpected character '\u0663'", 0),       # Arabic-Indic digit three
+        ("t^\uff11\uff12", "unexpected character '\uff11'", 2),   # fullwidth digits one, two
     ])
     def test_every_error_message_and_position(self, text, message, position):
         with pytest.raises(ParseError) as err:

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heptaspline import oracle
+from heptaspline import cascade, oracle
 from heptaspline.assembly import EndConditionMode, build, min_knots
 from heptaspline.cascade import _BLOCK, CascadeModel, IvpProblem, _knot_grid, simulate_direct
-from heptaspline.forces import ForceExpr, ForceTerm, parse
+from heptaspline.forces import ForceExpr, ForceTerm, ShiftBasis, parse
 from heptaspline.linsolve import SolutionGrid, lu_solve
 from heptaspline.oracle import (
     BENCHMARKS,
@@ -220,6 +220,139 @@ class TestClassicalRk4:
         expected = textbook_rk4(rate, model.init_velocities, -0.5, h, steps)
         _, trajectories = simulate_direct(model, steps)
         assert np.max(np.abs(trajectories - expected)) <= 1e-12
+
+
+def cascade_rate(model, h, steps):
+    a = model.interval[0]
+    grid = half_step_grid(a, h, steps)
+    forcing = on_half_steps(np.stack([f.evaluate(grid) for f in model.forces], axis=1), a, h)
+
+    def rate(t, y):
+        return -model.gamma * np.roll(y, -1) + forcing(t)
+    return rate
+
+
+def worst_relative_gap(states, expected):
+    """max |states - expected| over the largest |expected| (0 for two zero runs)."""
+    gap = np.max(np.abs(states - expected))
+    return gap if gap == 0.0 else gap / np.max(np.abs(expected))
+
+
+@st.composite
+def shifted_forces(draw):
+    """0-3 terms c t^p exp(r t) trig(w t + phi) with p <= 4 and phases."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        trig = draw(st.sampled_from(["none", "sin", "cos"]))
+        wave = (0.0, 0.0) if trig == "none" else (draw(st.floats(-5, 5)), draw(st.floats(-3, 3)))
+        terms.append(ForceTerm(draw(st.floats(-2, 2)), draw(st.integers(0, 4)),
+                               draw(st.just(0.0) | st.floats(-2, 2)), trig, *wave))
+    return ForceExpr(tuple(terms))
+
+
+#: Intervals that do not start at 0, and the oracles' step counts.
+STARTS = st.floats(-2, 2).filter(lambda a: abs(a) >= 0.05)
+LENGTHS = st.floats(0.25, 2)
+
+
+class TestShiftedForcing:
+    """Constant-A runs build their forcing from shifts of the force basis."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(start=STARTS, length=LENGTHS, steps=st.sampled_from(STEP_COUNTS), g=shifted_forces(),
+           f=st.floats(-2, 2), u=st.lists(st.floats(-1, 1), min_size=7, max_size=7))
+    def test_companion_system_agrees_with_textbook_rk4(self, start, length, steps, g, f, u):
+        problem = IvpProblem(start, start + length, ForceExpr.constant(f), g, tuple(u))
+        h = (problem.b - problem.a) / steps
+        expected = textbook_rk4(companion_rate(problem, h, steps), problem.u, problem.a, h, steps)
+        assert worst_relative_gap(rk_solve(problem, steps).states, expected) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(start=STARTS, length=LENGTHS, steps=st.sampled_from(STEP_COUNTS),
+           forces=st.lists(shifted_forces(), min_size=7, max_size=7),
+           gamma=st.sampled_from([0.5, 1.0, 2.0]),
+           v=st.lists(st.floats(-1, 1), min_size=7, max_size=7))
+    def test_cascade_system_agrees_with_textbook_rk4(self, start, length, steps, forces, gamma, v):
+        model = CascadeModel(7, gamma, tuple(forces), tuple(v), (start, start + length))
+        h = (model.interval[1] - model.interval[0]) / steps
+        expected = textbook_rk4(cascade_rate(model, h, steps), v, start, h, steps)
+        assert worst_relative_gap(simulate_direct(model, steps)[1], expected) <= 1e-12
+
+    def test_constant_a_tabulates_no_force(self, monkeypatch):
+        points = []
+        values = ShiftBasis.values
+
+        def counting(basis, t):
+            points.append(len(t))
+            return values(basis, t)
+
+        monkeypatch.setattr(ShiftBasis, "values", counting)
+        monkeypatch.setattr(cascade, "tabulate_grid", lambda *args: pytest.fail("tabulated"))
+        rng = random.Random(5)
+        model = CascadeModel(
+            7, 1.0, tuple(parse(f"{rng.uniform(-1, 1)}*t^2*cos({rng.uniform(-2, 2)}*t + 1)")
+                          for _ in range(7)), (0.5,) * 7, (-0.5, 1.5))
+        for steps in STEP_COUNTS:
+            del points[:]
+            simulate_direct(model, steps)
+            rk_solve(OSCILLATING.problem, steps)
+            assert len(points) == 2 and max(points) <= math.ceil(steps / 16)
+
+    def test_time_varying_f_is_tabulated(self, monkeypatch):
+        calls = []
+        tabulate_grid = cascade.tabulate_grid
+
+        def counting(forces, names, *grid):
+            calls.append(tuple(names))
+            return tabulate_grid(forces, names, *grid)
+
+        monkeypatch.setattr(cascade, "tabulate_grid", counting)
+        monkeypatch.setattr(ShiftBasis, "values", lambda *args: pytest.fail("shifted"))
+        rk_solve(TIME_VARYING, 1000)
+        assert calls == [("g", "f")]
+
+    @pytest.mark.parametrize("force,a,b,steps", [
+        ("1e-300*t^100*exp(4.6*t)", 99.0, 100.0, 40),   # t^100 exp(4.6 t) overflows near 100
+        ("exp(1000*t)", -0.76, -0.06, 10),              # exp(1000 t) underflows at -0.76
+        ("t^30", -1.0, 1.0, 10),                        # the binomials of (t + tau)^30 cancel
+        ("t^1000", 0.0, 1.0, 10),                       # a basis of 1001 powers is too large
+    ], ids=["basis-overflow", "exp-underflow", "binomial-cancellation", "high-power"])
+    def test_force_the_basis_cannot_carry_is_tabulated(self, monkeypatch, force, a, b, steps):
+        # The basis cannot carry such a force across a block cheaply and
+        # accurately, so the run steps one map at a time on its table.
+        calls = []
+        tabulate_grid = cascade.tabulate_grid
+        monkeypatch.setattr(cascade, "tabulate_grid",
+                            lambda *args: calls.append(args[1]) or tabulate_grid(*args))
+        problem = IvpProblem(a, b, ForceExpr.constant(1.0), parse(force), (0.0,) * 7)
+        model = CascadeModel(7, 1.0, (ForceExpr.zero(),) * 3 + (parse(force),)
+                             + (ForceExpr.zero(),) * 3, (0.0,) * 7, (a, b))
+        h = (b - a) / steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = rk_solve(problem, steps).states
+            trajectories = simulate_direct(model, steps)[1]
+        expected = textbook_rk4(companion_rate(problem, h, steps), problem.u, a, h, steps)
+        assert worst_relative_gap(states, expected) <= 1e-12
+        expected = textbook_rk4(cascade_rate(model, h, steps), model.init_velocities, a, h, steps)
+        assert worst_relative_gap(trajectories, expected) <= 1e-12
+        assert len(calls) == 2 and np.max(np.abs(expected)) > 0.0
+
+
+    @pytest.mark.parametrize("a,b,u", [(0.0, 1.0, 0.0), (0.9, 1.0, 0.5)],
+                             ids=["decays-into-subnormals", "subnormal-throughout"])
+    def test_force_decaying_below_normal_range_is_shifted(self, monkeypatch, a, b, u):
+        # exp(-800 t) leaves the normal range at t = 0.885; a shift by
+        # tau > 0 only shrinks what its basis lost there.
+        monkeypatch.setattr(cascade, "tabulate_grid", lambda *args: pytest.fail("tabulated"))
+        force, steps = parse("2*exp(-800*t)"), 1009
+        problem = IvpProblem(a, b, ForceExpr.constant(1.0), force, (u,) * 7)
+        model = CascadeModel(7, 1.0, (force,) * 7, (u,) * 7, (a, b))
+        h = (b - a) / steps
+        expected = textbook_rk4(companion_rate(problem, h, steps), problem.u, a, h, steps)
+        assert worst_relative_gap(rk_solve(problem, steps).states, expected) <= 1e-12
+        expected = textbook_rk4(cascade_rate(model, h, steps), model.init_velocities, a, h, steps)
+        assert worst_relative_gap(simulate_direct(model, steps)[1], expected) <= 1e-12
 
 
 class TestSimulateDirect:
