@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forces import ForceExpr, ShiftBasis, tabulate_at, tabulate_grid
+from .forces import ForceExpr, ShiftBasis, tabulate, tabulate_at
 
 __all__ = [
     "CascadeModel",
@@ -158,9 +158,9 @@ def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.nda
     linear with a constant matrix, ``y' = -Gamma*P y + L(t)`` with P the
     cyclic shift, so it runs through the blocked affine RK4 kernel of the
     companion-system oracle (``_rk4_linear``), which builds the forcing from
-    shifts of the forces' basis and tabulates the forces only where that
-    basis cannot carry them; ValueError names the first force L^(k) not
-    finite on the half-step grid.
+    shifts of the forces' basis.  Where that basis cannot carry the forces,
+    the kernel steps one map at a time on their ``tabulate`` table on the
+    half-step grid; ValueError names the first force L^(k) not finite there.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -176,10 +176,6 @@ def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.nda
 
 #: Steps per block of the blocked scan in ``_rk4_linear``.
 _BLOCK = 32
-
-#: Most entries of each (p + 1, n, n) shift array ``_shift_forcing`` forms
-#: (``ShiftBasis.lift_size``); the oracle's cascades need at most 4 096.
-_SHIFT_BUDGET = 1 << 16
 
 #: How many times the rounding of tabulating a force ``_shift_forcing`` lets
 #: the shifted forcing lose, about 6e-14 of the force's size.
@@ -245,7 +241,7 @@ def _shift_forcing(delta, forces, start, h, width, blocks):
     with Delta_j the three (d, m) stage blocks of ``delta``.  Returns
     ``(phi at the block starts, Q stacked over k)``, or None when
 
-    - the basis needs more than ``_SHIFT_BUDGET`` entries per shift array;
+    - ``ShiftBasis`` refuses the basis as too large to shift;
     - some reach_bk = sum_i size_i(s_b) max_tau |(T_tau^T W)_ik|, a bound on
       |u_k| over block b, is not below half the float range, where size_i is
       the envelope |t|^q exp(r t) of phi_i plus tiny (1 + |t|^q + exp(r t)),
@@ -257,8 +253,10 @@ def _shift_forcing(delta, forces, start, h, width, blocks):
       cancel where s < 0, and exp(r tau) grows what phi(s_b) lost below
       the normal range), eps times the term size that of tabulating u_k.
     """
-    d, m, basis = delta.shape[0], len(forces), ShiftBasis(forces)
-    if basis.lift_size > _SHIFT_BUDGET:
+    d, m = delta.shape[0], len(forces)
+    try:
+        basis = ShiftBasis(forces)
+    except ValueError:      # too large to shift
         return None
     starts = start + h * (width * np.arange(blocks))
     phi = basis.values(starts)
@@ -333,8 +331,7 @@ def _rk4_linear(a, e, forces, names, z0, start, h, steps):
     matrix for constant A or a function ``a(values)`` giving A at the points
     where the other forces, ``forces[m:]``, take ``values`` (one row per
     point): shape (len(values), d, d).  ``names`` name the forces in the
-    errors of ``tabulate_grid``.  Result: shape (steps + 1, d), row 0 is
-    ``z0``.
+    errors of ``tabulate``.  Result: shape (steps + 1, d), row 0 is ``z0``.
 
     Each step is the affine map ``z <- z + D_i z + c_i`` with D_i = S_i - I
     (``_rk4_increment``).  For a constant A, the forcing vectors of all
@@ -342,9 +339,11 @@ def _rk4_linear(a, e, forces, names, z0, start, h, steps):
     at the block starts s_b only (``_shift_forcing``), and ``_scan`` solves
     the recurrence into the output buffer by doubling within the blocks and
     over the block starts.  A time-varying A, and a constant A whose forces
-    that basis cannot carry, read the forces' table on the half-step grid
-    instead: ``_CHUNK`` steps at a time, their maps and forcing vectors are
-    formed together, and the states are then stepped one map at a time.
+    that basis cannot carry, read the forces instead from one table of
+    ``tabulate`` on the half-step grid start + (h/2) j, j = 0..2*steps
+    (ValueError names the first force not finite there): ``_CHUNK`` steps at
+    a time, their maps and forcing vectors are formed together, and the
+    states are then stepped one map at a time.
 
     Overflow inside the run is not warned about; ValueError names the first
     step whose state is not finite.  For a constant A that state may be
@@ -368,7 +367,8 @@ def _rk4_linear(a, e, forces, names, z0, start, h, steps):
             work[:, :-d], work[:, -d:] = q, delta[:, :d].T
             _scan(phi, work, z0, out[1:])
         else:
-            table = tabulate_grid(forces, names, start, 0.5 * h, 2 * steps + 1)
+            grid = start + 0.5 * h * np.arange(2 * steps + 1)
+            table = np.stack(tabulate(forces, names, grid), axis=1)
             u3 = _stage_values(np.ascontiguousarray(table[:, :m]))
             for lo in range(0, steps, _CHUNK):
                 hi = min(lo + _CHUNK, steps)

@@ -264,76 +264,6 @@ def tabulate_at(forces, names, t: float) -> list[float]:
     return out
 
 
-def tabulate_grid(forces, names, start: float, step: float, count: int) -> np.ndarray:
-    """Several forces on the grid ``start + step*arange(count)`` as one table.
-
-    Returns the C-ordered (count, len(forces)) array whose column k is
-    ``forces[k]``, equal to ``tabulate`` on that grid up to a few ulps of the
-    terms' magnitudes.  Each distinct term shape t^p exp(r t) trig(w t + phi)
-    over all the forces gets one basis row, and the table is one product of
-    the basis with the forces' coefficients, each written once (a force has at
-    most one term per shape).  t^p and exp(r t) are computed once per distinct
-    p and r, and the rows filled in one pass in ``(freq, phase)`` order, so
-    sin and cos once per distinct (w, phi) by angle addition (``_sin_cos``).
-    Where the table is not finite, the forces go through ``tabulate``, which
-    names the first one not finite (the basis product alone can also turn a
-    finite column into inf * 0).
-    """
-    t = start + step * np.arange(count)
-    shapes: dict[tuple, int] = {}
-    weights = np.zeros((sum(len(force.terms) for force in forces), len(forces)))
-    for k, force in enumerate(forces):
-        for term in force.terms:
-            weights[shapes.setdefault(term._key, len(shapes)), k] = term.coeff
-    weights = weights[:len(shapes)]
-    basis = np.empty((len(shapes), count))
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = {p: np.power(t, p) for p in {key[0] for key in shapes} if p}
-        exps = {r: np.exp(r * t) for r in {key[1] for key in shapes} if r}
-        wave = None
-        for (p, r, trig, *key), row in sorted(shapes.items(), key=lambda item: item[0][3:]):
-            factors = [x for x in (powers.get(p), exps.get(r)) if x is not None]
-            if trig:
-                if key != wave:
-                    sin, cos = _sin_cos(*key, start, step, count)
-                    wave = key
-                factors.insert(0, sin if _TRIG_KINDS[trig] == "sin" else cos)
-            _product(basis[row], factors)
-        table = basis.T @ weights
-    if not np.isfinite(table).all():
-        return np.stack(tabulate(forces, names, t), axis=1)
-    return table
-
-
-def _product(out: np.ndarray, factors) -> None:
-    """Write the product of the arrays ``factors`` (1 for none) into ``out``."""
-    if len(factors) < 2:
-        out[...] = factors[0] if factors else 1.0
-        return
-    np.multiply(factors[0], factors[1], out=out)
-    for factor in factors[2:]:
-        out *= factor
-
-
-def _sin_cos(freq: float, phase: float, start: float, step: float, count: int):
-    """sin and cos of ``freq*t + phase`` on the grid ``start + step*arange(count)``.
-
-    The grid is cut into blocks of width ~sqrt(count): with A the angle at a
-    block's start and B = freq*step*j at in-block offset j, angle addition
-    gives sin(A + B) = sin A cos B + cos A sin B and cos(A + B) = cos A cos B
-    - sin A sin B, so ~2 sqrt(count) libm calls and one (2*blocks, 2) @
-    (2, width) product replace 2*count calls.
-    """
-    width = math.isqrt(max(count - 1, 0)) + 1
-    blocks = -(-count // width)
-    angles = freq * (start + step * (width * np.arange(blocks))) + phase
-    offsets = freq * (step * np.arange(width))
-    s, c = np.sin(angles), np.cos(angles)
-    left = np.array([[s, c], [c, -s]]).swapaxes(1, 2).reshape(2 * blocks, 2)
-    values = (left @ np.array([np.cos(offsets), np.sin(offsets)])).reshape(2, blocks * width)
-    return values[0, :count], values[1, :count]
-
-
 # --- shifts of the force basis -------------------------------------------
 
 class ShiftBasis:
@@ -355,11 +285,20 @@ class ShiftBasis:
     """
 
     def __init__(self, forces):
+        """The basis of ``forces``.  ValueError where its ``lift_size`` exceeds
+        ``_SHIFT_BUDGET``: that size comes from the groups alone, before anything
+        per power is listed."""
         top: dict[tuple, int] = {}          # (rate, has trig, freq, phase) -> highest power
         for term in (x for force in forces for x in force.terms):
             power, rate, trig, freq, phase = term._key
             group = (rate, trig > 0, freq, phase)
             top[group] = max(top.get(group, 0), power)
+        size = [(power + 1) * (1 + has_trig) for (_, has_trig, _, _), power in top.items()]
+        highest = max(top.values(), default=0)
+        #: Entries of each (p + 1, n, n) array that ``shifted`` forms, p the highest power.
+        self.lift_size = (highest + 1) * sum(size) ** 2
+        if self.lift_size > _SHIFT_BUDGET:
+            raise ValueError(f"shift arrays of {self.lift_size} entries exceed {_SHIFT_BUDGET}")
         self.keys = [(q, rate, trig, freq, phase)
                      for (rate, has_trig, freq, phase), power in top.items()
                      for q in range(power + 1) for trig in ((1, 2) if has_trig else (0,))]
@@ -370,16 +309,13 @@ class ShiftBasis:
                 self.weights[row[term._key], k] = term.coeff
         # exp(r t) and the wave are computed once per group; a group without trig has
         # w = theta = 0, so its cos is exactly 1
-        size = [(power + 1) * (1 + has_trig) for (_, has_trig, _, _), power in top.items()]
         self._group = np.repeat(np.arange(len(top)), size)
         self._rate, _, self._freq, self._phase = np.array(list(top), dtype=float).reshape(-1, 4).T
         self.powers, self._trig = np.array([key[:3:2] for key in self.keys],
                                            dtype=int).reshape(-1, 2).T
         self.rates = self._rate[self._group]
         self._wave = self._group + len(top) * (self._trig != 1)     # into [sin, cos]
-        self._exponents = np.arange(max(top.values(), default=0) + 1)
-        #: Entries of each (p + 1, n, n) array that ``shifted`` forms, p the highest power.
-        self.lift_size = len(self._exponents) * len(self.keys) ** 2
+        self._exponents = np.arange(highest + 1)
 
     def values(self, t) -> np.ndarray:
         """phi at each point of the 1-d ``t``, shape (len(t), len(keys))."""
@@ -414,6 +350,10 @@ class ShiftBasis:
             return ((growth * np.cos(angle))[:, group, None] * parts[0]
                     + (growth * np.sin(angle))[:, group, None] * parts[1])
 
+
+#: Most entries of each (p + 1, n, n) array ``ShiftBasis.shifted`` forms (``lift_size``);
+#: the oracle's cascades need at most 4 096.
+_SHIFT_BUDGET = 1 << 16
 
 #: The rotation part of T_tau by trig index (none, sin, cos) of row and column:
 #: cos(w tau) on the diagonal, +-sin(w tau) between sin and cos of one wave.

@@ -70,10 +70,10 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     shared with ``simulate_direct`` (``_rk4_linear``).  When f is constant
     (symbolically: its derivative is zero), A is one matrix and the kernel
     builds g's forcing from shifts of g's basis, tabulating g only where
-    that basis cannot carry it.  Otherwise g and f are tabulated together on the
-    half-step grid by ``tabulate_grid`` and the kernel asks for A a chunk of
-    steps at a time.  ValueError names the force not finite there, or says
-    where the run leaves float range.
+    that basis cannot carry it.  Otherwise g and f are tabulated together by
+    ``tabulate`` on the half-step grid a + (h/2) j, j = 0..2*steps, and the
+    kernel asks for A a chunk of steps at a time.  ValueError names the force
+    not finite there, or says where the run leaves float range.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

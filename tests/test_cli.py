@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heptaspline import cli, oracle
+from heptaspline import cascade, cli, oracle
 from heptaspline.cascade import CascadeModel, reduce, simulate_direct
 from heptaspline.cli import load_config, main
 from heptaspline.forces import ForceExpr, parse
@@ -430,6 +430,26 @@ class TestConverge:
         err = capsys.readouterr().err
         assert err.startswith("error: RK4 state at step ") and "of 1200 is beyond float range" in err
         assert not (tmp_path / "conv.csv").exists()
+
+    def test_rk_reference_for_time_varying_f(self, tmp_path, monkeypatch):
+        # A time-varying f puts each grid's RK run on the per-step loop over
+        # the table of g and f.
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved.ini", tmp_path, "conv")
+        with_value(with_value(cfg, "f", "1 + 0.5*sin(t)"), "n_list", "12, 24")
+        lines = [line for line in cfg.read_text(encoding="utf-8").splitlines()
+                 if not line.startswith("exact")]
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tabulated = []
+        tabulate = cascade.tabulate
+        monkeypatch.setattr(cascade, "tabulate",
+                            lambda *args: tabulated.append(tuple(args[1])) or tabulate(*args))
+        assert main(["converge", "--config", str(cfg)]) == 0
+        assert tabulated == [("g", "f")] * 2
+        rows = read_csv(tmp_path / "conv.csv")
+        assert [list(r) for r in rows] == [["n", "max_abs_error", "observed_order"]] * 2
+        assert [r["n"] for r in rows] == ["12", "24"] and float(rows[1]["observed_order"]) > 0.0
+        errors = [float(r["max_abs_error"]) for r in rows]
+        assert 0.0 < errors[1] < errors[0]
 
     def test_exact_beyond_float_range_on_knots_exits_one(self, tmp_path, capsys):
         cfg = rewrite_output(CONFIG_DIR / "example1_standard_col1.ini", tmp_path, "conv")

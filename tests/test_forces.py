@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heptaspline.cascade import _BLOCK
-from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, ShiftBasis, _sin_cos,
-                                parse, tabulate, tabulate_grid)
+from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, ShiftBasis, parse,
+                                tabulate)
 
 
 def random_expr(rng: random.Random, max_terms: int = 4) -> ForceExpr:
@@ -201,132 +201,6 @@ class TestTabulate:
         assert str(info.value).startswith("force L3(t) " + message)
 
 
-#: Grid sizes around the block widths of the angle addition, and the
-#: half-step grid of a 10 000-step RK run.
-GRID_COUNTS = st.one_of(st.just(3), st.just(20_001),
-                        st.integers(2, 150).flatmap(lambda k: st.sampled_from([k * k - 1, k * k,
-                                                                               k * k + 1])))
-
-
-@st.composite
-def force_lists(draw):
-    """1-4 forces whose terms share a few rates and (freq, phase) pairs."""
-    rates = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=2))
-    waves = draw(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
-                          min_size=1, max_size=3))
-    forces = []
-    for _ in range(draw(st.integers(1, 4))):
-        terms = []
-        for _ in range(draw(st.integers(0, 4))):
-            trig = draw(st.sampled_from(["none", "sin", "cos"]))
-            freq, phase = (0.0, 0.0) if trig == "none" else draw(st.sampled_from(waves))
-            terms.append(ForceTerm(draw(st.floats(-10, 10)), draw(st.integers(0, 6)),
-                                   draw(st.sampled_from([0.0, *rates])), trig, freq, phase))
-        forces.append(ForceExpr(tuple(terms)))
-    return forces
-
-
-def rounding_bound(force, t, start, step):
-    """How far ``tabulate_grid`` may stray from ``evaluate``: 8 ulps of the sum
-    over terms of |coeff t^p exp(r t)| (1 + |arg|), the argument's rounding
-    bounded through |freq| (|start| + |step| i) + |phase|, plus 8 units of
-    underflow per term, grown by the factors applied after it."""
-    reach = abs(start) + abs(step) * np.arange(t.size)
-    eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
-    total = np.zeros(t.shape)
-    for term in force.terms:
-        growth = np.exp(term.exp_rate * t)
-        size = abs(term.coeff) * np.abs(t) ** term.poly_power * growth
-        total += size * (1.0 + abs(term.trig_freq) * reach + abs(term.trig_phase)) * (8 * eps)
-        total += 8 * eta * max(1.0, abs(term.coeff)) * np.maximum(1.0, growth)
-    return total
-
-
-class TestTabulateGrid:
-    @settings(max_examples=150, deadline=None)
-    @given(forces=force_lists(), start=st.floats(-5, 5), length=st.floats(1e-3, 10),
-           count=GRID_COUNTS)
-    @example(forces=[parse("t^6*exp(2*t)*sin(900*t + 700)"), parse("cos(900*t + 700) - 3")],
-             start=-5.0, length=10.0, count=20_001)
-    @example(forces=[parse("2*t^3*sin(0*t + 2)")], start=6.761596128445414e-108, length=1.0,
-             count=3)                                   # t^3 underflows to a subnormal
-    @example(forces=[parse("2.2250738585e-313*t^4*sin(228*t)")], start=0.0, length=5.0,
-             count=20_001)                              # subnormal terms
-    def test_matches_pointwise_evaluate(self, forces, start, length, count):
-        step = length / (count - 1)
-        t = start + step * np.arange(count)
-        table = tabulate_grid(forces, [f"L{k}" for k in range(len(forces))], start, step, count)
-        assert table.shape == (count, len(forces)) and table.flags.c_contiguous
-        for k, force in enumerate(forces):
-            want = np.broadcast_to(force.evaluate(t), t.shape)
-            assert np.all(np.abs(table[:, k] - want) <= rounding_bound(force, t, start, step))
-
-    def test_empty_and_zero_forces(self):
-        table = tabulate_grid([ForceExpr.zero(), ForceExpr.zero()], ["L1", "L2"], 0.0, 0.1, 5)
-        assert table.shape == (5, 2) and not table.any()
-
-    def test_constant_column_is_exact(self):
-        table = tabulate_grid([parse("sin(3*t) + t^2"), ForceExpr.constant(-0.1)],
-                              ["g", "f"], 0.0, 0.5e-4, 20_001)
-        assert np.all(table[:, 1] == -0.1)
-
-    def test_one_sin_cos_pair_per_wave(self, monkeypatch):
-        # sin and cos shapes share waves across forces, and the non-trig t
-        # sorts between the two shapes of the (0, 0) wave.
-        calls = []
-
-        def counting(freq, phase, *grid):
-            calls.append((freq, phase))
-            return _sin_cos(freq, phase, *grid)
-
-        monkeypatch.setattr("heptaspline.forces._sin_cos", counting)
-        table = tabulate_grid([parse("sin(2*t + 1) + t*cos(2*t + 1) + 3*t^2"),
-                               parse("exp(t)*cos(2*t + 1) - sin(3*t) + cos(-t)"),
-                               parse("t*sin(3*t) + cos(0*t) + t + 2*t*sin(0*t) + 4")],
-                              ["L1", "L2", "L3"], -1.0, 0.01, 201)
-        assert sorted(calls) == [(-1.0, 0.0), (0.0, 0.0), (2.0, 1.0), (3.0, 0.0)]
-        assert table.shape == (201, 3)
-
-    def test_one_power_and_exp_per_distinct_p_and_r(self, monkeypatch):
-        # Shapes share p = 2 and r = 3 within and across forces.
-        powers, exps = [], []
-        power, exp = np.power, np.exp
-
-        def counting_power(t, p):
-            powers.append(p)
-            return power(t, p)
-
-        def counting_exp(x):
-            exps.append(x)
-            return exp(x)
-
-        forces = [parse("t^2*sin(t) + t^2*cos(2*t) + exp(3*t)*sin(t) + t"),
-                  parse("t^2 + t^2*exp(3*t) + exp(3*t)*cos(t) + 5")]
-        monkeypatch.setattr(np, "power", counting_power)
-        monkeypatch.setattr(np, "exp", counting_exp)
-        table = tabulate_grid(forces, ["L1", "L2"], -1.0, 0.01, 201)
-        assert sorted(powers) == [1, 2] and len(exps) == 1
-        assert table.shape == (201, 2)
-
-    def test_first_force_not_finite_is_named(self):
-        # L1's column would read t*1 + inf*0 = NaN in the basis product, so the
-        # forces are checked one by one, in order.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^force L2\(t\) = inf at t = 0\.8875"):
-                tabulate_grid([parse("t"), parse("exp(800*t)")], ["L1", "L2"], 0.0, 0.0125, 81)
-
-    def test_basis_overflow_of_a_finite_force_falls_back(self):
-        # t^100 * exp(4.6 t) overflows at t = 100, but the coefficient keeps
-        # the force itself finite there.
-        force = parse("1e-300*t^100*exp(4.6*t)")
-        t = 99.0 + 0.5 * np.arange(3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = tabulate_grid([force], ["f"], 99.0, 0.5, 3)
-        assert table[:, 0].tobytes() == tabulate([force], ["f"], t)[0].tobytes()
-
-
 class TestShiftBasis:
     @settings(max_examples=200, deadline=None)
     @given(terms=st.lists(st.tuples(st.integers(0, 4), st.floats(-3, 3), st.sampled_from(_TRIG_KINDS),
@@ -360,11 +234,21 @@ class TestShiftBasis:
         want = np.stack([force.evaluate(t) for force in forces[:2]] + [np.zeros(9)], axis=1)
         assert np.allclose(basis.values(t) @ basis.weights, want, rtol=1e-14, atol=1e-14)
         # t^0..t^3 times exp(-t) sin and cos of 3t + 1, sin and cos of 3t + 1, 1 and t
-        assert len(basis.keys) == 12
+        assert len(basis.keys) == 12 and basis.lift_size == 4 * 12 ** 2
+
+    def test_basis_over_budget_is_refused_before_its_powers_are_listed(self):
+        # 16 powers times sin and cos of two groups fill the 2^16 entries of
+        # each shift array; one more function is refused.  So are 10^20 + 1
+        # powers, which could never be listed: the size alone refuses them.
+        full = parse("t^15*sin(t) + t^15*exp(t)*sin(t)")
+        assert ShiftBasis([full]).lift_size == 16 * 64 ** 2 == 1 << 16
+        for force in (full + ForceExpr.constant(1.0), parse("t^99999999999999999999 + sin(t)")):
+            with pytest.raises(ValueError, match="entries exceed 65536"):
+                ShiftBasis([force])
 
 
 class TestDerivative:
-    def test_product_rule_t_exp(self):
+    def test_first_derivative_of_t_exp(self):
         expr = ForceExpr((ForceTerm(1.0, 1, 1.0),))          # t e^t
         d = expr.derivative()
         expected = ForceExpr((ForceTerm(1.0, 0, 1.0), ForceTerm(1.0, 1, 1.0)))

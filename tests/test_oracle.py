@@ -287,7 +287,7 @@ class TestShiftedForcing:
             return values(basis, t)
 
         monkeypatch.setattr(ShiftBasis, "values", counting)
-        monkeypatch.setattr(cascade, "tabulate_grid", lambda *args: pytest.fail("tabulated"))
+        monkeypatch.setattr(cascade, "tabulate", lambda *args: pytest.fail("tabulated"))
         rng = random.Random(5)
         model = CascadeModel(
             7, 1.0, tuple(parse(f"{rng.uniform(-1, 1)}*t^2*cos({rng.uniform(-2, 2)}*t + 1)")
@@ -300,13 +300,13 @@ class TestShiftedForcing:
 
     def test_time_varying_f_is_tabulated(self, monkeypatch):
         calls = []
-        tabulate_grid = cascade.tabulate_grid
+        tabulate = cascade.tabulate
 
-        def counting(forces, names, *grid):
+        def counting(forces, names, t):
             calls.append(tuple(names))
-            return tabulate_grid(forces, names, *grid)
+            return tabulate(forces, names, t)
 
-        monkeypatch.setattr(cascade, "tabulate_grid", counting)
+        monkeypatch.setattr(cascade, "tabulate", counting)
         monkeypatch.setattr(ShiftBasis, "values", lambda *args: pytest.fail("shifted"))
         rk_solve(TIME_VARYING, 1000)
         assert calls == [("g", "f")]
@@ -321,9 +321,9 @@ class TestShiftedForcing:
         # The basis cannot carry such a force across a block cheaply and
         # accurately, so the run steps one map at a time on its table.
         calls = []
-        tabulate_grid = cascade.tabulate_grid
-        monkeypatch.setattr(cascade, "tabulate_grid",
-                            lambda *args: calls.append(args[1]) or tabulate_grid(*args))
+        tabulate = cascade.tabulate
+        monkeypatch.setattr(cascade, "tabulate",
+                            lambda *args: calls.append(args[1]) or tabulate(*args))
         problem = IvpProblem(a, b, ForceExpr.constant(1.0), parse(force), (0.0,) * 7)
         model = CascadeModel(7, 1.0, (ForceExpr.zero(),) * 3 + (parse(force),)
                              + (ForceExpr.zero(),) * 3, (0.0,) * 7, (a, b))
@@ -338,13 +338,27 @@ class TestShiftedForcing:
         assert worst_relative_gap(trajectories, expected) <= 1e-12
         assert len(calls) == 2 and np.max(np.abs(expected)) > 0.0
 
+    def test_basis_too_large_is_refused_in_little_memory(self):
+        # A basis of 10^6 + 1 powers is refused from its size alone, before
+        # any of them is listed, and the run steps on the table of g.
+        problem = IvpProblem(0.0, 1.0, ForceExpr.constant(1.0), parse("t^1000000"), (0.5,) * 7)
+        steps, h = 10, 0.1
+        tracemalloc.start()
+        try:
+            states = rk_solve(problem, steps).states
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        expected = textbook_rk4(companion_rate(problem, h, steps), problem.u, 0.0, h, steps)
+        assert worst_relative_gap(states, expected) <= 1e-12
 
     @pytest.mark.parametrize("a,b,u", [(0.0, 1.0, 0.0), (0.9, 1.0, 0.5)],
                              ids=["decays-into-subnormals", "subnormal-throughout"])
     def test_force_decaying_below_normal_range_is_shifted(self, monkeypatch, a, b, u):
         # exp(-800 t) leaves the normal range at t = 0.885; a shift by
         # tau > 0 only shrinks what its basis lost there.
-        monkeypatch.setattr(cascade, "tabulate_grid", lambda *args: pytest.fail("tabulated"))
+        monkeypatch.setattr(cascade, "tabulate", lambda *args: pytest.fail("tabulated"))
         force, steps = parse("2*exp(-800*t)"), 1009
         problem = IvpProblem(a, b, ForceExpr.constant(1.0), force, (u,) * 7)
         model = CascadeModel(7, 1.0, (force,) * 7, (u,) * 7, (a, b))
