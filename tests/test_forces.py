@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from heptaspline.cascade import _BLOCK
 from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, ShiftBasis, parse,
-                                tabulate)
+                                tabulate, tabulate_at)
 
 
 def random_expr(rng: random.Random, max_terms: int = 4) -> ForceExpr:
@@ -199,6 +199,51 @@ class TestTabulate:
             with pytest.raises(ValueError) as info:
                 tabulate([parse(text)], ["L3"], np.array(grid))
         assert str(info.value).startswith("force L3(t) " + message)
+
+    def test_zero_forces_give_zero_columns(self):
+        tables = tabulate([ForceExpr.zero(), ForceExpr.zero()], ["L1", "L2"], 0.1 * np.arange(5))
+        assert [x.shape for x in tables] == [(5,), (5,)] and not np.any(tables)
+
+    def test_constant_column_is_exact(self):
+        tables = tabulate([parse("sin(3*t) + t^2"), ForceExpr.constant(-0.1)], ["g", "f"],
+                          0.5e-4 * np.arange(20_001))
+        assert np.all(tables[1] == -0.1)
+
+    def test_finite_force_whose_factors_overflow_together_is_kept(self):
+        # t^100 * exp(4.6 t) overflows at t = 100, but each factor, applied
+        # to the coefficient in turn, keeps the force finite there.
+        force = parse("1e-300*t^100*exp(4.6*t)")
+        t = 99.0 + 0.5 * np.arange(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = tabulate([force], ["f"], t)[0]
+        assert np.isfinite(table).all() and table.tobytes() == force.evaluate(t).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 4),
+           t=st.floats(-5, 5, allow_subnormal=True))
+    def test_one_point_form_is_tabulate_bit_for_bit(self, seed, count, t):
+        rng = random.Random(seed)
+        forces = [random_expr(rng) for _ in range(count)]
+        names = [f"L{k}" for k in range(count)]
+        want = [x[0] for x in tabulate(forces, names, np.array([t]))]
+        assert np.array(tabulate_at(forces, names, t)).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("texts,t,message", [
+        (("t^2", "exp(800*t)", "t^400*exp(-800*t)"), 1.0, "force L2(t) = inf at t = 1.0 "),
+        (("t^2", "t", "t^400*exp(-800*t)"), 7.0, "force L3(t) = nan at t = 7.0 "),
+    ])
+    def test_one_point_form_names_the_first_bad_force_as_tabulate_does(self, texts, t, message):
+        forces, names = [parse(x) for x in texts], ["L1", "L2", "L3"]
+        errors = []
+        for form in (lambda: tabulate(forces, names, np.array([t])),
+                     lambda: tabulate_at(forces, names, t)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as info:
+                    form()
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and errors[0].startswith(message)
 
 
 class TestShiftBasis:

@@ -311,6 +311,18 @@ class TestShiftedForcing:
         rk_solve(TIME_VARYING, 1000)
         assert calls == [("g", "f")]
 
+    @pytest.mark.parametrize("steps", [1, 7, 1000])
+    def test_per_step_table_is_read_on_the_half_step_grid(self, monkeypatch, steps):
+        grids = []
+        tabulate = cascade.tabulate
+        monkeypatch.setattr(cascade, "tabulate",
+                            lambda *args: grids.append(args[2]) or tabulate(*args))
+        rk_solve(TIME_VARYING, steps)
+        h = (TIME_VARYING.b - TIME_VARYING.a) / steps
+        want = half_step_grid(TIME_VARYING.a, h, steps)
+        assert len(grids) == 1 and grids[0].tobytes() == want.tobytes()
+        assert grids[0][0] == TIME_VARYING.a and grids[0][-1] == pytest.approx(TIME_VARYING.b)
+
     @pytest.mark.parametrize("force,a,b,steps", [
         ("1e-300*t^100*exp(4.6*t)", 99.0, 100.0, 40),   # t^100 exp(4.6 t) overflows near 100
         ("exp(1000*t)", -0.76, -0.06, 10),              # exp(1000 t) underflows at -0.76
