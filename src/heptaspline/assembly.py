@@ -15,11 +15,13 @@ rows close the system; they couple U-values near t = a to nearby knot values
 and to u_m = y^(m)(a), m = 1..7 (u_0..u_6 are the initial data; u_7 comes
 from the ODE as g(a) - f(a) * u_0).  Each row is derived, once per mode on
 first use, from a one-line spec of what it couples: it is the unique such row
-exact on polynomials through degree 8 (standard: local truncation error h^9,
-second-order solver) or 12 (improved: h^13, fifth order with the optimal
-parameter family).  The exact rational coefficients (several exceed 64-bit
-integer range) are rounded to floats once per mode.  The interior stencil
-is exact through degree 8 (degree 12 on the optimal family).
+exact on polynomials through degree 8 (standard: local truncation error h^9)
+or 12 (improved: h^13).  The paper claims a second-order solver for the
+standard rows and a fifth-order one for the improved rows on the optimal
+parameter family; the acceptance suite checks observed orders >= 1.7 and
+>= 4.5.  The exact rational coefficients (several exceed 64-bit integer
+range) are rounded to floats once per mode.  The interior stencil is exact
+through degree 8 (degree 12 on the optimal family).
 """
 
 from __future__ import annotations

@@ -155,20 +155,16 @@ def simulate_direct(model: CascadeModel, steps: int) -> tuple[np.ndarray, np.nda
 
     Returns ``(times, trajectories)`` where ``trajectories[i, k]`` is scale
     k+1 at ``times[i]``; shape (steps+1, n_scales).  The coupled system is
-    linear with a constant matrix, ``y' = -Gamma*P y + L(t)`` with P the
-    cyclic shift, so it runs through the blocked affine RK4 kernel of the
-    companion-system oracle (``_rk4_linear``), which builds the forcing from
-    shifts of the forces' basis.  Where that basis cannot carry the forces,
-    the kernel steps one map at a time on their ``tabulate`` table on the
-    half-step grid; ValueError names the first force L^(k) not finite there.
+    ``y' = -Gamma*P y + L(t)`` with P the cyclic shift: the constant matrix
+    -Gamma*P, no drive matrices, and the forces L^(k) named ``L1``..``LN``, run by
+    ``_rk4_linear`` (which also checks ``steps``).
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     n = model.n_scales
     a, b = model.interval
     coupling = -model.gamma * np.roll(np.eye(n), 1, axis=1)    # row k picks y[k+1]
-    out = _rk4_linear(coupling, np.eye(n), model.forces, [f"L{k + 1}" for k in range(n)],
-                      np.array(model.init_velocities, dtype=float), a, (b - a) / steps, steps)
+    out = _rk4_linear(coupling, np.empty((0, n, n)), np.eye(n), model.forces,
+                      [f"L{k + 1}" for k in range(n)], np.array(model.init_velocities, dtype=float),
+                      a, b, steps)
     return _knot_grid(a, b, steps), out
 
 
@@ -324,26 +320,29 @@ def _doubling(x, g):
             g = 2.0 * g + g @ g
 
 
-def _rk4_linear(a, e, forces, names, z0, start, h, steps):
-    """Classical RK4 for ``z' = A(t) z + E u(t)`` on [start, start + steps*h]; all states.
+def _rk4_linear(a, drives, e, forces, names, z0, start, end, steps):
+    """Classical RK4 for ``z' = A(t) z + E u(t)`` at ``steps`` equal steps over
+    [start, end]; all states, shape (steps + 1, d), row 0 is ``z0``.
 
-    u is the first m = E.shape[1] of ``forces``.  ``a`` is either one (d, d)
-    matrix for constant A or a function ``a(values)`` giving A at the points
-    where the other forces, ``forces[m:]``, take ``values`` (one row per
-    point): shape (len(values), d, d).  ``names`` name the forces in the
-    errors of ``tabulate``.  Result: shape (steps + 1, d), row 0 is ``z0``.
+    The system is data.  u is the first m = E.shape[1] of ``forces``; the
+    others, v_k, are A's coefficients: A(t) = ``a`` + sum_k v_k(t) ``drives[k]``
+    for the constant (d, d) matrix ``a`` and the (K, d, d) stack ``drives``.
+    ``names`` name the forces in the errors of ``tabulate`` and
+    ``tabulate_at``.  ValueError where ``steps`` < 1.
 
     Each step is the affine map ``z <- z + D_i z + c_i`` with D_i = S_i - I
-    (``_rk4_increment``).  For a constant A, the forcing vectors of all
-    steps are phi(s_b) @ Q_k, from shifts of the forces' basis phi evaluated
-    at the block starts s_b only (``_shift_forcing``), and ``_scan`` solves
-    the recurrence into the output buffer by doubling within the blocks and
-    over the block starts.  A time-varying A, and a constant A whose forces
-    that basis cannot carry, read the forces instead from one table of
-    ``tabulate`` on the half-step grid start + (h/2) j, j = 0..2*steps
-    (ValueError names the first force not finite there): ``_CHUNK`` steps at
-    a time, their maps and forcing vectors are formed together, and the
-    states are then stepped one map at a time.
+    (``_rk4_increment``).  When every v_k has a zero symbolic derivative,
+    they are folded into A at ``start``, and the forcing vectors of all
+    steps are phi(s_b) @ Q_k, from shifts of u's basis phi evaluated at the
+    block starts s_b only (``_shift_forcing``); ``_scan`` solves the
+    recurrence into the output buffer by doubling within the blocks and over
+    the block starts.  A time-varying A, and a constant A whose u that basis
+    cannot carry, read the forces instead from one table of ``tabulate`` on
+    the half-step grid start + (h/2) j, j = 0..2*steps (ValueError names the
+    first force not finite there): ``_CHUNK`` steps at a time, their A (one
+    ``tensordot`` of the v_k rows with ``drives``), maps and forcing
+    vectors are formed together, and the states are then stepped one map at
+    a time.
 
     Overflow inside the run is not warned about; ValueError names the first
     step whose state is not finite.  For a constant A that state may be
@@ -352,15 +351,22 @@ def _rk4_linear(a, e, forces, names, z0, start, h, steps):
     inf * 0 = NaN) when the rates are too large for the step count, even on
     a zero solution.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     d, m = e.shape
+    h = (end - start) / steps
+    if forces[m:] and all(v.derivative().is_zero for v in forces[m:]):   # fold into A at start
+        a = a + np.tensordot(tabulate_at(forces[m:], names[m:], start), drives, 1)
+        forces = forces[:m]
+    constant = len(forces) == m
     width, blocks = min(steps, _BLOCK), -(-steps // _BLOCK)
     out = np.empty((blocks * width + 1, d))     # rows past steps + 1 are scratch of the scan
     out[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         forcing = None
-        if not callable(a):
+        if constant:
             delta = _rk4_increment(a, a, a, e, h)
-            forcing = _shift_forcing(delta, forces[:m], start, h, width, blocks)
+            forcing = _shift_forcing(delta, forces, start, h, width, blocks)
         if forcing is not None:
             phi, q = forcing
             work = np.empty((width, q.shape[1] + d, d))
@@ -372,8 +378,8 @@ def _rk4_linear(a, e, forces, names, z0, start, h, steps):
             u3 = _stage_values(np.ascontiguousarray(table[:, :m]))
             for lo in range(0, steps, _CHUNK):
                 hi = min(lo + _CHUNK, steps)
-                if callable(a):
-                    window = a(table[2 * lo:2 * hi + 1, m:])
+                if not constant:
+                    window = a + np.tensordot(table[2 * lo:2 * hi + 1, m:], drives, 1)
                     maps = _rk4_increment(window[0:-1:2], window[1::2], window[2::2], e, h)
                 else:
                     maps = np.broadcast_to(delta, (hi - lo,) + delta.shape)

@@ -111,7 +111,8 @@ def load_config(path: Path, subcommand: str) -> RunConfig:
     cp.optionxform = str  # keys like N and L1 are case-sensitive
     if not path.is_file():
         raise ValueError(f"config file not found: {path}")
-    cp.read(path, encoding="utf-8")
+    with open(path, encoding="utf-8-sig") as fp:   # a UTF-8 byte-order mark is skipped
+        cp.read_file(fp, source=path)
 
     name = "cascade" if subcommand == "cascade" else "problem"
     if not cp.has_section(name):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .assembly import EndConditionMode, build
 from .cascade import IvpProblem, _knot_grid, _rk4_linear
-from .forces import ForceExpr, parse, tabulate, tabulate_at
+from .forces import ForceExpr, parse, tabulate
 from .linsolve import SolutionGrid, lu_solve
 from .spline_params import SplineParams
 
@@ -65,39 +65,21 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     """Classical RK4 on the companion system at uniform step (b-a)/steps.
 
     Works for any equation order (the state dimension is ``problem.order``).
-    The companion system ``z' = A(t) z + e_N g(t)``, with ``-f`` in the last
-    row of A, is linear, so it runs through the blocked affine RK4 kernel
-    shared with ``simulate_direct`` (``_rk4_linear``).  When f is constant
-    (symbolically: its derivative is zero), A is one matrix and the kernel
-    builds g's forcing from shifts of g's basis, tabulating g only where
-    that basis cannot carry it.  Otherwise g and f are tabulated together by
-    ``tabulate`` on the half-step grid a + (h/2) j, j = 0..2*steps, and the
-    kernel asks for A a chunk of steps at a time.  ValueError names the force
-    not finite there, or says where the run leaves float range.
+    The companion system of ``y^(N) = g - f*y`` is ``z' = A(t) z + e_N g(t)``
+    with A(t) = C - f(t) e_N e_1^T for the shift matrix C: the constant
+    matrix C, f as the one coefficient with drive -e_N e_1^T, and the force g, run by
+    ``_rk4_linear`` (which also checks ``steps``).
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     order = problem.order
-    a, b = problem.a, problem.b
     companion = np.zeros((order, order))
     companion[:-1, 1:] = np.eye(order - 1)
-
-    def window(values):
-        """A at the points where f takes ``values[:, 0]``."""
-        stack = np.tile(companion, (len(values), 1, 1))
-        stack[:, -1, 0] = -values[:, 0]
-        return stack
-
+    drive = np.zeros((1, order, order))
+    drive[0, -1, 0] = -1.0
     forcing = np.zeros((order, 1))
     forcing[-1] = 1.0
-    if problem.f.derivative().is_zero:
-        companion[-1, 0] = -tabulate_at((problem.f,), ("f",), a)[0]
-        matrix, forces = companion, (problem.g,)
-    else:
-        matrix, forces = window, (problem.g, problem.f)
-    states = _rk4_linear(matrix, forcing, forces, ("g", "f"), np.array(problem.u, dtype=float),
-                         a, (b - a) / steps, steps)
-    return RkTrajectory(a, b, states)
+    states = _rk4_linear(companion, drive, forcing, (problem.g, problem.f), ("g", "f"),
+                         np.array(problem.u, dtype=float), problem.a, problem.b, steps)
+    return RkTrajectory(problem.a, problem.b, states)
 
 
 Reference = Union[ForceExpr, RkTrajectory]

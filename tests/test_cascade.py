@@ -297,7 +297,7 @@ class TestSimulateDirect:
 
     def test_step_count_validated(self):
         model = CascadeModel(7, 1.0, ZERO7, (0.0,) * 7, (0.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^steps must be >= 1, got 0$"):
             simulate_direct(model, 0)
 
     def test_force_beyond_float_range_on_half_steps_rejected(self):

@@ -1,3 +1,4 @@
+import builtins
 import configparser
 import csv
 import io
@@ -166,6 +167,21 @@ class TestSolve:
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.ini"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_unopenable_config_exits_one_naming_the_reason(self, tmp_path, capsys, monkeypatch):
+        # ConfigParser.read skips a file it cannot open, which left the run
+        # to report a missing [problem] section instead of the real reason.
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        real_open = builtins.open
+
+        def refusing(file, *args, **kwargs):
+            if file in (cfg, str(cfg)):
+                raise PermissionError(13, "Permission denied", str(cfg))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", refusing)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: {str(cfg)!r}\n"
 
     def test_constraint_violation_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
@@ -623,6 +639,23 @@ class TestLocaleEncoding:
             for p in outputs:
                 p.unlink()
         assert runs[0] == runs[1] and runs[0][2]
+
+    @pytest.mark.parametrize("name,subcommand", [("example1_improved_n20.ini", "solve"),
+                                                 ("example1_standard_col1.ini", "converge"),
+                                                 ("cascade_demo.ini", "cascade")])
+    def test_byte_order_mark_is_skipped(self, name, subcommand, tmp_path, capsys):
+        # A UTF-8 config saved with a byte-order mark writes what it writes without one.
+        runs = []
+        for bom in ("", "\ufeff"):
+            cfg = rewrite_output(CONFIG_DIR / name, tmp_path, "run")
+            cfg.write_text(bom + cfg.read_text(encoding="utf-8"), encoding="utf-8")
+            assert main([subcommand, "--config", str(cfg)]) == 0
+            outputs = sorted(p for p in tmp_path.glob("run.*") if p != cfg)
+            runs.append((capsys.readouterr(), [(p.name, p.read_bytes()) for p in outputs]))
+            for p in outputs:
+                p.unlink()
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf[")
+        assert runs[0] == runs[1] and runs[0][1]
 
 
 class TestBundledConfigs:

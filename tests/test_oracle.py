@@ -86,7 +86,7 @@ class TestRkSolve:
         assert trajectory.t[5] == 0.5 and trajectory.t[-1] == 1.0
 
     def test_step_count_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^steps must be >= 1, got 0$"):
             rk_solve(EXPONENTIAL.problem, 0)
 
     @pytest.mark.parametrize("f,g,message", [
@@ -297,6 +297,22 @@ class TestShiftedForcing:
             simulate_direct(model, steps)
             rk_solve(OSCILLATING.problem, steps)
             assert len(points) == 2 and max(points) <= math.ceil(steps / 16)
+
+    @pytest.mark.parametrize("steps", [1, _BLOCK + 1, 1009])
+    def test_constant_f_expression_is_shifted(self, monkeypatch, steps):
+        # 0.5*sin(0*t + 1) is no bare number, but its symbolic derivative is
+        # zero: the kernel folds it into A, so g's forcing comes from shifts.
+        points = []
+        values = ShiftBasis.values
+        monkeypatch.setattr(ShiftBasis, "values",
+                            lambda basis, t: points.append(len(t)) or values(basis, t))
+        monkeypatch.setattr(cascade, "tabulate", lambda *args: pytest.fail("tabulated"))
+        problem = IvpProblem(-1.0, 1.0, parse("0.5*sin(0*t + 1)"), OSCILLATING.problem.g,
+                             OSCILLATING.problem.u)
+        h = (problem.b - problem.a) / steps
+        expected = textbook_rk4(companion_rate(problem, h, steps), problem.u, problem.a, h, steps)
+        assert np.max(np.abs(rk_solve(problem, steps).states - expected)) <= 1e-12
+        assert len(points) == 1
 
     def test_time_varying_f_is_tabulated(self, monkeypatch):
         calls = []
