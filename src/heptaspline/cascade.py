@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .forces import ForceExpr, ShiftBasis, tabulate, tabulate_at
+from .forces import ForceExpr, ShiftBasis, tabulate
 
 __all__ = [
     "CascadeModel",
@@ -119,9 +118,10 @@ def reduce(model: CascadeModel) -> IvpProblem:
 
         u_m = (-Gamma)^m v_(1+m) + F_m(a),   F_{m+1} = F_m' + (-Gamma)^m L^(1+m),
 
-    with one symbolic derivative per step, then all F_m(a) in one pass, and
-    returns g = F_N.  Only odd N closes to ``y^(N) + Gamma^N y = g`` (even N
-    would flip the sign of the feedback term and is not supported).  Raises
+    each F_{m+1} one merge of the children of F_m's terms with the scaled
+    terms of L^(1+m), then reads all F_m(a) through one ``tabulate`` at a,
+    and returns g = F_N.  Only odd N closes to ``y^(N) + Gamma^N y = g`` (even
+    N would flip the sign of the feedback term and is not supported).  Raises
     ValueError, first in loop order, when Gamma^N, a coefficient of some F_m
     or its value F_m(a) is beyond float range.
     For odd N other than 7 the result can be integrated by the oracle but is
@@ -136,16 +136,16 @@ def reduce(model: CascadeModel) -> IvpProblem:
         raise ValueError(f"Gamma^N = {model.gamma}^{n} is beyond float range") from None
     a, b = model.interval
     names, fs, g = [f"F_{m}" for m in range(n)], [], ForceExpr.zero()    # g holds F_m till the end
-    for m in range(n):                  # F_{m+1} = F_m' + (-Gamma)^m L^(1+m), built as one sum
+    for m in range(n):          # F_{m+1} = F_m' + (-Gamma)^m L^(1+m), merged as one sum
         fs.append(g)
-        g = ForceExpr(g.derivative().terms + tuple(
+        g = ForceExpr(tuple(child for t in g.terms for child in t.derivative_terms()) + tuple(
             t._derived((-model.gamma) ** m * t.coeff) for t in model.forces[m].terms))
         if not all(math.isfinite(term.coeff) for term in g.terms):
-            tabulate_at(fs, names, a)       # a non-finite F_j(a), j <= m, comes first
+            tabulate(fs, names, np.array([a]))      # a non-finite F_j(a), j <= m, comes first
             name = "g" if m + 1 == n else f"F_{m + 1}"
             raise ValueError(f"composed force {name}(t) = {g} has a coefficient beyond float "
                              f"range (Gamma^k times a force coefficient)")
-    values = tabulate_at(fs, names, a)
+    values = np.concatenate(tabulate(fs, names, np.array([a])))
     u = [(-model.gamma) ** m * v + f for m, (v, f) in enumerate(zip(model.init_velocities, values))]
     return IvpProblem(a=a, b=b, f=ForceExpr.constant(feedback), g=g, u=tuple(u))
 
@@ -182,7 +182,7 @@ _SHIFT_LOSS = 1 << 8
 #: which made the scan about three times slower while other work held the cores.
 _GEMM_SIZE = 1 << 18
 
-#: Steps whose increment maps a time-varying A forms at once: the
+#: Steps whose increment maps the per-step loop forms at once: the
 #: temporaries of ``_rk4_increment`` hold about six (d, d + 3m) arrays per step.
 _CHUNK = 128
 
@@ -210,17 +210,6 @@ def _rk4_increment(a0, a1, a2, e, h):
     k3 = h * (a1 @ (z + 0.5 * k2) + f1)
     k4 = h * (a2 @ (z + k3) + f2)
     return (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-
-def _stage_values(utab):
-    """u at the start, middle and end of each step, as rows of 3m floats.
-
-    ``utab`` holds u on the half-step grid, C-ordered, so step i's three
-    values are the 3m consecutive floats from row 2i: the result is an
-    overlapping (steps, 3m) view with strides (2m, 1) floats, not a copy.
-    """
-    m = utab.shape[1]
-    return sliding_window_view(utab.ravel(), 3 * m)[::2 * m]
 
 
 def _shift_forcing(delta, forces, start, h, width, blocks):
@@ -327,22 +316,22 @@ def _rk4_linear(a, drives, e, forces, names, z0, start, end, steps):
     The system is data.  u is the first m = E.shape[1] of ``forces``; the
     others, v_k, are A's coefficients: A(t) = ``a`` + sum_k v_k(t) ``drives[k]``
     for the constant (d, d) matrix ``a`` and the (K, d, d) stack ``drives``.
-    ``names`` name the forces in the errors of ``tabulate`` and
-    ``tabulate_at``.  ValueError where ``steps`` < 1.
+    ``names`` name the forces in the errors of ``tabulate``, which gives
+    every force value the kernel reads.  ValueError where ``steps`` < 1.
 
     Each step is the affine map ``z <- z + D_i z + c_i`` with D_i = S_i - I
     (``_rk4_increment``).  When every v_k has a zero symbolic derivative,
-    they are folded into A at ``start``, and the forcing vectors of all
-    steps are phi(s_b) @ Q_k, from shifts of u's basis phi evaluated at the
-    block starts s_b only (``_shift_forcing``); ``_scan`` solves the
-    recurrence into the output buffer by doubling within the blocks and over
-    the block starts.  A time-varying A, and a constant A whose u that basis
-    cannot carry, read the forces instead from one table of ``tabulate`` on
-    the half-step grid start + (h/2) j, j = 0..2*steps (ValueError names the
-    first force not finite there): ``_CHUNK`` steps at a time, their A (one
-    ``tensordot`` of the v_k rows with ``drives``), maps and forcing
-    vectors are formed together, and the states are then stepped one map at
-    a time.
+    their values at ``start`` are folded into ``a`` and A is constant.  Then
+    the forcing vectors of all steps are phi(s_b) @ Q_k, from shifts of u's
+    basis phi evaluated at the block starts s_b only (``_shift_forcing``),
+    and ``_scan`` solves the recurrence into the output buffer by doubling
+    within the blocks and over the block starts.  Otherwise (a time-varying
+    A, or a u that basis cannot carry) the forces are tabulated on the
+    half-step grid start + (h/2) j, j = 0..2*steps (ValueError names the
+    first force not finite there), and ``_CHUNK`` steps at a time, their A
+    (``a`` plus one ``tensordot`` of the table's v_k rows with ``drives``),
+    maps and forcing vectors are formed together from slices of the table;
+    the states are then stepped one map at a time.
 
     Overflow inside the run is not warned about; ValueError names the first
     step whose state is not finite.  For a constant A that state may be
@@ -356,15 +345,15 @@ def _rk4_linear(a, drives, e, forces, names, z0, start, end, steps):
     d, m = e.shape
     h = (end - start) / steps
     if forces[m:] and all(v.derivative().is_zero for v in forces[m:]):   # fold into A at start
-        a = a + np.tensordot(tabulate_at(forces[m:], names[m:], start), drives, 1)
-        forces = forces[:m]
-    constant = len(forces) == m
+        values = np.concatenate(tabulate(forces[m:], names[m:], np.array([start])))
+        a = a + np.tensordot(values, drives, 1)
+        forces, drives = forces[:m], drives[:0]
     width, blocks = min(steps, _BLOCK), -(-steps // _BLOCK)
     out = np.empty((blocks * width + 1, d))     # rows past steps + 1 are scratch of the scan
     out[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         forcing = None
-        if constant:
+        if len(forces) == m:
             delta = _rk4_increment(a, a, a, e, h)
             forcing = _shift_forcing(delta, forces, start, h, width, blocks)
         if forcing is not None:
@@ -375,15 +364,13 @@ def _rk4_linear(a, drives, e, forces, names, z0, start, end, steps):
         else:
             grid = start + 0.5 * h * np.arange(2 * steps + 1)
             table = np.stack(tabulate(forces, names, grid), axis=1)
-            u3 = _stage_values(np.ascontiguousarray(table[:, :m]))
             for lo in range(0, steps, _CHUNK):
                 hi = min(lo + _CHUNK, steps)
-                if not constant:
-                    window = a + np.tensordot(table[2 * lo:2 * hi + 1, m:], drives, 1)
-                    maps = _rk4_increment(window[0:-1:2], window[1::2], window[2::2], e, h)
-                else:
-                    maps = np.broadcast_to(delta, (hi - lo,) + delta.shape)
-                c = np.einsum("ijk,ik->ij", maps[:, :, d:], u3[lo:hi])
+                rows = table[2 * lo:2 * hi + 1]
+                window = a + np.tensordot(rows[:, m:], drives, 1)
+                maps = _rk4_increment(window[0:-1:2], window[1::2], window[2::2], e, h)
+                u3 = np.hstack((rows[0:-1:2, :m], rows[1::2, :m], rows[2::2, :m]))
+                c = np.einsum("ijk,ik->ij", maps[:, :, d:], u3)
                 for i in range(lo, hi):
                     out[i + 1] = out[i] + maps[i - lo, :, :d] @ out[i] + c[i - lo]
     states = out[:steps + 1]

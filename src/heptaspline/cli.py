@@ -61,8 +61,12 @@ _KINDS = {int: "an integer", float: "a number",
 
 def _convert(text: str, name: str, kind: Callable = str):
     """``text`` as ``kind``: a key of ``_KINDS``, ``parse``, ``str`` or ``Path``.
-    A ValueError names ``name``; for ``parse`` it keeps the parser's positioned message."""
+    A key of ``_KINDS`` reads ASCII text only, as ``parse`` does (``int``, ``float`` and
+    ``Fraction`` read any Unicode digits).  A ValueError names ``name``; for ``parse`` it
+    keeps the parser's positioned message."""
     try:
+        if kind in _KINDS and not text.isascii():
+            raise ValueError
         return kind(text)
     except (ValueError, ZeroDivisionError) as exc:
         if kind is parse:

@@ -237,33 +237,6 @@ def tabulate(forces, names, t: np.ndarray) -> list[np.ndarray]:
     return tables
 
 
-def tabulate_at(forces, names, t: float) -> list[float]:
-    """Each force at ``t``, ``tabulate(forces, names, np.array([t]))`` bit for bit, from one
-    pass over all terms: ``ForceTerm.evaluate``'s ufuncs in its order (an absent factor is an
-    exact 1.0), each force's terms added from 0.0 in term order (``sum`` compensates on 3.12,
-    ``np.add.reduce`` is pairwise).
-    """
-    t = float(t)
-    terms = [term for force in forces for term in force.terms]
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = {p: np.power(np.array([t]), p)[0] for p in {x.poly_power for x in terms}}
-        coeff, power, rate, freq, phase, trig = np.array(
-            [(x.coeff, powers[x.poly_power], x.exp_rate, x.trig_freq, x.trig_phase,
-              _TRIG_KINDS.index(x.trig)) for x in terms]).reshape(-1, 6).T
-        angle = freq * t + phase
-        wave = np.choose(trig.astype(int), (1.0, np.sin(angle), np.cos(angle)))
-        values = iter((coeff * power * np.exp(rate * t) * wave).tolist())
-    out = []
-    for force, name in zip(forces, names):
-        total = 0.0
-        for _ in force.terms:
-            total += next(values)
-        if not math.isfinite(total):
-            raise ValueError(f"force {name}(t) = {total} at t = {t!r} is beyond float range")
-        out.append(total)
-    return out
-
-
 # --- shifts of the force basis -------------------------------------------
 
 class ShiftBasis:

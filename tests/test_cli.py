@@ -590,6 +590,17 @@ class TestNumberKeys:
         ("cascade_demo.ini", "cascade", "gamma", "one", "[cascade] gamma must be a number"),
         ("cascade_demo.ini", "cascade", "a", "0 1", "[cascade] a must be a number"),
         ("cascade_demo.ini", "cascade", "v7", "x", "[cascade] v7 must be a number, got 'x'"),
+        # int(), float() and Fraction() read any Unicode digits; force expressions do not
+        ("example1_improved_n20.ini", "solve", "u0", "\u0660",
+         "[problem] u0 must be a number, got '\u0660'"),
+        ("example1_improved_n20.ini", "solve", "n", "\uff12\uff10",
+         "[method] n must be an integer, got '\uff12\uff10'"),
+        ("example1_improved.ini", "converge", "n_list", "10, \uff120",
+         "each of [method] n_list must be an integer, got '\uff120'"),
+        ("cascade_demo.ini", "cascade", "N", "\u0667",
+         "[cascade] N must be an integer, got '\u0667'"),
+        ("cascade_demo.ini", "cascade", "delta_opt", "\uff13\uff10",
+         "[method] delta_opt must be a rational number such as 30, 51/2 or 2.5e1, got '\uff13"),
     ])
     def test_unparsable_number_names_its_key(self, name, subcommand, key, value, message,
                                               tmp_path, capsys):
@@ -601,6 +612,23 @@ class TestNumberKeys:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {message}")
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--delta", "\uff13\uff10", "--delta must be a rational number"),
+        ("--params", "1/2,19/2,49/2,\uff151/2", "--params value must be a rational number"),
+    ])
+    def test_non_ascii_digits_in_flags_are_rejected(self, flag, value, message, capsys):
+        assert main(["coeffs", flag, value]) == 1
+        rational = "such as 30, 51/2 or 2.5e1"
+        assert capsys.readouterr() == ("", f"error: {message} {rational}, got "
+                                           f"{value.split(',')[-1]!r}\n")
+
+    def test_ascii_number_forms_and_non_ascii_paths_are_kept(self, tmp_path, capsys):
+        out = tmp_path / "r\u00e9sultat.csv"
+        cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
+        with_value(with_value(cfg, "n", "2_0"), "csv_path", str(out))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert "(n=20," in capsys.readouterr().out and out.is_file()
 
 
 #: The bundled configs and the subcommand each is written for.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from heptaspline.cascade import _BLOCK
 from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, ShiftBasis, parse,
-                                tabulate, tabulate_at)
+                                tabulate)
 
 
 def random_expr(rng: random.Random, max_terms: int = 4) -> ForceExpr:
@@ -218,32 +218,6 @@ class TestTabulate:
             warnings.simplefilter("error")
             table = tabulate([force], ["f"], t)[0]
         assert np.isfinite(table).all() and table.tobytes() == force.evaluate(t).tobytes()
-
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 4),
-           t=st.floats(-5, 5, allow_subnormal=True))
-    def test_one_point_form_is_tabulate_bit_for_bit(self, seed, count, t):
-        rng = random.Random(seed)
-        forces = [random_expr(rng) for _ in range(count)]
-        names = [f"L{k}" for k in range(count)]
-        want = [x[0] for x in tabulate(forces, names, np.array([t]))]
-        assert np.array(tabulate_at(forces, names, t)).tobytes() == np.array(want).tobytes()
-
-    @pytest.mark.parametrize("texts,t,message", [
-        (("t^2", "exp(800*t)", "t^400*exp(-800*t)"), 1.0, "force L2(t) = inf at t = 1.0 "),
-        (("t^2", "t", "t^400*exp(-800*t)"), 7.0, "force L3(t) = nan at t = 7.0 "),
-    ])
-    def test_one_point_form_names_the_first_bad_force_as_tabulate_does(self, texts, t, message):
-        forces, names = [parse(x) for x in texts], ["L1", "L2", "L3"]
-        errors = []
-        for form in (lambda: tabulate(forces, names, np.array([t])),
-                     lambda: tabulate_at(forces, names, t)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError) as info:
-                    form()
-            errors.append(str(info.value))
-        assert errors[0] == errors[1] and errors[0].startswith(message)
 
 
 class TestShiftBasis:

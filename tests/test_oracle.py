@@ -169,6 +169,15 @@ def half_step_grid(a, h, steps):
     return a + 0.5 * h * np.arange(2 * steps + 1)
 
 
+def tabulated_points(monkeypatch):
+    """The number of points of each ``cascade.tabulate`` call from now on, in call order."""
+    points = []
+    tabulate = cascade.tabulate
+    monkeypatch.setattr(cascade, "tabulate",
+                        lambda *args: points.append(len(args[2])) or tabulate(*args))
+    return points
+
+
 def companion_rate(problem, h, steps):
     grid = half_step_grid(problem.a, h, steps)
     f = on_half_steps(problem.f.evaluate(grid), problem.a, h)
@@ -278,7 +287,7 @@ class TestShiftedForcing:
         expected = textbook_rk4(cascade_rate(model, h, steps), v, start, h, steps)
         assert worst_relative_gap(simulate_direct(model, steps)[1], expected) <= 1e-12
 
-    def test_constant_a_tabulates_no_force(self, monkeypatch):
+    def test_constant_a_builds_no_force_table(self, monkeypatch):
         points = []
         values = ShiftBasis.values
 
@@ -287,16 +296,17 @@ class TestShiftedForcing:
             return values(basis, t)
 
         monkeypatch.setattr(ShiftBasis, "values", counting)
-        monkeypatch.setattr(cascade, "tabulate", lambda *args: pytest.fail("tabulated"))
+        tabulated = tabulated_points(monkeypatch)
         rng = random.Random(5)
         model = CascadeModel(
             7, 1.0, tuple(parse(f"{rng.uniform(-1, 1)}*t^2*cos({rng.uniform(-2, 2)}*t + 1)")
                           for _ in range(7)), (0.5,) * 7, (-0.5, 1.5))
         for steps in STEP_COUNTS:
-            del points[:]
+            del points[:], tabulated[:]
             simulate_direct(model, steps)
             rk_solve(OSCILLATING.problem, steps)
             assert len(points) == 2 and max(points) <= math.ceil(steps / 16)
+            assert tabulated == [1]     # rk_solve reads f at a to fold it into A
 
     @pytest.mark.parametrize("steps", [1, _BLOCK + 1, 1009])
     def test_constant_f_expression_is_shifted(self, monkeypatch, steps):
@@ -306,13 +316,13 @@ class TestShiftedForcing:
         values = ShiftBasis.values
         monkeypatch.setattr(ShiftBasis, "values",
                             lambda basis, t: points.append(len(t)) or values(basis, t))
-        monkeypatch.setattr(cascade, "tabulate", lambda *args: pytest.fail("tabulated"))
+        tabulated = tabulated_points(monkeypatch)
         problem = IvpProblem(-1.0, 1.0, parse("0.5*sin(0*t + 1)"), OSCILLATING.problem.g,
                              OSCILLATING.problem.u)
         h = (problem.b - problem.a) / steps
         expected = textbook_rk4(companion_rate(problem, h, steps), problem.u, problem.a, h, steps)
         assert np.max(np.abs(rk_solve(problem, steps).states - expected)) <= 1e-12
-        assert len(points) == 1
+        assert len(points) == 1 and tabulated == [1]
 
     def test_time_varying_f_is_tabulated(self, monkeypatch):
         calls = []
@@ -348,10 +358,7 @@ class TestShiftedForcing:
     def test_force_the_basis_cannot_carry_is_tabulated(self, monkeypatch, force, a, b, steps):
         # The basis cannot carry such a force across a block cheaply and
         # accurately, so the run steps one map at a time on its table.
-        calls = []
-        tabulate = cascade.tabulate
-        monkeypatch.setattr(cascade, "tabulate",
-                            lambda *args: calls.append(args[1]) or tabulate(*args))
+        tabulated = tabulated_points(monkeypatch)
         problem = IvpProblem(a, b, ForceExpr.constant(1.0), parse(force), (0.0,) * 7)
         model = CascadeModel(7, 1.0, (ForceExpr.zero(),) * 3 + (parse(force),)
                              + (ForceExpr.zero(),) * 3, (0.0,) * 7, (a, b))
@@ -364,7 +371,8 @@ class TestShiftedForcing:
         assert worst_relative_gap(states, expected) <= 1e-12
         expected = textbook_rk4(cascade_rate(model, h, steps), model.init_velocities, a, h, steps)
         assert worst_relative_gap(trajectories, expected) <= 1e-12
-        assert len(calls) == 2 and np.max(np.abs(expected)) > 0.0
+        # rk_solve folds f at a, then each oracle tabulates once on the half-step grid
+        assert tabulated == [1, 2 * steps + 1, 2 * steps + 1] and np.max(np.abs(expected)) > 0.0
 
     def test_basis_too_large_is_refused_in_little_memory(self):
         # A basis of 10^6 + 1 powers is refused from its size alone, before
@@ -386,7 +394,7 @@ class TestShiftedForcing:
     def test_force_decaying_below_normal_range_is_shifted(self, monkeypatch, a, b, u):
         # exp(-800 t) leaves the normal range at t = 0.885; a shift by
         # tau > 0 only shrinks what its basis lost there.
-        monkeypatch.setattr(cascade, "tabulate", lambda *args: pytest.fail("tabulated"))
+        tabulated = tabulated_points(monkeypatch)
         force, steps = parse("2*exp(-800*t)"), 1009
         problem = IvpProblem(a, b, ForceExpr.constant(1.0), force, (u,) * 7)
         model = CascadeModel(7, 1.0, (force,) * 7, (u,) * 7, (a, b))
@@ -395,6 +403,7 @@ class TestShiftedForcing:
         assert worst_relative_gap(rk_solve(problem, steps).states, expected) <= 1e-12
         expected = textbook_rk4(cascade_rate(model, h, steps), model.init_velocities, a, h, steps)
         assert worst_relative_gap(simulate_direct(model, steps)[1], expected) <= 1e-12
+        assert tabulated == [1]     # rk_solve's fold of f; no table of the forces
 
 
 class TestSimulateDirect:
