@@ -8,17 +8,37 @@ Quick tour:
 >>> grid = lu_solve(build(bench.problem, optimal_family(30), EndConditionMode.IMPROVED, 20))
 >>> max_abs_error(grid, bench.exact) < 1e-4
 True
+
+Importing the package loads none of its modules: a public name or a module
+is imported on first access (PEP 562) and then kept in the package namespace,
+so ``coeffs`` loads no numpy and a solve no oracle.
 """
 
-from . import assembly, cascade, forces, linsolve, oracle, spline_params
-from .assembly import *  # noqa: F403 -- each module's __all__ is the one list of its public names
-from .cascade import *  # noqa: F403
-from .forces import *  # noqa: F403
-from .linsolve import *  # noqa: F403
-from .oracle import *  # noqa: F403
-from .spline_params import *  # noqa: F403
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for module in (assembly, cascade, forces, linsolve, oracle, spline_params)
-           for name in module.__all__] + ["__version__"]
+#: The modules whose ``__all__`` lists the package's public names, each after
+#: the modules it imports, so finding a name loads little beyond its module.
+_MODULES = ("spline_params", "forces", "cascade", "assembly", "linsolve", "oracle")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return _importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = [public for module in _MODULES for public in __getattr__(module).__all__]
+        value += ["__version__"]
+    elif name.startswith("_"):     # no public name; probes such as __wrapped__ load nothing
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        module = next((m for m in map(__getattr__, _MODULES) if name in m.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})

@@ -14,24 +14,29 @@ Configs are INI files with sections [problem] or [cascade], [method] and
 as its reduced seventh-order IVP, so ``solve`` and ``cascade`` run one path.
 Exit status: 0 on success, 1 on configuration or validation errors, 2 on
 numerical failure.
+
+Each subcommand imports what it runs: ``coeffs`` only ``spline_params``, so
+it loads no numpy; ``solve`` and ``cascade`` the force, cascade, assembly and
+solver modules; and only ``converge`` the oracle.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import enum
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .assembly import EndConditionMode, build
-from .cascade import CascadeModel, IvpProblem, reduce
-from .forces import ForceExpr, parse, tabulate
-from .linsolve import LinearSolveError, lu_solve
-from .oracle import convergence_study
 from .spline_params import SplineParams, from_theta, optimal_family, truncation_coeffs, validate
+
+if TYPE_CHECKING:
+    from .assembly import EndConditionMode
+    from .cascade import CascadeModel, IvpProblem
+    from .forces import ForceExpr
 
 __all__ = ["main", "RunConfig", "load_config"]
 
@@ -55,23 +60,27 @@ def _fmt(x: float) -> str:
 
 #: What a value of each checked kind must be, as the error message says it.
 _KINDS = {int: "an integer", float: "a number",
-          Fraction: "a rational number such as 30, 51/2 or 2.5e1",
-          EndConditionMode: "'standard' or 'improved'"}
+          Fraction: "a rational number such as 30, 51/2 or 2.5e1"}
 
 
 def _convert(text: str, name: str, kind: Callable = str):
-    """``text`` as ``kind``: a key of ``_KINDS``, ``parse``, ``str`` or ``Path``.
+    """``text`` as ``kind``: a key of ``_KINDS``, an enum, ``parse``, ``str`` or ``Path``.
     A key of ``_KINDS`` reads ASCII text only, as ``parse`` does (``int``, ``float`` and
-    ``Fraction`` read any Unicode digits).  A ValueError names ``name``; for ``parse`` it
-    keeps the parser's positioned message."""
+    ``Fraction`` read any Unicode digits).  A ValueError names ``name``, and what a key of
+    ``_KINDS`` or an enum's values require; for ``parse`` it keeps the parser's positioned
+    message."""
     try:
         if kind in _KINDS and not text.isascii():
             raise ValueError
         return kind(text)
     except (ValueError, ZeroDivisionError) as exc:
-        if kind is parse:
+        if isinstance(kind, enum.EnumMeta):
+            expected = " or ".join(repr(member.value) for member in kind)
+        elif kind in _KINDS:
+            expected = _KINDS[kind]
+        else:
             raise ValueError(f"{name}: {exc}") from None
-        raise ValueError(f"{name} must be {_KINDS[kind]}, got {text!r}") from None
+        raise ValueError(f"{name} must be {expected}, got {text!r}") from None
 
 
 def _get(section: configparser.SectionProxy, key: str, kind: Callable = str):
@@ -82,6 +91,8 @@ def _get(section: configparser.SectionProxy, key: str, kind: Callable = str):
 
 
 def _parse_method(section: configparser.SectionProxy) -> tuple[EndConditionMode, SplineParams]:
+    from .assembly import EndConditionMode
+
     mode = _convert(_get(section, "mode").strip().lower(), "[method] mode", EndConditionMode)
     weights = ("alpha", "beta", "gamma_", "delta")
     explicit = any(key in section for key in weights)
@@ -95,12 +106,18 @@ def _parse_method(section: configparser.SectionProxy) -> tuple[EndConditionMode,
 
 
 def _parse_problem(section: configparser.SectionProxy) -> IvpProblem:
+    from .cascade import IvpProblem
+    from .forces import parse
+
     return IvpProblem(a=_get(section, "a", float), b=_get(section, "b", float),
                       f=_get(section, "f", parse), g=_get(section, "g", parse),
                       u=tuple(_get(section, f"u{i}", float) for i in range(7)))
 
 
 def _parse_cascade(section: configparser.SectionProxy) -> CascadeModel:
+    from .cascade import CascadeModel
+    from .forces import parse
+
     n_scales = _get(section, "N", int)
     gamma, a, b = (_get(section, key, float) for key in ("gamma", "a", "b"))
     scales = range(1, n_scales + 1)
@@ -111,6 +128,9 @@ def _parse_cascade(section: configparser.SectionProxy) -> CascadeModel:
 
 
 def load_config(path: Path, subcommand: str) -> RunConfig:
+    from .cascade import reduce
+    from .forces import parse
+
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys like N and L1 are case-sensitive
     if not path.is_file():
@@ -155,6 +175,10 @@ def _write_csv(path: Path, lines: list[str]) -> None:
 
 def _run_solution(cfg: RunConfig, subcommand: str) -> int:
     """``solve`` and ``cascade``: build, solve, write the knot CSV, report."""
+    from .assembly import build
+    from .forces import tabulate
+    from .linsolve import lu_solve
+
     # Named before the solve, so a csv_path without a file name (".") fails first.
     g_path = cfg.csv_path.with_suffix(".g.txt") if subcommand == "cascade" else None
     grid = lu_solve(build(cfg.problem, cfg.params, cfg.mode, cfg.n))
@@ -180,6 +204,8 @@ def _run_solution(cfg: RunConfig, subcommand: str) -> int:
 
 
 def _run_converge(cfg: RunConfig) -> int:
+    from .oracle import convergence_study
+
     report = convergence_study(cfg.problem, cfg.params, cfg.mode, cfg.n_list,
                                reference=cfg.exact)
     lines = ["n,max_abs_error,observed_order"]
@@ -219,6 +245,20 @@ def _run_coeffs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_config(args: argparse.Namespace) -> int:
+    """``solve``, ``cascade`` and ``converge``; exit 2 on a failed solve."""
+    from .linsolve import LinearSolveError
+
+    try:
+        cfg = load_config(args.config, args.subcommand)
+        if args.subcommand == "converge":
+            return _run_converge(cfg)
+        return _run_solution(cfg, args.subcommand)
+    except LinearSolveError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = argparse.ArgumentParser(
         prog="heptaspline",
@@ -238,13 +278,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.subcommand == "coeffs":
             return _run_coeffs(args)
-        cfg = load_config(args.config, args.subcommand)
-        if args.subcommand == "converge":
-            return _run_converge(cfg)
-        return _run_solution(cfg, args.subcommand)
-    except LinearSolveError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        return _run_config(args)
     except (ValueError, OSError, configparser.Error, MemoryError) as exc:
         # MemoryError: e.g. the dense n x n system for a huge n
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

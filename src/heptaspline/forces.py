@@ -14,7 +14,7 @@ are computed symbolically instead of numerically.  A small text grammar
 
 Whitespace is insignificant; numbers are decimal literals in the ASCII
 digits 0-9.  The family is also closed under the shift t -> t + tau, which
-:class:`ShiftBasis` writes as one matrix per tau.
+``_rk4.ShiftBasis`` writes as one matrix per tau.
 """
 
 from __future__ import annotations
@@ -235,103 +235,6 @@ def tabulate(forces, names, t: np.ndarray) -> list[np.ndarray]:
             raise ValueError(f"force {name}(t) = {values[i]} at t = {float(t[i])!r} "
                              f"is beyond float range")
     return tables
-
-
-# --- shifts of the force basis -------------------------------------------
-
-class ShiftBasis:
-    """A basis phi of functions that holds some forces and is closed under shifts.
-
-    A term ``c t^p exp(r t) trig(w t + theta)`` lies in the span of the
-    functions t^q exp(r t) sin(w t + theta) and t^q exp(r t) cos(w t + theta),
-    q <= p (t^q exp(r t) for a term without trig), and t -> t + tau maps that
-    span to itself:
-
-        (t + tau)^q = sum_{i<=q} C(q, i) tau^(q-i) t^i,   exp(r (t + tau)) = exp(r tau) exp(r t),
-        sin(x + w tau) = cos(w tau) sin x + sin(w tau) cos x,
-        cos(x + w tau) = cos(w tau) cos x - sin(w tau) sin x,
-
-    so phi(t + tau) = T_tau phi(t) with T_tau in closed form (``shifted``).
-    Basis function i is the shape with key ``keys[i]`` (``ForceTerm._key``),
-    power ``powers[i]`` and rate ``rates[i]``, and force k is
-    ``phi(t) @ weights[:, k]``.
-    """
-
-    def __init__(self, forces):
-        """The basis of ``forces``.  ValueError where its ``lift_size`` exceeds
-        ``_SHIFT_BUDGET``: that size comes from the groups alone, before anything
-        per power is listed."""
-        top: dict[tuple, int] = {}          # (rate, has trig, freq, phase) -> highest power
-        for term in (x for force in forces for x in force.terms):
-            power, rate, trig, freq, phase = term._key
-            group = (rate, trig > 0, freq, phase)
-            top[group] = max(top.get(group, 0), power)
-        size = [(power + 1) * (1 + has_trig) for (_, has_trig, _, _), power in top.items()]
-        highest = max(top.values(), default=0)
-        #: Entries of each (p + 1, n, n) array that ``shifted`` forms, p the highest power.
-        self.lift_size = (highest + 1) * sum(size) ** 2
-        if self.lift_size > _SHIFT_BUDGET:
-            raise ValueError(f"shift arrays of {self.lift_size} entries exceed {_SHIFT_BUDGET}")
-        self.keys = [(q, rate, trig, freq, phase)
-                     for (rate, has_trig, freq, phase), power in top.items()
-                     for q in range(power + 1) for trig in ((1, 2) if has_trig else (0,))]
-        row = {key: i for i, key in enumerate(self.keys)}
-        self.weights = np.zeros((len(row), len(forces)))
-        for k, force in enumerate(forces):
-            for term in force.terms:
-                self.weights[row[term._key], k] = term.coeff
-        # exp(r t) and the wave are computed once per group; a group without trig has
-        # w = theta = 0, so its cos is exactly 1
-        self._group = np.repeat(np.arange(len(top)), size)
-        self._rate, _, self._freq, self._phase = np.array(list(top), dtype=float).reshape(-1, 4).T
-        self.powers, self._trig = np.array([key[:3:2] for key in self.keys],
-                                           dtype=int).reshape(-1, 2).T
-        self.rates = self._rate[self._group]
-        self._wave = self._group + len(top) * (self._trig != 1)     # into [sin, cos]
-        self._exponents = np.arange(highest + 1)
-
-    def values(self, t) -> np.ndarray:
-        """phi at each point of the 1-d ``t``, shape (len(t), len(keys))."""
-        t = np.asarray(t, dtype=float)[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            angle = self._freq * t + self._phase
-            waves = np.concatenate((np.sin(angle), np.cos(angle)), axis=1) * np.tile(
-                np.exp(self._rate * t), 2)
-            return np.power(t, self._exponents)[:, self.powers] * waves[:, self._wave]
-
-    def shifted(self, taus, weights) -> np.ndarray:
-        """T_tau^T @ ``weights`` for each tau of the 1-d ``taus``, shape (len(taus), n, k)
-        for n basis functions and k columns of ``weights``: the weights on phi(t) of the
-        functions whose weights on phi(t + tau) are ``weights``.  With the identity
-        for ``weights`` this is the transposed stack of the T_tau."""
-        # T_tau[i, j] = sum_e tau^e (cos_j C_e[i, j] + sin_j S_e[i, j]), with cos_j and sin_j
-        # exp(r tau) cos(w tau) and exp(r tau) sin(w tau) for j's group; C_e and S_e hold
-        # C(q_i, q_j) (S_e with the sign of the rotation) where j is in i's group, q_i - q_j = e
-        power, trig, group = self.powers, self._trig, self._group
-        pascal = np.array([[math.comb(i, j) for j in self._exponents] for i in self._exponents],
-                          dtype=float)
-        lift = ((group[:, None] == group) * pascal[power[:, None], power]
-                * (power[:, None] - power == self._exponents[:, None, None]))
-        taus = np.asarray(taus, dtype=float)[:, None]
-        n, k = weights.shape
-        with np.errstate(over="ignore", invalid="ignore"):
-            growth, angle = np.exp(self._rate * taus), self._freq * taus
-            parts = [(np.power(taus, self._exponents)
-                      @ ((lift * rotation[trig[:, None], trig]).swapaxes(1, 2) @ weights)
-                      .reshape(len(lift), n * k)).reshape(len(taus), n, k)
-                     for rotation in (_SHIFT_COS, _SHIFT_SIN)]
-            return ((growth * np.cos(angle))[:, group, None] * parts[0]
-                    + (growth * np.sin(angle))[:, group, None] * parts[1])
-
-
-#: Most entries of each (p + 1, n, n) array ``ShiftBasis.shifted`` forms (``lift_size``);
-#: the oracle's cascades need at most 4 096.
-_SHIFT_BUDGET = 1 << 16
-
-#: The rotation part of T_tau by trig index (none, sin, cos) of row and column:
-#: cos(w tau) on the diagonal, +-sin(w tau) between sin and cos of one wave.
-_SHIFT_COS = np.eye(3)
-_SHIFT_SIN = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 
 # --- parser -------------------------------------------------------------

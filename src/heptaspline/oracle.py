@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .assembly import EndConditionMode, build
-from .cascade import IvpProblem, _knot_grid, _rk4_linear
+from .cascade import IvpProblem, _knot_grid
 from .forces import ForceExpr, parse, tabulate
 from .linsolve import SolutionGrid, lu_solve
 from .spline_params import SplineParams
@@ -68,8 +68,10 @@ def rk_solve(problem: IvpProblem, steps: int) -> RkTrajectory:
     The companion system of ``y^(N) = g - f*y`` is ``z' = A(t) z + e_N g(t)``
     with A(t) = C - f(t) e_N e_1^T for the shift matrix C: the constant
     matrix C, f as the one coefficient with drive -e_N e_1^T, and the force g, run by
-    ``_rk4_linear`` (which also checks ``steps``).
+    ``_rk4._rk4_linear`` (which also checks ``steps``).
     """
+    from ._rk4 import _rk4_linear
+
     order = problem.order
     companion = np.zeros((order, order))
     companion[:-1, 1:] = np.eye(order - 1)

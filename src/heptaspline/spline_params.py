@@ -142,7 +142,8 @@ def from_theta(theta: float) -> SplineParams:
     so they fail the sum-60 constraint and serve for inspection (``coeffs
     --theta``) rather than for solving.  In floats the closed forms cancel
     terms of size ~1/theta^6, so |theta| below 0.2, where the weights would
-    be off by more than 1e-6 relative, is rejected with ValueError.
+    be off by more than 1e-6 relative, is rejected with ValueError, as is a
+    theta whose seventh power is beyond float range.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
@@ -152,7 +153,11 @@ def from_theta(theta: float) -> SplineParams:
                          f"in floats")
     if abs(math.sin(theta)) <= 1e-12:
         raise ValueError(f"theta={theta} is too close to a multiple of pi (sin theta = 0)")
-    return SplineParams(*_theta_weights(theta, math.sin, math.cos))
+    try:
+        weights = _theta_weights(theta, math.sin, math.cos)
+    except OverflowError:       # theta**7 in floats
+        raise ValueError(f"theta must be finite with theta^7 in float range, got {theta}") from None
+    return SplineParams(*weights)
 
 
 def _theta_weights(theta, sin, cos):

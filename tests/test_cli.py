@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heptaspline import cascade, cli, oracle
+from heptaspline import _rk4, assembly, linsolve, oracle
 from heptaspline.cascade import CascadeModel, reduce, simulate_direct
 from heptaspline.cli import load_config, main
 from heptaspline.forces import ForceExpr, parse
@@ -78,13 +78,14 @@ class TestCoeffs:
         assert "c9 = 0" in out and "c12 = 0" in out
 
     def test_loads_no_scipy(self):
-        # Each CLI call is a fresh process; coeffs needs no LAPACK, so it must
-        # not pay for importing scipy, and neither must importing the package.
+        # Each CLI call is a fresh process; coeffs is exact rational arithmetic,
+        # so it must not pay for importing numpy or scipy, and neither must
+        # importing the package.
         code = ("import sys\n"
                 "from heptaspline.cli import main\n"
                 "assert main(['coeffs', '--delta', '30']) == 0\n"
                 "import heptaspline\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))\n")
         path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               encoding="utf-8", env={**os.environ, "PYTHONPATH": path},
@@ -126,10 +127,12 @@ class TestCoeffs:
         assert main(["coeffs", "--theta", "0.2"]) == 0
         assert capsys.readouterr().out.startswith("alpha = 0.0029947933702869634\n")
 
-    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    @pytest.mark.parametrize("theta", ["nan", "inf", "1e308", "-1e308", "1e50"])   # theta^7 overflows
     def test_non_finite_theta_exits_one(self, theta, capsys):
-        assert main(["coeffs", "--theta", theta]) == 1
-        assert "theta must be finite" in capsys.readouterr().err
+        assert main(["coeffs", f"--theta={theta}"]) == 1     # "-1e308" is no option
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "theta must be finite" in err
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--delta", "1/0", "--delta must be a rational number"),
@@ -257,7 +260,7 @@ csv_path = {}
         def reject(system):
             raise LinearSolveError("backward residual 1 exceeds bound 0")
 
-        monkeypatch.setattr(cli, "lu_solve", reject)
+        monkeypatch.setattr(linsolve, "lu_solve", reject)
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
         assert main(["solve", "--config", str(cfg)]) == 2
         assert "numerical failure: backward residual" in capsys.readouterr().err
@@ -298,7 +301,7 @@ csv_path = {}
         # Stands in for the dense n x n allocation of a huge n; nothing is allocated.
         def exhausted(*args):
             raise MemoryError(message)
-        monkeypatch.setattr("heptaspline.cli.build", exhausted)
+        monkeypatch.setattr("heptaspline.assembly.build", exhausted)
         cfg = rewrite_output(CONFIG_DIR / "example1_improved_n20.ini", tmp_path, "run")
         assert main(["solve", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
@@ -456,8 +459,8 @@ class TestConverge:
                  if not line.startswith("exact")]
         cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
         tabulated = []
-        tabulate = cascade.tabulate
-        monkeypatch.setattr(cascade, "tabulate",
+        tabulate = _rk4.tabulate
+        monkeypatch.setattr(_rk4, "tabulate",
                             lambda *args: tabulated.append(tuple(args[1])) or tabulate(*args))
         assert main(["converge", "--config", str(cfg)]) == 0
         assert tabulated == [("g", "f")] * 2
@@ -563,7 +566,7 @@ class TestCascade:
         text = cfg.read_text(encoding="utf-8")
         cfg.write_text(text.replace(f"csv_path = {tmp_path / 'casc.csv'}", "csv_path = ."),
                        encoding="utf-8")
-        monkeypatch.setattr(cli, "build", lambda *args: pytest.fail("solved"))
+        monkeypatch.setattr(assembly, "build", lambda *args: pytest.fail("solved"))
         assert main(["cascade", "--config", str(cfg)]) == 1
         assert "has an empty name" in capsys.readouterr().err
 
@@ -706,17 +709,24 @@ class TestBundledConfigs:
                                                  ("cascade_demo.ini", "cascade")])
     def test_solve_loads_lapack_without_scipy_linalg(self, name, subcommand, tmp_path):
         # Importing scipy.linalg costs about half of a short CLI run; a solve
-        # loads only scipy's LAPACK extension.
+        # loads only scipy's LAPACK extension.  Each subcommand loads only the
+        # modules it runs: no oracle for solve and cascade, and no RK kernel
+        # where a closed-form exact reference is configured.
         cfg = rewrite_output(CONFIG_DIR / name, tmp_path, "run")
         code = ("import sys\n"
                 "from heptaspline.cli import main\n"
                 f"assert main([{subcommand!r}, '--config', {str(cfg)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('heptaspline.')))\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
         path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               encoding="utf-8", env={**os.environ, "PYTHONPATH": path},
                               timeout=60, check=True)
         assert done.stdout.splitlines()[-1] == "['scipy.linalg._flapack']"
+        loaded = {"assembly", "cascade", "cli", "forces", "linsolve", "spline_params"}
+        if subcommand == "converge":
+            loaded.add("oracle")
+        assert done.stdout.splitlines()[-2] == str(sorted(f"heptaspline.{m}" for m in loaded))
 
 
 def read_keys(name: str, subcommand: str) -> list[tuple[str, str, str, str]]:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heptaspline.cascade import _BLOCK
-from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, ShiftBasis, parse,
+from heptaspline._rk4 import _BLOCK, ShiftBasis
+from heptaspline.forces import (_TRIG_KINDS, ForceExpr, ForceTerm, ParseError, parse,
                                 tabulate)
 
 

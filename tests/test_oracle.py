@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heptaspline import cascade, oracle
+from heptaspline import _rk4, oracle
 from heptaspline.assembly import EndConditionMode, build, min_knots
-from heptaspline.cascade import _BLOCK, CascadeModel, IvpProblem, _knot_grid, simulate_direct
-from heptaspline.forces import ForceExpr, ForceTerm, ShiftBasis, parse
+from heptaspline._rk4 import _BLOCK, ShiftBasis
+from heptaspline.cascade import CascadeModel, IvpProblem, _knot_grid, simulate_direct
+from heptaspline.forces import ForceExpr, ForceTerm, parse
 from heptaspline.linsolve import SolutionGrid, lu_solve
 from heptaspline.oracle import (
     BENCHMARKS,
@@ -170,10 +171,10 @@ def half_step_grid(a, h, steps):
 
 
 def tabulated_points(monkeypatch):
-    """The number of points of each ``cascade.tabulate`` call from now on, in call order."""
+    """The number of points of each ``_rk4.tabulate`` call from now on, in call order."""
     points = []
-    tabulate = cascade.tabulate
-    monkeypatch.setattr(cascade, "tabulate",
+    tabulate = _rk4.tabulate
+    monkeypatch.setattr(_rk4, "tabulate",
                         lambda *args: points.append(len(args[2])) or tabulate(*args))
     return points
 
@@ -326,13 +327,13 @@ class TestShiftedForcing:
 
     def test_time_varying_f_is_tabulated(self, monkeypatch):
         calls = []
-        tabulate = cascade.tabulate
+        tabulate = _rk4.tabulate
 
         def counting(forces, names, t):
             calls.append(tuple(names))
             return tabulate(forces, names, t)
 
-        monkeypatch.setattr(cascade, "tabulate", counting)
+        monkeypatch.setattr(_rk4, "tabulate", counting)
         monkeypatch.setattr(ShiftBasis, "values", lambda *args: pytest.fail("shifted"))
         rk_solve(TIME_VARYING, 1000)
         assert calls == [("g", "f")]
@@ -340,8 +341,8 @@ class TestShiftedForcing:
     @pytest.mark.parametrize("steps", [1, 7, 1000])
     def test_per_step_table_is_read_on_the_half_step_grid(self, monkeypatch, steps):
         grids = []
-        tabulate = cascade.tabulate
-        monkeypatch.setattr(cascade, "tabulate",
+        tabulate = _rk4.tabulate
+        monkeypatch.setattr(_rk4, "tabulate",
                             lambda *args: grids.append(args[2]) or tabulate(*args))
         rk_solve(TIME_VARYING, steps)
         h = (TIME_VARYING.b - TIME_VARYING.a) / steps

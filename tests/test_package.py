@@ -1,5 +1,6 @@
 """The package's public names: each module's ``__all__`` is the one list of
-its names, and ``heptaspline`` re-exports their union."""
+its names, and ``heptaspline`` re-exports their union, loading each module on
+first access."""
 
 import os
 import subprocess
@@ -19,6 +20,10 @@ def test_all_is_the_union_of_the_module_lists():
     assert len(names) == len(set(names))
     assert len(heptaspline.__all__) == len(set(heptaspline.__all__))
     assert set(heptaspline.__all__) == {*names, "__version__"}
+    star: dict = {}
+    exec("from heptaspline import *", star)
+    assert set(star) - {"__builtins__"} == set(heptaspline.__all__)
+    assert {*heptaspline.__all__, *(m.__name__.split(".")[1] for m in MODULES)} <= set(dir(heptaspline))
 
 
 def test_each_name_is_its_defining_modules_object():
@@ -39,3 +44,20 @@ def test_import_loads_neither_cli_nor_scipy():
                           encoding="utf-8", env={**os.environ, "PYTHONPATH": path},
                           timeout=60, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_names_load_their_module_on_first_access_and_stay():
+    code = ("import sys\n"
+            "import heptaspline\n"
+            "print(sorted(m for m in sys.modules if m.startswith('heptaspline.')))\n"
+            "from heptaspline.spline_params import optimal_family\n"
+            "assert 'optimal_family' not in vars(heptaspline)\n"
+            "assert heptaspline.optimal_family is optimal_family\n"
+            "assert vars(heptaspline)['optimal_family'] is optimal_family\n"
+            "print(sorted(m for m in sys.modules if m.startswith('heptaspline.')))\n"
+            "assert not hasattr(heptaspline, 'no_such_name')\n")
+    path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          encoding="utf-8", env={**os.environ, "PYTHONPATH": path},
+                          timeout=60, check=True)
+    assert done.stdout.splitlines() == ["[]", "['heptaspline.spline_params']"]

@@ -189,7 +189,8 @@ class TestFromTheta:
         for got, ref in zip(from_theta(theta).as_floats(), want):
             assert got == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
-    @pytest.mark.parametrize("theta", [math.pi, 0.0, 1e-13, 2 * math.pi])
+    @pytest.mark.parametrize("theta", [math.pi, 0.0, 1e-13, 2 * math.pi,
+                                       1e308, -1e308, 1e50])      # theta^7 beyond float range
     def test_singular_theta_rejected(self, theta):
         with pytest.raises(ValueError):
             from_theta(theta)
