@@ -9,33 +9,38 @@ Quick tour:
 >>> max_abs_error(grid, bench.exact) < 1e-4
 True
 
-Importing the package loads none of its modules: a public name or a module
-is imported on first access (PEP 562) and then kept in the package namespace,
-so ``coeffs`` loads no numpy and a solve no oracle.
+Importing the package loads none of its modules (PEP 562): the first public
+name or module asked of it loads the whole library, and each name is then kept
+in the package namespace.  So the CLI, which imports the modules it runs,
+loads no numpy for ``coeffs`` and no oracle for a solve.
 """
 
 import importlib as _importlib
 
 __version__ = "0.1.0"
 
-#: The modules whose ``__all__`` lists the package's public names, each after
-#: the modules it imports, so finding a name loads little beyond its module.
-_MODULES = ("spline_params", "forces", "cascade", "assembly", "linsolve", "oracle")
+#: The library's modules.  The first name asked of the package loads them all,
+#: with the RK kernel that ``simulate_direct`` and ``rk_solve`` import: loaded
+#: at the first RK call instead, in a process that had grown its heap, the
+#: kernel left glibc's malloc thresholds such that every later call page-faulted
+#: its state arrays (measured: ~260 faults and +20% per op of the ``verify`` benchmark).
+_MODULES = ("assembly", "cascade", "forces", "linsolve", "oracle", "spline_params")
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
-        return _importlib.import_module(f"{__name__}.{name}")
-    if name == "__all__":
-        value = [public for module in _MODULES for public in __getattr__(module).__all__]
-        value += ["__version__"]
-    elif name.startswith("_"):     # no public name; probes such as __wrapped__ load nothing
+    if name.startswith("_") and name != "__all__":    # probes such as __wrapped__ load nothing
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    modules = [_importlib.import_module(f"{__name__}.{module}") for module in _MODULES]
+    _importlib.import_module(f"{__name__}._rk4")
+    if name in _MODULES:
+        return globals()[name]
+    if name == "__all__":
+        value = [public for module in modules for public in module.__all__] + ["__version__"]
     else:
-        module = next((m for m in map(__getattr__, _MODULES) if name in m.__all__), None)
-        if module is None:
+        home = next((module for module in modules if name in module.__all__), None)
+        if home is None:
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        value = getattr(module, name)
+        value = getattr(home, name)
     globals()[name] = value
     return value
 
