@@ -8,9 +8,10 @@ singularity guard and the backward-residual acceptance check.
 The routines come from scipy's ``_flapack`` extension, loaded from its file at
 the first factorisation: importing this module loads no scipy, and a solve
 does not run ``scipy.linalg``'s ``__init__``, which costs about half of a
-short CLI process.  The module is registered under its own name, so a later ``import scipy.linalg`` reuses it.  If the file is missing or
-fails to load, the public ``scipy.linalg.lapack``, which re-exports the same
-routines, is imported instead.
+short CLI process.  The module is registered under its own name, so a later
+``import scipy.linalg`` reuses it.  If the file is missing or fails to load,
+the public ``scipy.linalg.lapack``, which re-exports the same routines, is
+imported instead.
 """
 
 from __future__ import annotations

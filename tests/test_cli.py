@@ -127,7 +127,8 @@ class TestCoeffs:
         assert main(["coeffs", "--theta", "0.2"]) == 0
         assert capsys.readouterr().out.startswith("alpha = 0.0029947933702869634\n")
 
-    @pytest.mark.parametrize("theta", ["nan", "inf", "1e308", "-1e308", "1e50"])   # theta^7 overflows
+    # 1e308, -1e308 and 1e50 are finite, but theta^7 is not
+    @pytest.mark.parametrize("theta", ["nan", "inf", "1e308", "-1e308", "1e50"])
     def test_non_finite_theta_exits_one(self, theta, capsys):
         assert main(["coeffs", f"--theta={theta}"]) == 1     # "-1e308" is no option
         err = capsys.readouterr().err

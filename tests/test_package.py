@@ -23,7 +23,8 @@ def test_all_is_the_union_of_the_module_lists():
     star: dict = {}
     exec("from heptaspline import *", star)
     assert set(star) - {"__builtins__"} == set(heptaspline.__all__)
-    assert {*heptaspline.__all__, *(m.__name__.split(".")[1] for m in MODULES)} <= set(dir(heptaspline))
+    modules = {module.__name__.split(".")[1] for module in MODULES}
+    assert {*heptaspline.__all__, *modules} <= set(dir(heptaspline))
 
 
 def test_each_name_is_its_defining_modules_object():
