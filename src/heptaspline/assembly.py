@@ -265,12 +265,14 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     rhs[:6] = np.subtract.reduce(terms, axis=1, initial=0.0)
 
     # Interior row 6 + k (knot i = 7 + k) couples knots k..k+7 with stencil
-    # weight j on knot k + j; the right-hand side folds the eight g terms in
-    # the order j = 0..7.
+    # weight j on knot k + j, read from the (n - 6, 8) window view of each
+    # table whose entry [k, j] is knot k + j; the right-hand side folds the
+    # eight g terms in the order j = 0..7.
     weights = np.array(half + half[::-1]) * h7
-    knots = np.arange(n - 6)[:, None] + np.arange(8)
-    flat[6 * (n + 1):].reshape(n - 6, n + 2)[:, :8] = fv[knots] * -weights - _INTERIOR_Y_WEIGHTS
-    rhs[6:] = np.subtract.reduce(gv[knots] * weights, axis=1, initial=0.0)
+    fw = np.ndarray((n - 6, 8), float, fv, 0, (8, 8))
+    gw = np.ndarray((n - 6, 8), float, gv, 0, (8, 8))
+    flat[6 * (n + 1):].reshape(n - 6, n + 2)[:, :8] = fw * -weights - _INTERIOR_Y_WEIGHTS
+    rhs[6:] = np.subtract.reduce(gw * weights, axis=1, initial=0.0)
     rhs[:7] -= work[:7, 0] * u[0]     # rows past 6 do not reach knot 0
 
     return LinearSystem(matrix=work[:, 1:], rhs=rhs, grid=grid, y0=u[0])

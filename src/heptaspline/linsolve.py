@@ -2,8 +2,8 @@
 
 The end-condition rows carry 1/h^7 factors while interior rows are O(1), so
 row magnitudes differ wildly at small h; partial pivoting is mandatory.
-LAPACK's getrf/getrs do the work; this module adds the non-finite check, the
-singularity guard and the backward-residual acceptance check.
+LAPACK's lange/getrf/getrs do the work; this module adds the non-finite check,
+the singularity guard and the backward-residual acceptance check.
 
 The routines come from scipy's ``_flapack`` extension, loaded from its file at
 the first factorisation: importing this module loads no scipy, and a solve
@@ -59,7 +59,7 @@ def _flapack_spec() -> importlib.machinery.ModuleSpec:
 
 
 def _lapack() -> ModuleType:
-    """The module whose ``dgetrf``/``dgetrs`` the solve calls.
+    """The module whose ``dlange``/``dgetrf``/``dgetrs`` the solve calls.
 
     ``sys.modules`` caches it: the extension once loaded here, or imported by
     ``scipy.linalg``, is returned as it is.
@@ -92,23 +92,24 @@ class SolutionGrid:
 
 
 def _factor(system: LinearSystem) -> tuple[np.ndarray, np.ndarray, float]:
-    """LU factors and pivots of ``system.matrix`` (LAPACK getrf), and its inf-norm."""
+    """LU factors and pivots of ``system.matrix`` (LAPACK getrf), and its inf-norm (lange)."""
     A = system.matrix
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
-    magnitude = np.abs(A)
-    with np.errstate(over="ignore"):
-        anorm = float(np.maximum.reduce(np.add.reduce(magnitude, axis=1), initial=0.0))
-    # The row sums of |A| are finite when every entry is (NaN propagates), so
-    # the largest entry is looked at only when they are not.
+    # ||A||_inf is the 1-norm of A^T, whose layout LAPACK's dlange reads
+    # without a transposing copy: one pass, row sums in order, NaN propagated,
+    # overflow to inf unwarned.  It is finite when every row sum is, so the
+    # largest entry is looked at only when it is not.
+    lapack = _lapack()
+    anorm = float(lapack.dlange("1", A.T))
     if not math.isfinite(anorm):
-        if not math.isfinite(magnitude.max()):
+        if not math.isfinite(np.abs(A).max()):
             raise LinearSolveError("system contains non-finite entries")
         raise LinearSolveError(f"||A||_inf = {anorm} is beyond float range, "
                                f"so the backward residual cannot be bounded")
     if not np.isfinite(system.rhs).all():
         raise LinearSolveError("system contains non-finite entries")
-    lu, piv, _ = _lapack().dgetrf(A)   # an exactly zero pivot (info > 0) fails the guard below
+    lu, piv, _ = lapack.dgetrf(A)   # an exactly zero pivot (info > 0) fails the guard below
     # Row magnitudes legitimately span many orders (1/h^7 end rows vs O(1)
     # interior rows), so each pivot is judged against its own row of U.  A
     # row of U that is all zero fails too, since its pivot 0 <= 0.  One

@@ -35,6 +35,9 @@ Scalar = Union[int, float, Fraction]
 
 _SUM_TOLERANCE = 1e-9
 
+#: Weight types whose sum ``SplineParams.total`` forms over one denominator.
+_EXACT_TYPES = frozenset((int, Fraction))
+
 #: Smallest |theta| that ``from_theta`` accepts.  Its closed forms cancel
 #: terms of size ~1/theta^6.  Against a 60-digit evaluation the worst
 #: relative error of the float weights is 7.6e-7 on [0.2, 3.1]; it passes
@@ -59,6 +62,14 @@ class SplineParams:
 
     @property
     def total(self) -> Scalar:
+        """alpha + beta + gamma + delta; exact, over one common denominator,
+        for int and Fraction weights (a Fraction if any weight is one)."""
+        weights = (self.alpha, self.beta, self.gamma, self.delta)
+        types = set(map(type, weights))
+        if Fraction in types and types <= _EXACT_TYPES:
+            dens = [w.denominator for w in weights]
+            den = math.lcm(*dens)
+            return Fraction(sum([w.numerator * (den // d) for w, d in zip(weights, dens)]), den)
         return self.alpha + self.beta + self.gamma + self.delta
 
     def as_floats(self) -> tuple[float, float, float, float]:
@@ -88,7 +99,7 @@ class SplineParams:
             if not math.isfinite(value):
                 return f"{name} is not finite: {value}"
         total = self.total
-        if abs(total - 60) > _SUM_TOLERANCE:
+        if total != 60 and abs(total - 60) > _SUM_TOLERANCE:
             return f"spline parameters must satisfy alpha+beta+gamma+delta=60, got sum={total}"
         return None
 
@@ -120,14 +131,20 @@ def optimal_family(delta: Scalar) -> SplineParams:
     """Parameter set annihilating the h^9..h^12 truncation coefficients.
 
     alpha = 151/15 - delta/5, beta = -301/6 + delta, gamma = 1001/10 - 9*delta/5.
-    Computed in exact rational arithmetic; the sum is exactly 60 for any delta
-    (floats are converted to the dyadic rationals they represent).
+    Computed in exact rational arithmetic, as integer numerators over 30*q for
+    delta = p/q; the sum is exactly 60 for any delta (floats are converted to
+    the dyadic rationals they represent).  A delta that is not a finite
+    rational (inf, NaN, "1/0") raises ValueError.
     """
-    d = Fraction(delta)
+    try:
+        d = Fraction(delta)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"delta must be a finite rational number, got {delta!r}") from None
+    p, q = d.numerator, d.denominator
     return SplineParams(
-        alpha=Fraction(151, 15) - d / 5,
-        beta=Fraction(-301, 6) + d,
-        gamma=Fraction(1001, 10) - 9 * d / 5,
+        alpha=Fraction(302 * q - 6 * p, 30 * q),
+        beta=Fraction(30 * p - 1505 * q, 30 * q),
+        gamma=Fraction(3003 * q - 54 * p, 30 * q),
         delta=d,
     )
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from heptaspline import linsolve
-from heptaspline.assembly import EndConditionMode, LinearSystem, build
+from heptaspline.assembly import EndConditionMode, LinearSystem, build, min_knots
 from heptaspline.linsolve import LinearSolveError, lu_solve
 from heptaspline.oracle import BENCHMARKS
 from heptaspline.spline_params import SplineParams, optimal_family
@@ -96,6 +96,19 @@ class TestLuSolve:
                 lu_solve(small_system([[1e308, 1e308, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 3.0]],
                                       [1e308, 1.0, 2.0]))
 
+    @pytest.mark.parametrize("mode", EndConditionMode)
+    def test_dlange_norm_is_the_largest_row_sum(self, mode):
+        # LAPACK sums each row in order, numpy pairwise: they agree to
+        # rounding on every system of the sweep grid.
+        eps = np.finfo(float).eps
+        for bench in BENCHMARKS:
+            for params in (optimal_family(30), SplineParams(0, 0, 0, 60),
+                           SplineParams(10, 10, 10, 30), SplineParams(0.5, 9.5, 24.5, 25.5)):
+                for n in range(min_knots(mode), 97):
+                    system = build(bench.problem, params, mode, n)
+                    want = np.abs(system.matrix).sum(1).max()
+                    assert abs(linsolve._factor(system)[2] - want) <= 8 * n * eps * want
+
     def test_nan_residual_rejected(self, monkeypatch):
         lapack = linsolve._lapack()
         exact_dgetrs = lapack.dgetrs
@@ -106,7 +119,8 @@ class TestLuSolve:
             return y, info
 
         monkeypatch.setattr(linsolve, "_lapack",
-                            lambda: SimpleNamespace(dgetrf=lapack.dgetrf, dgetrs=poisoned))
+                            lambda: SimpleNamespace(dlange=lapack.dlange, dgetrf=lapack.dgetrf,
+                                                    dgetrs=poisoned))
         with pytest.raises(LinearSolveError, match=r"^backward residual nan exceeds bound"):
             lu_solve(small_system([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]))
 
@@ -129,7 +143,8 @@ class TestLuSolve:
             return y * (1 + 1e-3), info
 
         monkeypatch.setattr(linsolve, "_lapack",
-                            lambda: SimpleNamespace(dgetrf=lapack.dgetrf, dgetrs=perturbed))
+                            lambda: SimpleNamespace(dlange=lapack.dlange, dgetrf=lapack.dgetrf,
+                                                    dgetrs=perturbed))
         system = build(BENCHMARKS[1].problem, optimal_family(30), EndConditionMode.IMPROVED, 20)
         with pytest.raises(LinearSolveError,
                            match=r"backward residual 8\.502e\+09 exceeds bound 2\.928e\+07"):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -32,6 +33,33 @@ def reference_truncation_coeffs(params: SplineParams) -> TruncationCoeffs:
         c11=F(1, 24) * (-228 + 337 * al + 97 * be + 17 * ga + de),
         c12=F(1, 120) * (-380 + 781 * al + 211 * be + 31 * ga + de),
     )
+
+
+def reference_optimal_family(delta) -> SplineParams:
+    """The optimal family as its closed form, transcribed and evaluated in Fractions."""
+    d = F(delta)
+    return SplineParams(F(151, 15) - d / 5, F(-301, 6) + d, F(1001, 10) - 9 * d / 5, d)
+
+
+def reference_total(params: SplineParams):
+    """The weights' sum, added left to right."""
+    return params.alpha + params.beta + params.gamma + params.delta
+
+
+def reference_verdict(params: SplineParams):
+    """validate's message for finite weights: the sum against 60 within 1e-9, or None."""
+    total = reference_total(params)
+    if abs(total - 60) > 1e-9:
+        return f"spline parameters must satisfy alpha+beta+gamma+delta=60, got sum={total}"
+    return None
+
+
+def verdict(params: SplineParams):
+    try:
+        validate(params)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 #: Exact rational weights, and rational optimal-family parameters.
@@ -76,6 +104,40 @@ class TestValidate:
         with pytest.raises(ValueError, match=f"^{name} is beyond float range$"):
             params.as_floats()
 
+    @pytest.mark.parametrize("quad", [
+        (F(1, 3), F(2, 3), 29, 30),                         # exact, sums to 60
+        (F(1, 2), F(19, 2), F(49, 2), F(51, 2)),
+        (F(1, 3), F(2, 3), 29, 30 + F(1, 10**10)),          # 60 +- 1e-10: accepted
+        (F(1, 3), F(2, 3), 29, 30 - F(1, 10**10)),
+        (F(1, 3), F(2, 3), 29, 30 + F(2, 10**9)),           # 60 +- 2e-9: rejected
+        (F(1, 3), F(2, 3), 29, 30 - F(2, 10**9)),
+        (F(1, 3), F(2, 3), 29, 30 + F(1, 10**9)),           # at the float 1e-9, just inside it
+        (F(1, 3), F(2, 3), 29, 30 + F(1e-9)),
+        (F(1, 3), F(2, 3), 29, 30 + F(math.nextafter(1e-9, 1.0))),
+        (10, 10, 10, 30), (0, 0, 0, 60), (1, 1, 1, 1), (10**30, -10**30, F(61, 2), F(59, 2)),
+        (0.1, 0.2, 29.7, 30.0), (10.0, 10.0, 10.0, 30.0 + 1e-10), (10.0, 10.0, 10.0, 30.0 - 1e-10),
+        (10.0, 10.0, 10.0, 30.0 + 2e-9), (10.0, 10.0, 10.0, 30.0 - 2e-9), (15.0, 15.0, 15.0, 15.0),
+        (F(1, 3), 0.5, 29, 30.0), (F(1, 2), 10, 10.0, F(79, 2)), (1, 2, 3, F(54)),
+        (F(1, 3), F(2, 3), 29.0, 30 + 1e-10), (F(1, 3), F(2, 3), 29, 30 + 2e-9),
+        (True, 1, 28, 30),
+    ])
+    def test_verdict_and_total_near_the_tolerance(self, quad):
+        # Exact sums go through one common denominator and 60 is accepted
+        # before the tolerance is looked at; neither may change an answer.
+        params = SplineParams(*quad)
+        total, want = params.total, reference_total(params)
+        assert total == want and type(total) is type(want)
+        assert verdict(params) == reference_verdict(params)
+
+    @given(weights=st.tuples(*[st.one_of(rationals, st.floats(-1e6, 1e6))] * 3),
+           offset=st.sampled_from([0, F(1, 10**10), F(-1, 10**10), F(2, 10**9), F(-2, 10**9),
+                                   1e-10, -1e-10, 2e-9, -2e-9, F(1e-9), 1e-9]))
+    def test_verdict_and_total_equal_plain_addition(self, weights, offset):
+        params = SplineParams(*weights, 60 - sum(weights) + offset)
+        total, want = params.total, reference_total(params)
+        assert total == want and type(total) is type(want)
+        assert verdict(params) == reference_verdict(params)
+
     def test_invalid_instance_raises_on_every_call(self):
         p = SplineParams(1, 1, 1, 1)
         for _ in range(3):
@@ -110,6 +172,26 @@ class TestOptimalFamily:
         p = optimal_family(delta)
         assert p.total == 60
         validate(p)
+
+    @given(delta=st.one_of(st.integers(), st.fractions(), st.floats(allow_nan=False,
+                                                                     allow_infinity=False)))
+    @example(delta=1e300)
+    @example(delta=5e-324)
+    @example(delta=-0.0)
+    @example(delta=F(51, 2))
+    @example(delta=-10**400)
+    def test_equals_transcribed_closed_form(self, delta):
+        got, want = optimal_family(delta), reference_optimal_family(delta)
+        for name in ("alpha", "beta", "gamma", "delta"):
+            value, expected = getattr(got, name), getattr(want, name)
+            assert value == expected and type(value) is type(expected)
+        assert got.total == 60 and type(got.total) is F
+
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan, "1/0", "inf", "nan", "x"])
+    def test_bad_delta_raises_value_error_naming_it(self, delta):
+        with pytest.raises(ValueError, match="^delta must be a finite rational number, "
+                                             f"got {re.escape(repr(delta))}$"):
+            optimal_family(delta)
 
     @given(delta=rationals)
     @example(delta=0)
