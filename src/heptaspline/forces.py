@@ -81,16 +81,25 @@ class ForceTerm:
         return term
 
     def evaluate(self, t):
+        """Value at ``t``: a new array of t's shape, or a float64 for 0-d t."""
         t = np.asarray(t, dtype=float)
-        if not (self.poly_power or self.exp_rate or self.trig != "none"):
-            return np.full(t.shape, self.coeff)[()]     # t's shape; a float64 for 0-d t
-        v = self.coeff * np.power(t, self.poly_power) if self.poly_power else self.coeff
+        v = self._values(t, keep_phase=True)
+        return np.full(t.shape, v)[()] if type(v) is float else v
+
+    def _values(self, t: np.ndarray, keep_phase: bool = False):
+        """``coeff * t^m * exp(a*t) * trig(b*t + phi)`` on float ``t``, the float
+        ``coeff`` for a constant term.  It skips t^1 and 1.0*t, which change no
+        bit, and, unless ``keep_phase``, a zero phase, which only makes -0.0 +0.0."""
+        v = self.coeff
+        if self.poly_power:
+            v = v * (t if self.poly_power == 1 else np.power(t, self.poly_power))
         if self.exp_rate:
-            v = v * np.exp(self.exp_rate * t)
-        if self.trig == "sin":
-            v = v * np.sin(self.trig_freq * t + self.trig_phase)
-        elif self.trig == "cos":
-            v = v * np.cos(self.trig_freq * t + self.trig_phase)
+            v = v * np.exp(t if self.exp_rate == 1.0 else self.exp_rate * t)
+        if self.trig != "none":
+            x = t if self.trig_freq == 1.0 else self.trig_freq * t
+            if self.trig_phase or keep_phase:
+                x = x + self.trig_phase
+            v = v * (np.sin(x) if self.trig == "sin" else np.cos(x))
         return v
 
     def derivative_terms(self) -> list["ForceTerm"]:
@@ -171,12 +180,13 @@ class ForceExpr:
     def evaluate(self, t):
         """Value at ``t`` (scalar or ndarray); scalars come back as floats.
 
-        The sum from zero, in term order, of each term's ``ForceTerm.evaluate``.
+        The sum from zero, in term order, of each term's value.  The sum starts
+        at +0.0, so a term's signed zero cannot show and zero phases are skipped.
         """
         tt = np.asarray(t, dtype=float)
         total = np.zeros(tt.shape)
         for term in self.terms:
-            total = total + term.evaluate(tt)
+            total += term._values(tt)
         if tt.ndim == 0:
             return float(total)
         return total

@@ -64,23 +64,36 @@ class TestEvaluate:
         assert type(scalar) is type(ForceTerm(-3.5, 1).evaluate(0.25))
 
 
+def reference_term(term: ForceTerm, tt: np.ndarray):
+    """A term's value written out: ``coeff * np.power(t, p) * np.exp(r*t) * trig(w*t + phi)``,
+    each factor only where the term has it, every identity (t^1, 1.0*t, + 0.0) computed."""
+    v = (term.coeff * np.power(tt, term.poly_power) if term.poly_power
+         else np.full(tt.shape, term.coeff))
+    if term.exp_rate:
+        v = v * np.exp(term.exp_rate * tt)
+    if term.trig != "none":
+        v = v * getattr(np, term.trig)(term.trig_freq * tt + term.trig_phase)
+    return v
+
+
 def reference_evaluate(expr: ForceExpr, t):
-    """``ForceExpr.evaluate`` as the per-term fold: 0 + the terms' own values."""
+    """``ForceExpr.evaluate`` as the fold of written-out terms: 0 + each term in order."""
     tt = np.asarray(t, dtype=float)
     total = np.zeros(tt.shape)
     for term in expr.terms:
-        total = total + term.evaluate(tt)
+        total = total + reference_term(term, tt)
     return float(total) if tt.ndim == 0 else total
 
 
 @st.composite
 def shared_factor_exprs(draw):
     """Up to 8 terms drawing on a few powers, exp rates and (freq, phase) pairs,
-    so that factors repeat and a pair carries both sin and cos."""
-    powers = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
-    rates = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=2))
-    waves = draw(st.lists(st.tuples(st.floats(-50, 50), st.floats(-10, 10)), min_size=1,
-                          max_size=2))
+    so that factors repeat and a pair carries both sin and cos.  Powers 0-2,
+    rate and frequency 1.0 and phase 0.0 come often: each is an identity to skip."""
+    powers = draw(st.lists(st.integers(0, 2) | st.integers(0, 6), min_size=1, max_size=3))
+    rates = draw(st.lists(st.just(1.0) | st.floats(-3, 3), min_size=1, max_size=2))
+    waves = draw(st.lists(st.tuples(st.just(1.0) | st.floats(-50, 50),
+                                    st.just(0.0) | st.floats(-10, 10)), min_size=1, max_size=2))
     terms = []
     for _ in range(draw(st.integers(0, 8))):
         trig = draw(st.sampled_from(_TRIG_KINDS))
@@ -90,7 +103,7 @@ def shared_factor_exprs(draw):
     return ForceExpr(tuple(terms))
 
 
-POINTS = st.floats(-400, 400)
+POINTS = st.sampled_from([-0.0, 0.0]) | st.floats(-400, 400)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -127,11 +140,34 @@ class TestSharedFactors:
     @example(expr=parse("t^2 + exp(2*t) + t^2*exp(2*t)"), t=[0.5, 1.5, -2.0])
     # a rate equal to a trig frequency, and sin and cos of one argument
     @example(expr=parse("exp(3*t)*sin(3*t) + t^3*cos(3*t) + exp(3*t)"), t=[0.5, 1.5, -2.0])
+    # exp(t) overflows at t = 710: the first bad t, named by tabulate
+    @example(expr=parse("exp(t) + 2*t*exp(t)"), t=[0.0, 709.0, 710.0, 711.0])
     def test_evaluate_is_the_per_term_fold_bit_for_bit(self, expr, t):
         with np.errstate(all="ignore"):
             got, want = expr.evaluate(t), reference_evaluate(expr, t)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if np.ndim(want) == 1:
+            finite = np.isfinite(want)
+            if finite.all():
+                assert tabulate([expr], ["g"], np.array(t))[0].tobytes() == want.tobytes()
+            else:
+                i = int(np.argmin(finite))
+                with pytest.raises(ValueError) as info:
+                    tabulate([expr], ["g"], np.array(t))
+                assert str(info.value).startswith(f"force g(t) = {want[i]} at t = {t[i]!r} ")
+
+    @pytest.mark.parametrize("text", ["sin(t)", "cos(t)", "t", "exp(t)", "sin(-t)", "exp(-t)",
+                                      "-3"])
+    def test_term_evaluate_is_the_written_out_term_and_a_new_array(self, text):
+        term, = parse(text).terms
+        t = np.array([-0.0, 0.0, 0.37])
+        got = term.evaluate(t)
+        assert got.tobytes() == reference_term(term, t).tobytes()   # sin(1.0*-0.0 + 0.0) = +0.0
+        assert got is not t and not np.shares_memory(got, t)
+        scalar = term.evaluate(-0.0)
+        assert type(scalar) is np.float64
+        assert scalar.tobytes() == np.float64(reference_term(term, np.asarray(-0.0))).tobytes()
 
     def test_evaluate_keeps_nothing_on_the_expression(self):
         expr = parse("t^2*sin(3*t + 1) + exp(2*t)*cos(3*t + 1)")
