@@ -89,7 +89,8 @@ class ForceTerm:
     def _values(self, t: np.ndarray, keep_phase: bool = False):
         """``coeff * t^m * exp(a*t) * trig(b*t + phi)`` on float ``t``, the float
         ``coeff`` for a constant term.  It skips t^1 and 1.0*t, which change no
-        bit, and, unless ``keep_phase``, a zero phase, which only makes -0.0 +0.0."""
+        bit, and, unless ``keep_phase``, a zero phase, whose addition only turns
+        -0.0 into +0.0."""
         v = self.coeff
         if self.poly_power:
             v = v * (t if self.poly_power == 1 else np.power(t, self.poly_power))
