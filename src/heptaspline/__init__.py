@@ -20,10 +20,8 @@ import importlib as _importlib
 __version__ = "0.1.0"
 
 #: The library's modules.  The first name asked of the package loads them all,
-#: with the RK kernel that ``simulate_direct`` and ``rk_solve`` import: loaded
-#: at the first RK call instead, in a process that had grown its heap, the
-#: kernel left glibc's malloc thresholds such that every later call page-faulted
-#: its state arrays (measured: ~260 faults and +20% per op of the ``verify`` benchmark).
+#: with the RK kernel: loaded at the first RK call instead, it left a ``verify``
+#: benchmark op 4-27 more minor page faults (of ~270-300) in 4 of 5 environments.
 _MODULES = ("assembly", "cascade", "forces", "linsolve", "oracle", "spline_params")
 
 

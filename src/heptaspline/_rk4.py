@@ -167,7 +167,8 @@ def _rk4_linear(a, drives, e, forces, names, z0, start, end, steps):
     others, v_k, are A's coefficients: A(t) = ``a`` + sum_k v_k(t) ``drives[k]``
     for the constant (d, d) matrix ``a`` and the (K, d, d) stack ``drives``.
     ``names`` name the forces in the errors of ``tabulate``, which gives
-    every force value the kernel reads.  ValueError where ``steps`` < 1.
+    every force value the kernel reads.  ValueError where ``steps`` is not an
+    integer >= 1.
 
     Each step is the affine map ``z <- z + D_i z + c_i`` with D_i = S_i - I
     (``_rk4_increment``).  When every v_k has a zero symbolic derivative,
@@ -190,6 +191,8 @@ def _rk4_linear(a, drives, e, forces, names, z0, start, end, steps):
     inf * 0 = NaN) when the rates are too large for the step count, even on
     a zero solution.
     """
+    if not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     d, m = e.shape

@@ -200,8 +200,8 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
           n: int) -> LinearSystem:
     """Assemble the system for ``n`` subintervals.
 
-    Requires ``n >= min_knots(mode)`` (the end rows reach that far into the
-    grid), a parameter set passing :func:`spline_params.validate`, a grid
+    Requires an integer ``n >= min_knots(mode)`` (the end rows reach that far
+    into the grid), a parameter set passing :func:`spline_params.validate`, a grid
     step h with h^7 finite and nonzero and the row weights q/h^7 and w*h^7
     finite, f, g and u_7 = g(a) - f(a)*u_0 finite on the grid, and finite
     bounds on the row sums of |matrix| and |rhs|, checked before any array
@@ -211,8 +211,8 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
         raise ValueError(f"spline assembly requires a 7th order problem, got order {problem.order}")
     validate(params)
     least = min_knots(mode)
-    if n < least:
-        raise ValueError(f"{mode.value} end conditions need n >= {least}, got n={n}")
+    if not (isinstance(n, (int, np.integer)) and n >= least):
+        raise ValueError(f"{mode.value} end conditions need an integer n >= {least}, got n={n}")
 
     a, b = problem.a, problem.b
     h = (b - a) / n

@@ -89,6 +89,8 @@ class CascadeModel:
     interval: tuple[float, float]
 
     def __post_init__(self):
+        if not isinstance(self.n_scales, (int, np.integer)):
+            raise ValueError(f"n_scales must be an integer, got {self.n_scales!r}")
         if self.n_scales < 1:
             raise ValueError(f"n_scales must be positive, got {self.n_scales}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):

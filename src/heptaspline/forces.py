@@ -80,17 +80,10 @@ class ForceTerm:
             term.__dict__["_key"] = _shape_key(term)
         return term
 
-    def evaluate(self, t):
-        """Value at ``t``: a new array of t's shape, or a float64 for 0-d t."""
-        t = np.asarray(t, dtype=float)
-        v = self._values(t, keep_phase=True)
-        return np.full(t.shape, v)[()] if type(v) is float else v
-
-    def _values(self, t: np.ndarray, keep_phase: bool = False):
+    def _values(self, t: np.ndarray):
         """``coeff * t^m * exp(a*t) * trig(b*t + phi)`` on float ``t``, the float
         ``coeff`` for a constant term.  It skips t^1 and 1.0*t, which change no
-        bit, and, unless ``keep_phase``, a zero phase, whose addition only turns
-        -0.0 into +0.0."""
+        bit, and a zero phase, whose addition only turns -0.0 into +0.0."""
         v = self.coeff
         if self.poly_power:
             v = v * (t if self.poly_power == 1 else np.power(t, self.poly_power))
@@ -98,7 +91,7 @@ class ForceTerm:
             v = v * np.exp(t if self.exp_rate == 1.0 else self.exp_rate * t)
         if self.trig != "none":
             x = t if self.trig_freq == 1.0 else self.trig_freq * t
-            if self.trig_phase or keep_phase:
+            if self.trig_phase:
                 x = x + self.trig_phase
             v = v * (np.sin(x) if self.trig == "sin" else np.cos(x))
         return v

@@ -66,7 +66,8 @@ class TestBuildContract:
         assert system.matrix.shape[0] - (n - 6) == 6
 
     @pytest.mark.parametrize("mode,bad_n", [(EndConditionMode.STANDARD, 8),
-                                            (EndConditionMode.IMPROVED, 9)])
+                                            (EndConditionMode.IMPROVED, 9),
+                                            (EndConditionMode.STANDARD, 20.0)])
     def test_too_few_knots_rejected(self, mode, bad_n):
         with pytest.raises(ValueError, match="n >="):
             build(BENCHMARKS[0].problem, TAB_PARAMS[0], mode, bad_n)
@@ -138,6 +139,11 @@ class TestDerivedEndRows:
         # Reading u_1..u_3 off (not u_1..u_4) leaves 6 conditions on 5 unknowns.
         with pytest.raises(ValueError, match="gives 6 conditions for 5 unknowns"):
             _derive_row(_RowSpec((0, 1, 4), range(0, 4), range(1, 4)), 8)
+
+    def test_spec_without_a_unique_row_rejected(self):
+        # U index 1 twice: two equal columns in a square system.
+        with pytest.raises(ValueError, match="does not determine a unique row"):
+            _derive_row(_RowSpec((0, 1, 1, 4), range(0, 4), range(1, 4)), 8)
 
     def test_derived_on_first_use_and_cached(self):
         probe = ("import heptaspline; from heptaspline.assembly import _end_rows; "
@@ -341,6 +347,16 @@ class TestPolynomialExactness:
         with pytest.raises(ValueError, match="f identically zero"):
             row_residual(BENCHMARKS[0].problem, TAB_PARAMS[0],
                          EndConditionMode.STANDARD, 3, 12, 7)
+
+    @pytest.mark.parametrize("degree,row,message", [
+        (-1, 7, r"^degree must be >= 0, got -1$"),
+        (3, 0, r"^row must be in 1\.\.12, got 0$"),
+        (3, 13, r"^row must be in 1\.\.12, got 13$"),
+    ])
+    def test_row_residual_rejects_degree_and_row_out_of_range(self, degree, row, message):
+        problem = IvpProblem(0.0, 1.0, ForceExpr.zero(), ForceExpr.zero(), (0.0,) * 7)
+        with pytest.raises(ValueError, match=message):
+            row_residual(problem, TAB_PARAMS[0], EndConditionMode.STANDARD, degree, 12, row)
 
 
 class TestEndRowTruncationConstants:

@@ -65,6 +65,15 @@ def reference_reduce(model: CascadeModel):
 
 
 class TestModelInvariants:
+    @pytest.mark.parametrize("n_scales,message", [
+        (0, r"^n_scales must be positive, got 0$"),
+        (-7, r"^n_scales must be positive, got -7$"),
+        (7.0, r"^n_scales must be an integer, got 7\.0$"),
+    ])
+    def test_scale_count_is_a_positive_integer(self, n_scales, message):
+        with pytest.raises(ValueError, match=message):
+            CascadeModel(n_scales, 1.0, ZERO7, (0.0,) * 7, (0.0, 1.0))
+
     def test_force_count_must_match(self):
         with pytest.raises(ValueError, match="7 forces"):
             CascadeModel(7, 1.0, ZERO7[:6], (0.0,) * 7, (0.0, 1.0))
@@ -104,6 +113,15 @@ class TestModelInvariants:
     def test_ivp_problem_rejects_non_finite_endpoints(self, a, b):
         with pytest.raises(ValueError, match="endpoints must be finite"):
             IvpProblem(a, b, ForceExpr.zero(), ForceExpr.zero(), (0.0,) * 7)
+
+    @pytest.mark.parametrize("a,b,u,message", [
+        (1.0, 1.0, (0.0,) * 7, r"^need a < b, got \[1\.0, 1\.0\]$"),
+        (1.0, 0.0, (0.0,) * 7, r"^need a < b, got \[1\.0, 0\.0\]$"),
+        (0.0, 1.0, (), r"^u must hold at least one initial value$"),
+    ])
+    def test_ivp_problem_rejects_empty_interval_or_data(self, a, b, u, message):
+        with pytest.raises(ValueError, match=message):
+            IvpProblem(a, b, ForceExpr.zero(), ForceExpr.zero(), u)
 
 
 class TestReducedForce:
@@ -299,10 +317,12 @@ class TestSimulateDirect:
         expected = np.exp(-(t - 0.0))
         assert np.max(np.abs(traj - expected[:, None])) <= 1e-8
 
-    def test_step_count_validated(self):
+    @pytest.mark.parametrize("steps,message", [(0, r"^steps must be >= 1, got 0$"),
+                                               (1.5, r"^steps must be an integer, got 1\.5$")])
+    def test_step_count_validated(self, steps, message):
         model = CascadeModel(7, 1.0, ZERO7, (0.0,) * 7, (0.0, 1.0))
-        with pytest.raises(ValueError, match=r"^steps must be >= 1, got 0$"):
-            simulate_direct(model, 0)
+        with pytest.raises(ValueError, match=message):
+            simulate_direct(model, steps)
 
     def test_force_beyond_float_range_on_half_steps_rejected(self):
         forces = ZERO7[:3] + (parse("exp(800*t)"),) + ZERO7[4:]

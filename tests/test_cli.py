@@ -115,6 +115,11 @@ class TestCoeffs:
     def test_exactly_one_selector_required(self, capsys):
         assert main(["coeffs", "--delta", "30", "--theta", "0.5"]) == 1
 
+    def test_params_without_four_values_exits_one(self, capsys):
+        assert main(["coeffs", "--params", "1,2,3"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --params needs four comma-separated values, got '1,2,3'\n")
+
     @pytest.mark.parametrize("theta", ["0.01", "0.19999999999999998"])
     def test_theta_below_cut_exits_one_naming_the_cancellation(self, theta, capsys):
         assert main(["coeffs", "--theta", theta]) == 1
@@ -561,6 +566,17 @@ class TestCascade:
         with pytest.raises(ValueError, match=r"^missing \[output\] section$"):
             load_config(cfg, "cascade")
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("[cascade]", "[model]", "cascade subcommand needs a [cascade] section"),
+        ("[method]", "[solver]", "missing [method] section"),
+    ])
+    def test_missing_section_exits_one(self, tmp_path, capsys, old, new, message):
+        cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        assert main(["cascade", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "casc.csv").exists()
+
     def test_csv_path_without_file_name_exits_one_before_solving(self, tmp_path, capsys,
                                                                   monkeypatch):
         cfg = rewrite_output(CONFIG_DIR / "cascade_demo.ini", tmp_path, "casc")
@@ -758,6 +774,7 @@ class TestNamedInputs:
          "[cascade] L3: unknown function 'x' at position 2"),
         ("example1_improved_n20.ini", "solve", "mode", "Cubic",
          "[method] mode must be 'standard' or 'improved', got 'cubic'"),
+        ("example1_improved.ini", "converge", "n_list", "", "n_list is empty"),
     ])
     def test_unreadable_value_names_its_key(self, name, subcommand, key, value, message,
                                             tmp_path, capsys):

@@ -86,9 +86,11 @@ class TestRkSolve:
         assert trajectory.t.shape == (11,) and trajectory.t[0] == 0.0
         assert trajectory.t[5] == 0.5 and trajectory.t[-1] == 1.0
 
-    def test_step_count_validated(self):
-        with pytest.raises(ValueError, match=r"^steps must be >= 1, got 0$"):
-            rk_solve(EXPONENTIAL.problem, 0)
+    @pytest.mark.parametrize("steps,message", [(0, r"^steps must be >= 1, got 0$"),
+                                               (1.5, r"^steps must be an integer, got 1\.5$")])
+    def test_step_count_validated(self, steps, message):
+        with pytest.raises(ValueError, match=message):
+            rk_solve(EXPONENTIAL.problem, steps)
 
     @pytest.mark.parametrize("f,g,message", [
         ("1", "exp(800*t)", r"force g\(t\) = inf at t = 0\.8875"),
