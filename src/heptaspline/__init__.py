@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 #: The library's modules.  The first name asked of the package loads them all,
 #: with the RK kernel: loaded at the first RK call instead, it left a ``verify``
-#: benchmark op 4-27 more minor page faults (of ~270-300) in 4 of 5 environments.
+#: benchmark op 2-28 more minor page faults (of ~270-300) in 5 of 6 environments.
 _MODULES = ("assembly", "cascade", "forces", "linsolve", "oracle", "spline_params")
 
 

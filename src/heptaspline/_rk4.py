@@ -5,8 +5,9 @@ data: ``cascade.simulate_direct`` hands it the coupled scales and
 ``oracle.rk_solve`` the companion system.  For a constant A it builds the
 forcing from shifts of the forces' basis (``ShiftBasis``) and solves the
 steps by a blocked scan; otherwise it steps one map at a time on the forces'
-table.  Those two functions import this module when they run, so a spline
-solve never loads it.
+table.  Those two functions import this module when they run, and the
+package namespace loads it with the rest of the library; a CLI spline solve
+never loads it.
 """
 
 from __future__ import annotations
