@@ -18,6 +18,14 @@ numerical failure.
 Each subcommand imports what it runs: ``coeffs`` only ``spline_params``, so
 it loads no numpy; ``solve`` and ``cascade`` the force, cascade, assembly and
 solver modules; and only ``converge`` the oracle.
+
+``python -m heptaspline.cli`` and the ``heptaspline`` script enter through
+``run``, which turns the cyclic garbage collector off before ``main`` and
+freezes the heap when it returns or raises.  A CLI process is short and its
+memory goes back to the system when it exits, so collection passes during the
+subcommand's imports, and the collections that interpreter shutdown runs over
+everything those imports created, are pure overhead.  ``main`` itself leaves
+the collector alone, so calling it in process changes no GC state.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import enum
+import gc
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +47,7 @@ if TYPE_CHECKING:
     from .cascade import CascadeModel, IvpProblem
     from .forces import ForceExpr
 
-__all__ = ["main", "RunConfig", "load_config"]
+__all__ = ["main", "run", "RunConfig", "load_config"]
 
 
 @dataclass
@@ -285,5 +294,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> int:
+    """Process entry: ``main`` on ``sys.argv`` with the cyclic GC off, the heap frozen after."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()     # shutdown's collections skip every object alive now
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

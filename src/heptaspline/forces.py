@@ -235,8 +235,8 @@ def tabulate(forces, names, t: np.ndarray) -> list[np.ndarray]:
         tables = [force.evaluate(t) for force in forces]
     for values, name in zip(tables, names):
         if not np.isfinite(values).all():
-            i = int(np.argmin(np.isfinite(values)))
-            raise ValueError(f"force {name}(t) = {values[i]} at t = {float(t[i])!r} "
+            i = int(np.argmin(np.isfinite(values)))         # a flat index, for any shape
+            raise ValueError(f"force {name}(t) = {values.flat[i]} at t = {float(t.flat[i])!r} "
                              f"is beyond float range")
     return tables
 

@@ -1,6 +1,7 @@
 import builtins
 import configparser
 import csv
+import gc
 import io
 import os
 import re
@@ -68,6 +69,46 @@ def read_cascade_model(path: Path) -> CascadeModel:
         forces=tuple(parse(sec[f"L{k}"]) for k in range(1, n_scales + 1)),
         init_velocities=tuple(float(sec[f"v{k}"]) for k in range(1, n_scales + 1)),
         interval=(float(sec["a"]), float(sec["b"])))
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv,code", [(["coeffs", "--delta", "30"], 0),
+                                           (["coeffs", "--delta"], 2)])     # argparse usage error
+    def test_module_entry_exits_with_collection_off_and_the_heap_frozen(self, argv, code):
+        # The CLI runs as ``python -m`` runs it, as __main__ through runpy; an
+        # atexit hook registered first runs last and prints the GC state.
+        probe = ("import atexit, gc, runpy, sys\n"
+                 "atexit.register(lambda: print('gc', gc.isenabled(), gc.get_freeze_count(),"
+                 " file=sys.stderr))\n"
+                 "runpy.run_module('heptaspline.cli', run_name='__main__', alter_sys=True)\n")
+        path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                              encoding="utf-8", env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert done.returncode == code, done.stderr
+        assert ("c12 = 0" in done.stdout) == (code == 0)
+        label, enabled, frozen = done.stderr.splitlines()[-1].split()
+        assert (label, enabled) == ("gc", "False") and int(frozen) > 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_in_process_leaves_the_gc_state_alone(self, enabled, capsys):
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main(["coeffs", "--delta", "30"]) == 0
+            with pytest.raises(SystemExit):
+                main(["coeffs", "--delta"])
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            (gc.enable if before else gc.disable)()
+
+    def test_console_script_and_main_block_call_one_entry(self):
+        pyproject = (SRC_DIR.parent / "pyproject.toml").read_text(encoding="utf-8")
+        script = re.findall(r'^heptaspline\s*=\s*"heptaspline\.cli:(\w+)"$', pyproject, flags=re.M)
+        source = (SRC_DIR / "heptaspline" / "cli.py").read_text(encoding="utf-8")
+        block = re.findall(r'^if __name__ == "__main__":\n    raise SystemExit\((\w+)\(\)\)$',
+                           source, flags=re.M)
+        assert script == block == ["run"]
 
 
 class TestCoeffs:

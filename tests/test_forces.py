@@ -224,6 +224,11 @@ class TestTabulate:
                 tabulate([parse(text)], ["L3"], np.array(grid))
         assert str(info.value).startswith("force L3(t) " + message)
 
+    def test_first_bad_point_of_a_2d_grid_named_by_its_flat_index(self):
+        grid = np.array([[0.0, 1.0, 2.0], [700.0, 800.0, 900.0]])
+        with pytest.raises(ValueError, match=r"^force g\(t\) = inf at t = 800\.0 is beyond float range$"):
+            tabulate((parse("exp(t)"),), ("g",), grid)
+
     def test_zero_forces_give_zero_columns(self):
         tables = tabulate([ForceExpr.zero(), ForceExpr.zero()], ["L1", "L2"], 0.1 * np.arange(5))
         assert [x.shape for x in tables] == [(5,), (5,)] and not np.any(tables)
