@@ -192,16 +192,16 @@ def _rk4_linear(a, drives, e, forces, names, z0, start, end, steps):
     inf * 0 = NaN) when the rates are too large for the step count, even on
     a zero solution.
     """
-    if not isinstance(steps, (int, np.integer)):
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     d, m = e.shape
     h = (end - start) / steps
     if forces[m:] and all(v.derivative().is_zero for v in forces[m:]):   # fold into A at start
-        values = np.concatenate(tabulate(forces[m:], names[m:], np.array([start])))
+        values = tabulate(forces[m:], names[m:], np.array([start]))[:, 0]
         a = a + np.tensordot(values, drives, 1)
-        forces, drives = forces[:m], drives[:0]
+        forces, names, drives = forces[:m], names[:m], drives[:0]
     width, blocks = min(steps, _BLOCK), -(-steps // _BLOCK)
     out = np.empty((blocks * width + 1, d))     # rows past steps + 1 are scratch of the scan
     out[0] = z0

@@ -217,35 +217,35 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     a, b = problem.a, problem.b
     h = (b - a) / n
     end_u, end_y, end_init, u_sum, y_sum, b_max = _float_end_rows(mode)
-    half = params.as_floats()
+    al, be, ga, de = half = params.as_floats()
     try:
         h7 = h**7
     except OverflowError:
         h7 = math.inf
-    u_sum = max(u_sum, 2 * h7 * sum(map(abs, half)))    # interior rows: w * h^7
+    u_sum = max(u_sum, 2 * h7 * (abs(al) + abs(be) + abs(ga) + abs(de)))    # interior rows: w * h^7
     if not (0 < h7 < math.inf and math.isfinite(y_sum / h7 + u_sum)):
         raise ValueError(f"grid step h = {h} is out of float range: h^7 = {h7} must be "
                          f"finite and nonzero, and the row weights q/h^7 and w*h^7 finite")
     grid = _knot_grid(a, b, n)
-    fv, gv = tabulate((problem.f, problem.g), ("f", "g"), grid)
-    u = problem.u
-    u7 = float(gv[0]) - float(fv[0]) * u[0]              # y^(7)(a); floats overflow unwarned
+    table = tabulate((problem.f, problem.g), ("f", "g"), grid)     # rows f and g
+    f0, g0 = table[:, 0].tolist()
+    u0, *init = problem.u
+    u7 = g0 - f0 * u0                                    # y^(7)(a); floats overflow unwarned
     if not math.isfinite(u7):
         raise ValueError(f"u_7 = g(a) - f(a)*u_0 = {u7} at t = {a!r} is beyond float range")
-    init = (*u[1:], u7)                                  # u_1..u_7
-    scale = [h ** (m - 7) for m in range(1, 8)]
+    init.append(u7)                                      # u_1..u_7
+    scale = [h**-6, h**-5, h**-4, h**-3, h**-2, h**-1, h**0]    # h^(m - 7)
 
     # While these bounds are finite no product or sum below overflows; floats overflow unwarned.
-    fmax = float(np.maximum.reduce(np.abs(fv)))
-    gmax = float(np.maximum.reduce(np.abs(gv)))
+    fmax, gmax = np.maximum.reduce(np.abs(table), axis=1).tolist()
     row_bound = fmax * u_sum + max(y_sum / h7, _INTERIOR_Y_SUM)
     if not math.isfinite(row_bound):
         raise ValueError(f"f reaches {fmax!r} in magnitude on the grid: the matrix would overflow")
     if not math.isfinite(gmax * u_sum):
         raise ValueError(f"g reaches {gmax!r} in magnitude on the grid: the rhs would overflow")
-    data = sum(bm * s * abs(v) for bm, s, v in zip(b_max, scale, init)) + row_bound * abs(u[0])
+    data = sum([bm * s * abs(v) for bm, s, v in zip(b_max, scale, init)]) + row_bound * abs(u0)
     if not math.isfinite(gmax * u_sum + data):
-        raise ValueError(f"initial data u_0..u_7 = {(u[0], *init)}: the rhs would overflow")
+        raise ValueError(f"initial data u_0..u_7 = {(u0, *init)}: the rhs would overflow")
 
     # Row k of ``work`` is equation k over the knot values y_0..y_n; column 0
     # (y_0 = u_0 is data) moves to the right-hand side at the end, and the
@@ -260,22 +260,24 @@ def build(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,
     # U terms first, then knot terms: the order of the row-at-a-time formula.
     # The right-hand side folds each row's g terms in knot order, then its
     # init terms b_m * h^(m-7) * u_m in order of m.
-    work[:6, :width] = (0.0 - end_u * fv[:width]) - end_y / h7
-    terms = np.concatenate((end_u * gv[:width], end_init * scale * init), axis=1)
+    work[:6, :width] = (0.0 - end_u * table[0, :width]) - end_y / h7
+    terms = np.concatenate((end_u * table[1, :width], end_init * scale * init), axis=1)
     rhs[:6] = np.subtract.reduce(terms, axis=1, initial=0.0)
 
     # Interior row 6 + k (knot i = 7 + k) couples knots k..k+7 with stencil
-    # weight j on knot k + j, read from the (n - 6, 8) window view of each
-    # table whose entry [k, j] is knot k + j; the right-hand side folds the
-    # eight g terms in the order j = 0..7.
+    # weight j on knot k + j, read from window views of the rows of ``table``:
+    # entry [k, j] of ``fw`` and [j, k] of ``gw`` is knot k + j.  The
+    # right-hand side folds the eight g terms in the order j = 0..7, as one
+    # reduction down the columns of ``gw``.
     weights = np.array(half + half[::-1]) * h7
-    fw = np.ndarray((n - 6, 8), float, fv, 0, (8, 8))
-    gw = np.ndarray((n - 6, 8), float, gv, 0, (8, 8))
-    flat[6 * (n + 1):].reshape(n - 6, n + 2)[:, :8] = fw * -weights - _INTERIOR_Y_WEIGHTS
-    rhs[6:] = np.subtract.reduce(gw * weights, axis=1, initial=0.0)
-    rhs[:7] -= work[:7, 0] * u[0]     # rows past 6 do not reach knot 0
+    fw = np.ndarray((n - 6, 8), float, table, 0, (8, 8))
+    gw = np.ndarray((8, n - 6), float, table, 8 * (n + 1), (8, 8))
+    band = np.ndarray((n - 6, 8), float, flat, 8 * 6 * (n + 1), (8 * (n + 2), 8))
+    band[...] = fw * -weights - _INTERIOR_Y_WEIGHTS
+    rhs[6:] = np.subtract.reduce(gw * weights[:, None], axis=0, initial=0.0)
+    rhs[:7] -= work[:7, 0] * u0     # rows past 6 do not reach knot 0
 
-    return LinearSystem(matrix=work[:, 1:], rhs=rhs, grid=grid, y0=u[0])
+    return LinearSystem(matrix=work[:, 1:], rhs=rhs, grid=grid, y0=u0)
 
 
 def row_residual(problem: IvpProblem, params: SplineParams, mode: EndConditionMode,

@@ -89,7 +89,7 @@ class CascadeModel:
     interval: tuple[float, float]
 
     def __post_init__(self):
-        if not isinstance(self.n_scales, (int, np.integer)):
+        if isinstance(self.n_scales, bool) or not isinstance(self.n_scales, (int, np.integer)):
             raise ValueError(f"n_scales must be an integer, got {self.n_scales!r}")
         if self.n_scales < 1:
             raise ValueError(f"n_scales must be positive, got {self.n_scales}")
@@ -143,11 +143,11 @@ def reduce(model: CascadeModel) -> IvpProblem:
         g = ForceExpr(tuple(child for t in g.terms for child in t.derivative_terms()) + tuple(
             t._derived((-model.gamma) ** m * t.coeff) for t in model.forces[m].terms))
         if not all(math.isfinite(term.coeff) for term in g.terms):
-            tabulate(fs, names, np.array([a]))      # a non-finite F_j(a), j <= m, comes first
+            tabulate(fs, names[:m + 1], np.array([a]))  # a non-finite F_j(a), j <= m, comes first
             name = "g" if m + 1 == n else f"F_{m + 1}"
             raise ValueError(f"composed force {name}(t) = {g} has a coefficient beyond float "
                              f"range (Gamma^k times a force coefficient)")
-    values = np.concatenate(tabulate(fs, names, np.array([a])))
+    values = tabulate(fs, names, np.array([a]))[:, 0]
     u = [(-model.gamma) ** m * v + f for m, (v, f) in enumerate(zip(model.init_velocities, values))]
     return IvpProblem(a=a, b=b, f=ForceExpr.constant(feedback), g=g, u=tuple(u))
 

@@ -80,21 +80,25 @@ class ForceTerm:
             term.__dict__["_key"] = _shape_key(term)
         return term
 
-    def _values(self, t: np.ndarray):
+    def _values(self, t: np.ndarray, coeff: float):
         """``coeff * t^m * exp(a*t) * trig(b*t + phi)`` on float ``t``, the float
-        ``coeff`` for a constant term.  It skips t^1 and 1.0*t, which change no
-        bit, and a zero phase, whose addition only turns -0.0 into +0.0."""
-        v = self.coeff
+        ``coeff`` for a constant term.  It skips t^1, 1.0*t and a coefficient
+        1.0, which change no bit, and a zero phase, whose addition only turns
+        -0.0 into +0.0."""
+        v = None if coeff == 1.0 else coeff
         if self.poly_power:
-            v = v * (t if self.poly_power == 1 else np.power(t, self.poly_power))
+            x = t if self.poly_power == 1 else np.power(t, self.poly_power)
+            v = x if v is None else v * x
         if self.exp_rate:
-            v = v * np.exp(t if self.exp_rate == 1.0 else self.exp_rate * t)
+            x = np.exp(t if self.exp_rate == 1.0 else self.exp_rate * t)
+            v = x if v is None else v * x
         if self.trig != "none":
             x = t if self.trig_freq == 1.0 else self.trig_freq * t
             if self.trig_phase:
                 x = x + self.trig_phase
-            v = v * (np.sin(x) if self.trig == "sin" else np.cos(x))
-        return v
+            x = np.sin(x) if self.trig == "sin" else np.cos(x)
+            v = x if v is None else v * x
+        return coeff if v is None else v
 
     def derivative_terms(self) -> list["ForceTerm"]:
         """Product rule over the three factors; at most three child terms."""
@@ -171,17 +175,26 @@ class ForceExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, t):
+    def evaluate(self, t, out=None):
         """Value at ``t`` (scalar or ndarray); scalars come back as floats.
 
         The sum from zero, in term order, of each term's value.  The sum starts
         at +0.0, so a term's signed zero cannot show and zero phases are skipped.
+        ``out``, a float array of ``t``'s shape, receives the values and is
+        returned, also for a scalar ``t``.
         """
         tt = np.asarray(t, dtype=float)
-        total = np.zeros(tt.shape)
-        for term in self.terms:
-            total += term._values(tt)
-        if tt.ndim == 0:
+        if out is None:
+            total = np.zeros(tt.shape)
+        else:
+            total = out
+            total.fill(0.0)
+        for term in self.terms:         # x - y is x + (-y), and -1.0 * y is -y: bit for bit
+            if term.coeff == -1.0:
+                total -= term._values(tt, 1.0)
+            else:
+                total += term._values(tt, term.coeff)
+        if tt.ndim == 0 and out is None:
             return float(total)
         return total
 
@@ -224,21 +237,27 @@ class ForceExpr:
         return "".join(parts)
 
 
-def tabulate(forces, names, t: np.ndarray) -> list[np.ndarray]:
-    """Each of ``forces`` on the grid ``t``, which must be finite everywhere on it.
+def tabulate(forces, names, t: np.ndarray) -> np.ndarray:
+    """The table of ``forces`` on the grid ``t``, shape ``(len(forces), *t.shape)``:
+    row k is ``forces[k]`` evaluated into it, and every entry must be finite.
 
     Overflow to inf (or inf * 0 = NaN) is not warned about but rejected:
     ValueError names the first force not finite by its entry in ``names``
-    and gives its first bad t.
+    and gives its first bad t.  ValueError also where ``names`` does not
+    name each force once.
     """
+    if len(names) != len(forces):
+        raise ValueError(f"{len(names)} names for {len(forces)} forces")
+    table = np.empty((len(forces), *t.shape))
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = [force.evaluate(t) for force in forces]
-    for values, name in zip(tables, names):
-        if not np.isfinite(values).all():
-            i = int(np.argmin(np.isfinite(values)))         # a flat index, for any shape
-            raise ValueError(f"force {name}(t) = {values.flat[i]} at t = {float(t.flat[i])!r} "
-                             f"is beyond float range")
-    return tables
+        for k, force in enumerate(forces):
+            force.evaluate(t, out=table[k, ...])     # a view, also for a 0-d t
+    finite = np.isfinite(table)
+    if np.count_nonzero(finite) != finite.size:
+        k, i = divmod(int(np.argmin(finite)), t.size)    # a flat index into row k, for any shape
+        raise ValueError(f"force {names[k]}(t) = {table[k].flat[i]} at t = {float(t.flat[i])!r} "
+                         f"is beyond float range")
+    return table
 
 
 # --- parser -------------------------------------------------------------

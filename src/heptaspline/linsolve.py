@@ -16,6 +16,7 @@ imported instead.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -91,25 +92,39 @@ class SolutionGrid:
     residual_inf: float
 
 
+@functools.lru_cache(maxsize=128)
+def _row_segments(n: int) -> np.ndarray:
+    """Read-only ``reduceat`` offsets of the pivot guard for an n x n flat |LU|:
+    2i is the diagonal entry of row i, 2i + 1 the start of row i + 1."""
+    segments = np.empty((n, 2), dtype=np.intp)
+    segments[:, 0] = np.arange(0, n * (n + 1), n + 1)      # i (n + 1): diagonal of row i
+    segments[:, 1] = np.arange(1, n + 1) * n               # (i + 1) n: start of row i + 1
+    offsets = segments.reshape(-1)[:-1]
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _factor(system: LinearSystem) -> tuple[np.ndarray, np.ndarray, float]:
     """LU factors and pivots of ``system.matrix`` (LAPACK getrf), and its inf-norm (lange)."""
     A = system.matrix
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
-    # ||A||_inf is the 1-norm of A^T, whose layout LAPACK's dlange reads
-    # without a transposing copy: one pass, row sums in order, NaN propagated,
-    # overflow to inf unwarned.  It is finite when every row sum is, so the
-    # largest entry is looked at only when it is not.
+    # LAPACK reads column-major arrays, so one column-major copy of A serves
+    # both calls: dlange takes ||A||_inf from it (one pass, row sums in order,
+    # NaN propagated, overflow to inf unwarned) and dgetrf factors it in
+    # place.  The norm is finite when every row sum is, so the largest entry
+    # is looked at only when it is not.
     lapack = _lapack()
-    anorm = float(lapack.dlange("1", A.T))
+    a = np.array(A, order="F")
+    anorm = float(lapack.dlange("I", a))
     if not math.isfinite(anorm):
         if not math.isfinite(np.abs(A).max()):
             raise LinearSolveError("system contains non-finite entries")
         raise LinearSolveError(f"||A||_inf = {anorm} is beyond float range, "
                                f"so the backward residual cannot be bounded")
-    if not np.isfinite(system.rhs).all():
+    if np.count_nonzero(np.isfinite(system.rhs)) != system.rhs.size:
         raise LinearSolveError("system contains non-finite entries")
-    lu, piv, _ = lapack.dgetrf(A)   # an exactly zero pivot (info > 0) fails the guard below
+    lu, piv, _ = lapack.dgetrf(a, overwrite_a=1)   # a zero pivot (info > 0) fails the guard below
     # Row magnitudes legitimately span many orders (1/h^7 end rows vs O(1)
     # interior rows), so each pivot is judged against its own row of U.  A
     # row of U that is all zero fails too, since its pivot 0 <= 0.  One
@@ -117,12 +132,8 @@ def _factor(system: LinearSystem) -> tuple[np.ndarray, np.ndarray, float]:
     # from its diagonal on, segment 2i + 1 the part of row i + 1 left of it.
     lu_magnitude = np.abs(lu)
     pivots = lu_magnitude.diagonal()
-    n = len(pivots)
-    segments = np.empty((n, 2), dtype=np.intp)
-    segments[:, 0] = np.arange(0, n * (n + 1), n + 1)      # i (n + 1): diagonal of row i
-    segments[:, 1] = np.arange(1, n + 1) * n               # (i + 1) n: start of row i + 1
-    row_scale = np.maximum.reduceat(lu_magnitude.reshape(-1), segments.reshape(-1)[:-1])[::2]
-    if (pivots <= _PIVOT_RTOL * row_scale).any():
+    row_scale = np.maximum.reduceat(lu_magnitude.reshape(-1), _row_segments(len(pivots)))[::2]
+    if np.count_nonzero(pivots <= _PIVOT_RTOL * row_scale):
         worst = int(np.argmin(np.where(row_scale > 0, pivots / np.maximum(row_scale, 1e-300), 0.0)))
         raise LinearSolveError(
             f"numerically singular matrix: pivot {pivots[worst]:.3e} vs "
@@ -139,8 +150,9 @@ def lu_solve(system: LinearSystem) -> SolutionGrid:
     """
     lu, piv, anorm = _factor(system)
     y, _ = _lapack().dgetrs(lu, piv, system.rhs)
-    residual = float(np.maximum.reduce(np.abs(system.matrix @ y - system.rhs), initial=0.0))
-    ynorm = float(np.maximum.reduce(np.abs(y), initial=0.0))
+    # ||A y - b||_inf and ||y||_inf, in one reduction over both vectors
+    residual, ynorm = np.maximum.reduce(np.abs((system.matrix @ y - system.rhs, y)), axis=1,
+                                        initial=0.0).tolist()
     bound = _RESIDUAL_RTOL * anorm * max(ynorm, _TINY)
     if not residual <= bound:     # a NaN residual fails too
         raise LinearSolveError(

@@ -69,6 +69,8 @@ class TestModelInvariants:
         (0, r"^n_scales must be positive, got 0$"),
         (-7, r"^n_scales must be positive, got -7$"),
         (7.0, r"^n_scales must be an integer, got 7\.0$"),
+        (True, r"^n_scales must be an integer, got True$"),
+        (np.True_, r"^n_scales must be an integer, got np\.True_$"),
     ])
     def test_scale_count_is_a_positive_integer(self, n_scales, message):
         with pytest.raises(ValueError, match=message):
@@ -318,7 +320,8 @@ class TestSimulateDirect:
         assert np.max(np.abs(traj - expected[:, None])) <= 1e-8
 
     @pytest.mark.parametrize("steps,message", [(0, r"^steps must be >= 1, got 0$"),
-                                               (1.5, r"^steps must be an integer, got 1\.5$")])
+                                               (1.5, r"^steps must be an integer, got 1\.5$"),
+                                               (True, r"^steps must be an integer, got True$")])
     def test_step_count_validated(self, steps, message):
         model = CascadeModel(7, 1.0, ZERO7, (0.0,) * 7, (0.0, 1.0))
         with pytest.raises(ValueError, match=message):

@@ -205,7 +205,7 @@ class TestTabulate:
     def test_one_table_per_force_and_the_first_bad_one_named(self):
         forces = [parse("t^2"), parse("exp(800*t)"), parse("t^400*exp(-800*t)")]
         ts = np.array([0.0, 0.5, 1.0])
-        tables = tabulate(forces[:1], ["f"], ts) + tabulate(forces[2:], ["g"], ts)
+        tables = [*tabulate(forces[:1], ["f"], ts), *tabulate(forces[2:], ["g"], ts)]
         assert [x.tobytes() for x in tables] == [forces[0].evaluate(ts).tobytes(),
                                                  forces[2].evaluate(ts).tobytes()]
         with warnings.catch_warnings():
@@ -224,6 +224,13 @@ class TestTabulate:
             with pytest.raises(ValueError) as info:
                 tabulate([parse(text)], ["L3"], np.array(grid))
         assert str(info.value).startswith("force L3(t) " + message)
+
+    def test_names_must_name_each_force_once(self):
+        # without the check, the table's second row (exp(800) = inf) would go unchecked
+        with pytest.raises(ValueError, match=r"^1 names for 2 forces$"):
+            tabulate([parse("1"), parse("exp(t)")], ["f"], np.array([800.0]))
+        with pytest.raises(ValueError, match=r"^2 names for 1 forces$"):
+            tabulate([parse("1")], ["f", "g"], np.array([0.0]))
 
     def test_zero_forces_give_zero_columns(self):
         tables = tabulate([ForceExpr.zero(), ForceExpr.zero()], ["L1", "L2"], 0.1 * np.arange(5))

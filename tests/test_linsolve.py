@@ -14,6 +14,12 @@ from heptaspline.oracle import BENCHMARKS
 from heptaspline.spline_params import SplineParams, optimal_family
 
 
+#: The parameter sets of the benchmark sweep: the three published columns and
+#: the optimal family at delta = 30.
+SWEEP_PARAMS = (SplineParams(0.5, 9.5, 24.5, 25.5), SplineParams(0, 0, 0, 60),
+                SplineParams(10, 10, 10, 30), optimal_family(30))
+
+
 def small_system(matrix, rhs) -> LinearSystem:
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -68,6 +74,28 @@ class TestLuSolve:
         expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.matrix), system.rhs)
         y = lu_solve(system).y[1:]
         assert y.tobytes() == expected.tobytes()
+
+    def test_sweep_grid_solves_pinned(self):
+        # Every system of the benchmark sweep: each benchmark, mode, published
+        # parameter column or optimal_family(30), and n = min_knots(mode)..96.
+        # The knot values are scipy's LU solve, the residual and the error are
+        # the plain formulas, all bit for bit.
+        from heptaspline.oracle import max_abs_error
+        for bench in BENCHMARKS:
+            for mode in EndConditionMode:
+                for params in SWEEP_PARAMS:
+                    for n in range(min_knots(mode), 97):
+                        system = build(bench.problem, params, mode, n)
+                        grid = lu_solve(system)
+                        y = grid.y[1:]
+                        factors = scipy.linalg.lu_factor(system.matrix, check_finite=False)
+                        expected = scipy.linalg.lu_solve(factors, system.rhs, check_finite=False)
+                        assert y.tobytes() == expected.tobytes(), (bench, mode, params, n)
+                        residual = np.max(np.abs(system.matrix @ y - system.rhs))
+                        assert grid.residual_inf.hex() == residual.hex(), (bench, mode, params, n)
+                        error = np.max(np.abs(grid.y - bench.exact.evaluate(grid.t)))
+                        assert max_abs_error(grid, bench.exact).hex() == error.hex(), \
+                            (bench, mode, params, n)
 
     @pytest.mark.parametrize("matrix,step", [([[1.0, 2.0], [1.0, 2.0]], 1),
                                              ([[2.0, 1.0], [4.0, 2.0]], 1),

@@ -87,7 +87,8 @@ class TestRkSolve:
         assert trajectory.t[5] == 0.5 and trajectory.t[-1] == 1.0
 
     @pytest.mark.parametrize("steps,message", [(0, r"^steps must be >= 1, got 0$"),
-                                               (1.5, r"^steps must be an integer, got 1\.5$")])
+                                               (1.5, r"^steps must be an integer, got 1\.5$"),
+                                               (True, r"^steps must be an integer, got True$")])
     def test_step_count_validated(self, steps, message):
         with pytest.raises(ValueError, match=message):
             rk_solve(EXPONENTIAL.problem, steps)
@@ -563,10 +564,10 @@ class TestConvergenceStudy:
         calls = []
         evaluate = ForceExpr.evaluate
 
-        def counting(self, t):
+        def counting(self, t, out=None):
             if self is exact:
                 calls.append(np.size(t))
-            return evaluate(self, t)
+            return evaluate(self, t, out)
 
         monkeypatch.setattr(ForceExpr, "evaluate", counting)
         report = convergence_study(EXPONENTIAL.problem, optimal_family(30),
