@@ -10,7 +10,7 @@ import scipy.linalg
 from heptaspline import linsolve
 from heptaspline.assembly import EndConditionMode, LinearSystem, build, min_knots
 from heptaspline.linsolve import LinearSolveError, lu_solve
-from heptaspline.oracle import BENCHMARKS
+from heptaspline.oracle import BENCHMARKS, max_abs_error
 from heptaspline.spline_params import SplineParams, optimal_family
 
 
@@ -80,7 +80,6 @@ class TestLuSolve:
         # parameter column or optimal_family(30), and n = min_knots(mode)..96.
         # The knot values are scipy's LU solve, the residual and the error are
         # the plain formulas, all bit for bit.
-        from heptaspline.oracle import max_abs_error
         for bench in BENCHMARKS:
             for mode in EndConditionMode:
                 for params in SWEEP_PARAMS:
@@ -130,8 +129,7 @@ class TestLuSolve:
         # rounding on every system of the sweep grid.
         eps = np.finfo(float).eps
         for bench in BENCHMARKS:
-            for params in (optimal_family(30), SplineParams(0, 0, 0, 60),
-                           SplineParams(10, 10, 10, 30), SplineParams(0.5, 9.5, 24.5, 25.5)):
+            for params in SWEEP_PARAMS:
                 for n in range(min_knots(mode), 97):
                     system = build(bench.problem, params, mode, n)
                     want = np.abs(system.matrix).sum(1).max()
